@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .parc_spatial import sweep_axis
 from .tensor import Tensor4
-
-_AXIS = {"H": 2, "V": 3}
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,10 @@ def conv1d_zeropad(x: Tensor4, p: ZeroPadConvParams) -> Tensor4:
     swept extent becomes N - K + 2*pad + 1 (input-sized when pad=(K-1)/2).
     The other three axes pass through unchanged.
     """
-    if p.orientation not in _AXIS:
+    if p.orientation == "2D":
         raise ValueError("conv1d_zeropad needs orientation 'H' or 'V'")
     _check_channels(x, p)
-    axis = _AXIS[p.orientation]
+    axis = sweep_axis(p.orientation)
     n = x.shape[axis]
     k, pad = p.taps, p.pad
     out_len = n - k + 2 * pad + 1

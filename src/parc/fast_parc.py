@@ -274,9 +274,10 @@ def ifft(spec: Spectrum, plan: FftPlan | None = None) -> np.ndarray:
 def weight_spectrum(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
     """Per-channel conjugate-ready kernel spectra, cached on the params."""
     key = (n, dtype_name)
+    # resolving first also drops spectra of params edited since they were cached
+    kernel_n, _, _ = p.resolved(n, dtype_name)
     spec = p._spectra.get(key)
     if spec is None:
-        kernel_n, _, _ = p.resolved(n, dtype_name)
         spec = _rfft_lines(kernel_n, get_plan(n))
         p._spectra[key] = spec
     return spec

@@ -43,8 +43,9 @@ class ParCParams:
     (C_out, C_in, K), meta_pe (C_in, K_pe), bias (C_out,).  All values are
     kept as float64 and must be finite.
 
-    Treat instances as immutable after construction; the two trailing dicts
-    cache per-(length, dtype) resolved parameters and weight spectra.
+    The trailing dicts cache per-(length, dtype) resolved parameters and
+    weight spectra.  ``resolved`` empties both once the bytes of meta_kernel,
+    meta_pe or bias change, in-place edits included.
     """
 
     mode: str
@@ -54,6 +55,7 @@ class ParCParams:
     bias: np.ndarray
     _resolved: dict = field(default_factory=dict, repr=False, compare=False)
     _spectra: dict = field(default_factory=dict, repr=False, compare=False)
+    _stamp: bytes = field(default=b"", init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("depthwise", "dense"):
@@ -98,8 +100,14 @@ class ParCParams:
         """Kernel, PE, and bias stretched to sweep length n and cast.
 
         Interpolation runs in float64 and the result is cached per
-        (n, dtype_name), so repeated calls at one resolution are free.
+        (n, dtype_name), so repeated calls at one resolution are free.  Both
+        caches are emptied first if the parameter bytes have changed.
         """
+        stamp = b"".join(a.tobytes() for a in (self.meta_kernel, self.meta_pe, self.bias))
+        if stamp != self._stamp:
+            self._resolved.clear()
+            self._spectra.clear()
+            self._stamp = stamp
         key = (n, dtype_name)
         hit = self._resolved.get(key)
         if hit is None:
@@ -156,6 +164,11 @@ def _axis_window(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarra
     return arr[tuple(sl)]
 
 
+def _periodic_ext(arr: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """arr followed by its own first n-1 positions along axis (length 2n-1)."""
+    return np.concatenate([arr, _axis_window(arr, axis, 0, n - 1)], axis=axis)
+
+
 def _offset_input(x: Tensor4, p: ParCParams):
     if x.shape[1] != p.channels_in:
         raise ValueError(f"input carries {x.shape[1]} channels, params expect {p.channels_in}")
@@ -170,7 +183,8 @@ def _accumulate(source, tap_of, out_shape, kernel_n, bias, mode, n, parallel):
     """Shared tap loop: tap_of(view, k) yields the k-shifted window of view.
 
     Both spatial routes funnel through here so the accumulation order, and
-    therefore every intermediate rounding, is identical between them.
+    therefore every intermediate rounding, is identical between them.  The
+    backward pass runs dX through it as well, with a reversed kernel.
     """
     y = np.zeros(out_shape, dtype=source.dtype)
     if mode == "depthwise":
@@ -190,11 +204,9 @@ def _accumulate(source, tap_of, out_shape, kernel_n, bias, mode, n, parallel):
     return Tensor4(y)
 
 
-def _out_shape(xp, mode, kernel_n):
-    shape = list(xp.shape)
-    if mode == "dense":
-        shape[1] = kernel_n.shape[0]
-    return tuple(shape)
+def _out_shape(xp, kernel_n):
+    """xp's shape with C replaced by the kernel's leading (output) extent."""
+    return xp.shape[:1] + kernel_n.shape[:1] + xp.shape[2:]
 
 
 def parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
@@ -211,7 +223,7 @@ def parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
     def tap_of(view, k):
         return np.take(view, (base + k) % n, axis=axis)
 
-    return _accumulate(xp, tap_of, _out_shape(xp, p.mode, kernel_n),
+    return _accumulate(xp, tap_of, _out_shape(xp, kernel_n),
                        kernel_n, bias, p.mode, n, parallel)
 
 
@@ -224,12 +236,12 @@ def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -
     bit-identical to it because the tap order matches.
     """
     axis, n, kernel_n, _, bias, xp = _offset_input(x, p)
-    ext = np.concatenate([xp, _axis_window(xp, axis, 0, n - 1)], axis=axis)
+    ext = _periodic_ext(xp, axis, n)
 
     def tap_of(view, k):
         return _axis_window(view, axis, k, k + n)
 
-    return _accumulate(ext, tap_of, _out_shape(xp, p.mode, kernel_n),
+    return _accumulate(ext, tap_of, _out_shape(xp, kernel_n),
                        kernel_n, bias, p.mode, n, parallel)
 
 
@@ -254,57 +266,42 @@ class ParCGrads:
     d_meta_pe: np.ndarray
 
 
-def _adjoint_rows(rows: np.ndarray, k: int) -> np.ndarray:
-    lead = rows.shape[:-1]
-    flat = rows.reshape(-1, rows.shape[-1])
-    out = np.empty((flat.shape[0], k), dtype=np.float64)
-    for r in range(flat.shape[0]):
-        out[r] = interp_linear_adjoint(flat[r], k)
-    return out.reshape(lead + (k,))
-
-
 def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
-    """Analytic adjoint of ``parc_forward`` at the point (x, p).
+    """Analytic adjoint of the forward operator at the point (x, p).
 
-    Given dY with the forward output's shape, returns dX (same shape as x),
-    tap/embedding gradients at the resolved length, the bias gradient, and
-    meta-length gradients obtained through ``interp_linear_adjoint``.
+    dY has the forward output's shape.  The adjoint of a circular correlation
+    is again a correlation over the periodic extension, computed in float64:
+    dK[k] = sum_i dY[i] xp[i + k] is one einsum per tap window of the
+    extended offset input xp, and dxp[j] = sum_k K[-k] dY[j + k] (indices
+    mod N) is the forward tap loop over the extended dY with the reversed
+    kernel, channel axes swapped in dense mode, and zero bias.  Meta-length
+    gradients are pulled back through ``interp_linear_adjoint``.
     """
     axis, n, kernel_n, _, _, xp = _offset_input(x, p)
-    b, _, h, w = x.shape
-    out_c = p.channels_out
-    expect = (b, out_c, h, w)
+    expect = (x.shape[0], p.channels_out) + x.shape[2:]
     if dy.shape != expect:
         raise ValueError(f"dY shape {dy.shape} does not match forward output {expect}")
     g = dy.data.astype(np.float64, copy=False)
-    xp64 = xp.astype(np.float64, copy=False)
-    k64 = kernel_n.astype(np.float64, copy=False)
-    base = np.arange(n)
+    x_ext = _periodic_ext(xp, axis, n).astype(np.float64, copy=False)
+
+    def tap_of(view, k):
+        return _axis_window(view, axis, k, k + n)
+
+    spec = "bchw,bchw->c" if p.mode == "depthwise" else "bohw,bihw->oi"
+    dwn = np.stack([np.einsum(spec, g, tap_of(x_ext, k)) for k in range(n)], axis=-1)
+    k_rev = np.roll(kernel_n.astype(np.float64)[..., ::-1], 1, axis=-1)
+    if p.mode == "dense":
+        k_rev = k_rev.transpose(1, 0, 2)
+    dxp = _accumulate(_periodic_ext(g, axis, n), tap_of, xp.shape, k_rev,
+                      np.zeros(p.channels_in), p.mode, n, False).data
+
     orth = 3 if axis == 2 else 2
-
-    dxp = np.zeros(xp64.shape, dtype=np.float64)
-    if p.mode == "depthwise":
-        dwn = np.empty((out_c, n), dtype=np.float64)
-        for k in range(n):
-            shifted_x = np.take(xp64, (base + k) % n, axis=axis)
-            dwn[:, k] = np.einsum("bchw,bchw->c", g, shifted_x)
-            shifted_g = np.take(g, (base - k) % n, axis=axis)
-            dxp += _per_channel(k64[:, k]) * shifted_g
-    else:
-        dwn = np.empty((out_c, p.channels_in, n), dtype=np.float64)
-        for k in range(n):
-            shifted_x = np.take(xp64, (base + k) % n, axis=axis)
-            dwn[:, :, k] = np.einsum("bohw,bihw->oi", g, shifted_x)
-            shifted_g = np.take(g, (base - k) % n, axis=axis)
-            dxp += np.einsum("oi,bohw->bihw", k64[:, :, k], shifted_g)
-
-    d_bias = g.sum(axis=(0, 2, 3))
     d_pe_n = dxp.sum(axis=(0, orth))
     return ParCGrads(
-        d_input=Tensor4(dxp.astype(x.dtype)),
+        d_input=Tensor4(dxp.astype(x.dtype, copy=False)),
         d_kernel_n=dwn,
         d_pe_n=d_pe_n,
-        d_bias=d_bias,
-        d_meta_kernel=_adjoint_rows(dwn, p.meta_kernel.shape[-1]),
-        d_meta_pe=_adjoint_rows(d_pe_n, p.meta_pe.shape[-1]),
+        d_bias=g.sum(axis=(0, 2, 3)),
+        d_meta_kernel=interp_linear_adjoint(dwn, p.k_meta),
+        d_meta_pe=interp_linear_adjoint(d_pe_n, p.meta_pe.shape[-1]),
     )

@@ -9,6 +9,7 @@ modules never have to re-check them.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -131,52 +132,41 @@ def interp_linear(v: np.ndarray, n: int) -> np.ndarray:
         raise ValueError("interp_linear expects a 1D vector with at least one entry")
     if n < 1:
         raise ValueError(f"target length must be >= 1, got {n}")
-    k = v.shape[0]
-    if n == k:
-        return v.copy()
-    if k == 1:
-        return np.full(n, v[0], dtype=v.dtype)
-    i0, i1, frac = _interp_taps(k, n)
-    frac = frac.astype(v.dtype)
-    return v[i0] + frac * (v[i1] - v[i0])
+    return interp_rows(v, n)
 
 
 def interp_linear_adjoint(g: np.ndarray, k: int) -> np.ndarray:
-    """Transpose of ``interp_linear``: scatter a length-n cotangent back to k.
+    """Transpose of ``interp_linear``: scatter length-n cotangents back to k.
 
-    Row m of the implicit interpolation matrix holds (1 - frac_m) at i0 and
-    frac_m at i1; the adjoint accumulates g through the same taps, so
+    Row m of the interpolation matrix M (n, k) holds (1 - frac_m) at i0 and
+    frac_m at i1 (M is the identity when n == k).  The adjoint is the one
+    product g @ M, so stacked rows are pulled back together and
     dot(interp_linear(v, n), g) == dot(v, interp_linear_adjoint(g, k)) up to
     roundoff for every v.
 
     Args:
-        g: cotangent of the resampled vector, shape (n,).
+        g: cotangents of resampled vectors, shape (n,) or stacked (..., n).
         k: source length the gradient is scattered back to.
 
     Returns:
-        Accumulated gradient of shape (k,), float64.
+        Accumulated gradient of shape (..., k), float64.
     """
     g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 1 or g.shape[0] < 1:
-        raise ValueError("interp_linear_adjoint expects a 1D cotangent")
+    if g.ndim < 1 or g.shape[-1] < 1:
+        raise ValueError("interp_linear_adjoint expects cotangent rows of length >= 1")
     if k < 1:
         raise ValueError(f"source length must be >= 1, got {k}")
-    n = g.shape[0]
-    out = np.zeros(k, dtype=np.float64)
-    if n == k:
-        out += g
-        return out
-    if k == 1:
-        out[0] = g.sum()
-        return out
+    n = g.shape[-1]
     i0, i1, frac = _interp_taps(k, n)
-    np.add.at(out, i0, (1.0 - frac) * g)
-    np.add.at(out, i1, frac * g)
-    return out
+    rows = np.arange(n)
+    m = np.zeros((n, k), dtype=np.float64)
+    np.add.at(m, (rows, i0), 1.0 - frac)
+    np.add.at(m, (rows, i1), frac)
+    return g @ m
 
 
 def interp_rows(m: np.ndarray, n: int) -> np.ndarray:
-    """Apply ``interp_linear`` to every row of a 2D (or stacked) array."""
+    """``interp_linear`` along the last axis of a vector or stacked rows."""
     m = np.asarray(m)
     k = m.shape[-1]
     if n == k:
@@ -209,7 +199,11 @@ def write_fixture(path, t: Tensor4) -> None:
 
 
 def read_fixture(path) -> Tensor4:
-    """Load a PARC1 container, validating magic, header, and payload size."""
+    """Load a PARC1 container, validating magic, header, and payload size.
+
+    The header must be a JSON object with a known "dtype" name and a "shape"
+    of four positive ints; any malformed file raises ``ValueError``.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:5] != FIXTURE_MAGIC:
@@ -220,13 +214,21 @@ def read_fixture(path) -> Tensor4:
     body = 9 + hlen
     if len(blob) < body:
         raise ValueError("truncated PARC1 file (header shorter than declared)")
-    meta = json.loads(blob[9:body].decode("ascii"))
-    dtype_name = meta["dtype"]
-    shape = tuple(meta["shape"])
-    if dtype_name not in DTYPE_NAMES or len(shape) != 4:
-        raise ValueError(f"malformed PARC1 header: {meta}")
+    try:
+        meta = json.loads(blob[9:body].decode("ascii"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"malformed PARC1 header: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"malformed PARC1 header: expected an object, got {type(meta).__name__}")
+    dtype_name = meta.get("dtype")
+    shape = meta.get("shape")
+    if not isinstance(dtype_name, str) or dtype_name not in DTYPE_NAMES:
+        raise ValueError(f"malformed PARC1 header: unknown dtype {dtype_name!r}")
+    if not (isinstance(shape, list) and len(shape) == 4
+            and all(type(e) is int and e > 0 for e in shape)):
+        raise ValueError(f"malformed PARC1 header: shape must be four positive ints, got {shape!r}")
     wire = "<f4" if dtype_name == "f32" else "<f8"
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     payload = blob[body:]
     expect = count * np.dtype(wire).itemsize
     if len(payload) != expect:

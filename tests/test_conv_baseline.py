@@ -73,6 +73,11 @@ class TestConv1d:
         with pytest.raises(ValueError, match="channels"):
             conv1d_zeropad(Tensor4.zeros((1, 3, 4, 4)), p)
 
+    def test_2d_params_rejected(self):
+        p = ZeroPadConvParams(np.ones((1, 3, 3)), pad=1, orientation="2D")
+        with pytest.raises(ValueError, match="orientation 'H' or 'V'"):
+            conv1d_zeropad(Tensor4.zeros((1, 1, 4, 4)), p)
+
 
 class TestDwConv2d:
     def test_ones_kernel_tap_counts(self):

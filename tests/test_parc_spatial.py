@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parc.fast_parc import fast_parc_forward
 from parc.parc_spatial import (
     ParCParams,
     parc_backward,
@@ -224,6 +225,54 @@ class TestBackward:
         with pytest.raises(ValueError, match="shape"):
             parc_backward(x, p, Tensor4.zeros((1, 2, 4, 5)))
 
+    @pytest.mark.parametrize("mode", ["depthwise", "dense"])
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_long_axes_against_gather_reference(self, mode, orientation, dtype):
+        """Lengths beyond the finite-difference gate, against np.take gathers.
+
+        y - bias is linear in both the resolved kernel K and the offset input
+        xp, so <dy, y - bias> == <dK, K> == <dxp, xp> must hold.
+        """
+        rng = np.random.default_rng(65)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for n in (13, 50, 83):
+            c_out = 2 if mode == "depthwise" else 3
+            p = random_params(rng, 2, orientation=orientation, mode=mode, channels_out=c_out)
+            axis = 2 if orientation == "H" else 3
+            shape = (2, 2, n, 3) if orientation == "H" else (2, 2, 3, n)
+            x = Tensor4(rng.standard_normal(shape).astype(dtype))
+            dy = rng.standard_normal((2, c_out) + shape[2:]).astype(dtype)
+            g = parc_backward(x, p, Tensor4(dy))
+
+            kernel_n, pe_n, bias = p.resolved(n, x.dtype_name)
+            pe = pe_n[None, :, :, None] if axis == 2 else pe_n[None, :, None, :]
+            # the offset input is formed at the input precision, as forward does
+            xp = (x.data + pe).astype(np.float64)
+            kernel_n, bias = kernel_n.astype(np.float64), bias.astype(np.float64)
+            g64 = dy.astype(np.float64)
+            base = np.arange(n)
+            dxp = np.zeros(xp.shape)
+            dk = np.zeros(kernel_n.shape)
+            for k in range(n):
+                x_k = np.take(xp, (base + k) % n, axis=axis)
+                g_k = np.take(g64, (base - k) % n, axis=axis)
+                if mode == "depthwise":
+                    dk[:, k] = (g64 * x_k).sum(axis=(0, 2, 3))
+                    dxp += kernel_n[None, :, k, None, None] * g_k
+                else:
+                    dk[:, :, k] = np.einsum("bohw,bihw->oi", g64, x_k)
+                    dxp += np.einsum("oi,bohw->bihw", kernel_n[:, :, k], g_k)
+            assert g.d_input.dtype == dtype
+            assert np.abs(g.d_input.data - dxp).max() <= tol * np.abs(dxp).max()
+            assert np.abs(g.d_kernel_n - dk).max() <= 1e-12 * np.abs(dk).max()
+
+            lin = parc_forward(x, p).data.astype(np.float64) - bias[None, :, None, None]
+            lhs = float(np.sum(g64 * lin))
+            scale = np.linalg.norm(g64) * np.linalg.norm(lin)
+            assert abs(lhs - float(np.sum(g.d_kernel_n * kernel_n))) <= tol * scale
+            assert abs(lhs - float(np.sum(g.d_input.data * xp))) <= tol * scale
+
     def test_meta_grads_respect_meta_length(self):
         rng = np.random.default_rng(64)
         p = random_params(rng, 2, k_meta=3)
@@ -242,6 +291,20 @@ class TestParamsContract:
         first = p.resolved(9, "f64")
         again = p.resolved(9, "f64")
         assert first[0] is again[0]
+
+    @pytest.mark.parametrize("route", [parc_forward, parc_forward_via_concat, fast_parc_forward])
+    def test_in_place_edits_never_serve_stale_results(self, route):
+        rng = np.random.default_rng(74)
+        p = random_params(rng, 3, orientation="V")
+        x = Tensor4(rng.standard_normal((1, 3, 4, 6)))
+        for name in ("meta_kernel", "meta_pe", "bias"):
+            before = route(x, p).data
+            getattr(p, name)[:] *= 2.0
+            fresh = ParCParams(p.mode, p.orientation, p.meta_kernel.copy(),
+                               p.meta_pe.copy(), p.bias.copy())
+            after = route(x, p).data
+            assert not np.array_equal(after, before)
+            assert np.array_equal(after, route(x, fresh).data)
 
     def test_resolved_matches_interp_per_row(self):
         rng = np.random.default_rng(72)

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parc.tensor import (
@@ -101,6 +101,9 @@ class TestInterp:
         assert (out == value).all()
 
     @given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @example(1, 1, 0)
+    @example(1, 9, 0)
+    @example(7, 7, 0)
     @settings(max_examples=60)
     def test_adjoint_dot_identity(self, k, n, seed):
         rng = np.random.default_rng(seed)
@@ -109,6 +112,14 @@ class TestInterp:
         lhs = float(interp_linear(v, n) @ g)
         rhs = float(v @ interp_linear_adjoint(g, k))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+        # stacked rows pull back together, each as its own call would
+        rows = rng.standard_normal((3, 2, n))
+        stacked = interp_linear_adjoint(rows, k)
+        assert stacked.shape == (3, 2, k) and stacked.dtype == np.float64
+        one_by_one = np.array([[interp_linear_adjoint(r, k) for r in pair] for pair in rows])
+        assert np.abs(stacked - one_by_one).max() <= 1e-12 * max(1.0, np.abs(one_by_one).max())
+        if n == k:
+            assert np.array_equal(stacked, rows)
 
     def test_adjoint_examples(self):
         assert interp_linear_adjoint(np.array([1.0, 2.0, 3.0]), 3).tolist() == [1, 2, 3]
@@ -129,6 +140,8 @@ class TestInterp:
             interp_linear(np.zeros(3), 0)
         with pytest.raises(ValueError):
             interp_linear_adjoint(np.zeros(3), 0)
+        with pytest.raises(ValueError):
+            interp_linear_adjoint(np.float64(1.0), 2)
 
 
 class TestFixtureFormat:
@@ -175,3 +188,74 @@ class TestFixtureFormat:
         path.write_bytes(b"PARC1" + struct.pack("<I", 100) + b"{}")
         with pytest.raises(ValueError, match="header"):
             read_fixture(path)
+
+
+def _raw_fixture(header: bytes, payload: bytes) -> bytes:
+    return b"PARC1" + struct.pack("<I", len(header)) + header + payload
+
+
+class TestMalformedFixtures:
+    @pytest.mark.parametrize("header, payload", [
+        (b'{"shape":[1,1,1,1]}', bytes(8)),
+        (b'{"dtype":"f64"}', bytes(8)),
+        (b'[1,2,3]', bytes(8)),
+        (b'"f64"', bytes(8)),
+        (b'{"dtype":"f64","shape":"1111"}', bytes(8)),
+        (b'{"dtype":"f64","shape":[1099511627776,1099511627776,1099511627776,1]}', b""),
+        (b'{"dtype":"f32","shape":[1,1,-1,1]}', b""),
+        (b'{"dtype":"f32","shape":[1,1,0,1]}', b""),
+        (b'{"dtype":"f32","shape":[1,1,1.0,1]}', bytes(4)),
+        (b'{"dtype":"f32","shape":[1,1,true,1]}', bytes(4)),
+        (b'{"dtype":"f32","shape":[1,1,1]}', bytes(4)),
+        (b'{"dtype":"f16","shape":[1,1,1,1]}', bytes(2)),
+        (b'{"dtype":["f32"],"shape":[1,1,1,1]}', bytes(4)),
+        (b'{"dtype":"f32",', bytes(4)),
+        (b'{"dtype":"\xff"}', bytes(4)),
+        (b"\xff\xfe", bytes(4)),
+        (b"[" * 100000 + b"]" * 100000, b""),
+    ], ids=["no-dtype", "no-shape", "list-header", "string-header", "string-shape",
+            "overflowing-shape", "negative-extent", "zero-extent", "float-extent",
+            "bool-extent", "rank-3-shape", "unknown-dtype", "list-dtype", "truncated-json",
+            "non-ascii-dtype", "non-ascii-header", "deep-nesting"])
+    def test_rejected_with_value_error(self, tmp_path, header, payload):
+        path = tmp_path / "bad.parc1"
+        path.write_bytes(_raw_fixture(header, payload))
+        with pytest.raises(ValueError, match="PARC1"):
+            read_fixture(path)
+
+    @given(
+        st.one_of(
+            st.recursive(
+                st.none() | st.booleans() | st.integers(-2**70, 2**70)
+                | st.floats(allow_nan=False) | st.text(max_size=4),
+                lambda inner: st.lists(inner, max_size=5)
+                | st.dictionaries(st.sampled_from(["dtype", "shape", "x"]), inner, max_size=3),
+                max_leaves=12,
+            ),
+            st.fixed_dictionaries({
+                "dtype": st.sampled_from(["f32", "f64", "f16", ""]),
+                "shape": st.lists(st.integers(-3, 2**45), min_size=3, max_size=5),
+            }),
+            st.just(None).map(lambda _: "valid"),
+        ),
+        st.binary(max_size=64),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=3),
+        st.one_of(st.none(), st.integers(0, 200)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_headers_and_payloads(self, tmp_path_factory, meta, payload, flips, keep):
+        """Corrupted files raise ValueError; anything accepted is a Tensor4."""
+        path = tmp_path_factory.getbasetemp() / "fuzz.parc1"
+        if meta == "valid":
+            write_fixture(path, Tensor4(np.arange(6.0).reshape(1, 2, 3, 1)))
+            blob = bytearray(path.read_bytes())
+        else:
+            blob = bytearray(_raw_fixture(json.dumps(meta).encode("ascii"), payload))
+        for pos, byte in flips:
+            blob[pos % len(blob)] = byte
+        path.write_bytes(bytes(blob[:keep]))
+        try:
+            t = read_fixture(path)
+        except ValueError:
+            return
+        assert isinstance(t, Tensor4)
