@@ -4,8 +4,9 @@ Each (op, resolution) pair gets one random input allocated up front, a
 untimed warmup run, then individually timed iterations on a monotonic clock.
 Reported spread is the population standard deviation; optional trimming
 drops the fastest and slowest 5% before aggregating.  The circular ops time
-the composite used in real blocks: half the channels swept along H, half
-along V ("parc" runs the periodic-extension spatial route, "fastparc" the
+the composite used in real blocks, ``blocks.split_sweep``: the channel split,
+half the channels swept along H, half along V, and the concatenation of the
+two halves ("parc" runs the periodic-extension spatial route, "fastparc" the
 frequency route), so their mul_count matches the model in ``flops``.
 """
 
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import random_convnet_mixer, split_sweep
 from .conv_baseline import ZeroPadConvParams, dwconv2d_zeropad
 from .fast_parc import fast_parc_forward
 from .flops import format_mega, op_mul_count
-from .parc_spatial import parc_forward_via_concat, random_params
+from .parc_spatial import parc_forward_via_concat
 from .tensor import Tensor4, dtype_from_name
 
 CSV_HEADER = [
@@ -68,32 +70,22 @@ def host_descriptor() -> str:
 
 
 def _make_runner(op: str, cfg: BenchConfig, resolution: int):
-    """Closure executing one forward pass; inputs pre-allocated, untimed."""
+    """Closure executing one forward pass; inputs pre-allocated, untimed.
+
+    Op names were already checked by ``op_mul_count`` in ``run_bench``.
+    """
     n = resolution
     rng = np.random.default_rng(cfg.seed * 1_000_003 + n)
     x = Tensor4(rng.standard_normal((cfg.batch, cfg.channels, n, n))
                 .astype(dtype_from_name(cfg.precision)))
-    if op.startswith("dw") and op[2:].isdigit():
+    if op.startswith("dw"):
         k = int(op[2:])
         p = ZeroPadConvParams(rng.uniform(-1, 1, (cfg.channels, k, k)) / (k * k),
                               pad=(k - 1) // 2, orientation="2D")
         return lambda: dwconv2d_zeropad(x, p)
-    if op in ("parc", "fastparc"):
-        if cfg.channels % 2:
-            raise ValueError(f"op {op!r} needs an even channel count, got {cfg.channels}")
-        half = cfg.channels // 2
-        ph = random_params(rng, half, orientation="H", kernel_scale=1.0 / n)
-        pv = random_params(rng, half, orientation="V", kernel_scale=1.0 / n)
-        xh = Tensor4(np.ascontiguousarray(x.data[:, :half]))
-        xv = Tensor4(np.ascontiguousarray(x.data[:, half:]))
-        fwd = parc_forward_via_concat if op == "parc" else fast_parc_forward
-
-        def run():
-            fwd(xh, ph, parallel=cfg.parallel)
-            fwd(xv, pv, parallel=cfg.parallel)
-
-        return run
-    raise ValueError(f"unknown op {op!r}; expected dw<K> (e.g. dw3, dw7), parc, or fastparc")
+    route = {"parc": parc_forward_via_concat, "fastparc": fast_parc_forward}[op]
+    mixer = random_convnet_mixer(rng, cfg.channels, kernel_scale=1.0 / n)
+    return lambda: split_sweep(x, mixer.parc_h, mixer.parc_v, route, parallel=cfg.parallel)
 
 
 def _aggregate(samples_ms: np.ndarray, trim: bool):

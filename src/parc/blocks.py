@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parc_spatial import ParCParams, parc_forward, random_params
-from .tensor import Tensor4
+from .tensor import Tensor4, finite_field
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -40,19 +40,11 @@ class ChannelAttentionParams:
     b2: np.ndarray
 
     def __post_init__(self):
-        w1, b1 = np.asarray(self.w1, np.float64), np.asarray(self.b1, np.float64)
-        w2, b2 = np.asarray(self.w2, np.float64), np.asarray(self.b2, np.float64)
+        w1, b1, w2, b2 = (finite_field(self, f) for f in ("w1", "b1", "w2", "b2"))
         if w1.ndim != 2 or w2.ndim != 2 or w1.shape != w2.shape[::-1]:
             raise ValueError("attention MLP needs w1 (hidden, C) and w2 (C, hidden)")
         if b1.shape != (w1.shape[0],) or b2.shape != (w2.shape[0],):
             raise ValueError("attention biases must match their layer widths")
-        for name, a in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} contains non-finite values")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "b2", b2)
 
     @property
     def channels(self) -> int:
@@ -117,14 +109,20 @@ def random_convnet_mixer(rng: np.random.Generator, channels: int, **kw) -> ConvN
     )
 
 
+def split_sweep(x: Tensor4, first: ParCParams, second: ParCParams, route,
+                parallel: bool = False) -> Tensor4:
+    """route(., first) on channels [0, C/2), route(., second) on [C/2, C), concatenated."""
+    half = x.shape[1] // 2
+    top = route(Tensor4(x.data[:, :half]), first, parallel=parallel)
+    bot = route(Tensor4(x.data[:, half:]), second, parallel=parallel)
+    return Tensor4(np.concatenate([top.data, bot.data], axis=1))
+
+
 def convnet_mixer_forward(x: Tensor4, p: ConvNetMixerParams) -> Tensor4:
     """Sweep the first half of the channels along H and the rest along V."""
     if x.shape[1] != p.channels:
         raise ValueError(f"input carries {x.shape[1]} channels, mixer expects {p.channels}")
-    half = p.channels // 2
-    top = parc_forward(Tensor4(np.ascontiguousarray(x.data[:, :half])), p.parc_h)
-    bot = parc_forward(Tensor4(np.ascontiguousarray(x.data[:, half:])), p.parc_v)
-    return Tensor4(np.concatenate([top.data, bot.data], axis=1))
+    return split_sweep(x, p.parc_h, p.parc_v, parc_forward)
 
 
 @dataclass(frozen=True)
@@ -153,20 +151,13 @@ class MetaFormerBlockParams:
         _require_depthwise(self.second_v, "V", half, "second_v")
         _require_depthwise(self.second_h, "H", half, "second_h")
         c = 2 * half
-        w1 = np.asarray(self.mlp_w1, np.float64)
-        b1 = np.asarray(self.mlp_b1, np.float64)
-        w2 = np.asarray(self.mlp_w2, np.float64)
-        b2 = np.asarray(self.mlp_b2, np.float64)
+        w1, b1, w2, b2 = (finite_field(self, f) for f in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"))
         if w1.ndim != 2 or w1.shape[1] != c:
             raise ValueError(f"mlp_w1 must be (hidden, {c})")
         if w2.shape != (c, w1.shape[0]) or b1.shape != (w1.shape[0],) or b2.shape != (c,):
             raise ValueError("channel-mixer MLP shapes are inconsistent")
         if self.attention.channels != c:
             raise ValueError(f"attention expects {self.attention.channels} channels, block has {c}")
-        object.__setattr__(self, "mlp_w1", w1)
-        object.__setattr__(self, "mlp_b1", b1)
-        object.__setattr__(self, "mlp_w2", w2)
-        object.__setattr__(self, "mlp_b2", b2)
 
     @property
     def channels(self) -> int:
@@ -194,12 +185,8 @@ def random_metaformer(rng: np.random.Generator, channels: int,
 
 
 def _token_mixer(x: Tensor4, p: MetaFormerBlockParams) -> np.ndarray:
-    half = p.channels // 2
-    first = Tensor4(np.ascontiguousarray(x.data[:, :half]))
-    second = Tensor4(np.ascontiguousarray(x.data[:, half:]))
-    first = parc_forward(parc_forward(first, p.first_h), p.first_v)
-    second = parc_forward(parc_forward(second, p.second_v), p.second_h)
-    return np.concatenate([first.data, second.data], axis=1)
+    mid = split_sweep(x, p.first_h, p.second_v, parc_forward)
+    return split_sweep(mid, p.first_v, p.second_h, parc_forward).data
 
 
 def metaformer_block_forward(x: Tensor4, p: MetaFormerBlockParams) -> Tensor4:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parc_spatial import sweep_axis
-from .tensor import Tensor4
+from .tensor import Tensor4, finite_field
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class ZeroPadConvParams:
     orientation: str = "H"
 
     def __post_init__(self):
-        k = np.asarray(self.kernel, dtype=np.float64)
+        k = finite_field(self, "kernel")
         if self.orientation not in ("H", "V", "2D"):
             raise ValueError(f"orientation must be 'H', 'V', or '2D', got {self.orientation!r}")
         want = 3 if self.orientation == "2D" else 2
@@ -37,11 +37,8 @@ class ZeroPadConvParams:
             raise ValueError(f"orientation {self.orientation} needs a rank-{want} kernel")
         if k.ndim == 3 and k.shape[1] != k.shape[2]:
             raise ValueError("2D kernels must be square")
-        if not np.isfinite(k).all():
-            raise ValueError("kernel contains non-finite values")
         if self.pad < 0:
             raise ValueError("pad must be >= 0")
-        object.__setattr__(self, "kernel", k)
 
     @property
     def channels(self) -> int:

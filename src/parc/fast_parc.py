@@ -51,16 +51,19 @@ def _factorize(n: int):
     return fs, m
 
 
-def _build_stages(n: int, factors) -> list:
-    """Decimation schedule: one (factor, tail, twiddles, dft_matrix) per level."""
+def _build_stages(n: int, factors, cdt) -> list:
+    """Decimation schedule: one (factor, tail, twiddles, dft_matrix) per level.
+
+    Tables are computed in complex128, then cast to cdt.
+    """
     stages, cur = [], n
     for f in factors:
         m = cur // f
         grid = np.arange(f).reshape(-1, 1) * np.arange(m).reshape(1, -1)
-        tw = np.exp((-2j * np.pi / cur) * grid)
+        tw = np.exp((-2j * np.pi / cur) * grid).astype(cdt)
         dmat = None
         if f != 2:
-            dmat = np.exp((-2j * np.pi / f) * np.outer(np.arange(f), np.arange(f)))
+            dmat = np.exp((-2j * np.pi / f) * np.outer(np.arange(f), np.arange(f))).astype(cdt)
         stages.append((f, m, tw, dmat))
         cur = m
     return stages
@@ -79,61 +82,50 @@ def _fft_rec(x: np.ndarray, stages, depth: int) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _cast_stages(stages, cdt):
-    return [
-        (f, m, tw.astype(cdt), None if dmat is None else dmat.astype(cdt))
-        for f, m, tw, dmat in stages
-    ]
-
-
 class FftPlan:
     """Precomputed schedule for one transform length.
 
     strategy is "radix-2" when the length is a power of two, "mixed-radix"
-    when all prime factors are small, "bluestein" otherwise (the length is
-    then reached through a power-of-two chirp convolution).
+    when all prime factors are small, "bluestein" otherwise.  A Bluestein
+    plan reaches its length through a chirp convolution whose transforms
+    run on ``inner``, the cached plan of a power-of-two length m >= 2n - 1;
+    every other plan has ``inner`` None.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"transform length must be >= 1, got {n}")
         self.n = n
-        factors, residual = _factorize(n)
-        self._blu = None
+        self._factors, residual = _factorize(n)
+        self.inner = None
         if residual > 1:
             self.strategy = "bluestein"
-            self._blu = self._build_bluestein(n)
-            self._stages = None
+            self.inner = get_plan(1 << (2 * n - 1).bit_length())
+        elif all(f == 2 for f in self._factors):
+            self.strategy = "radix-2"
         else:
-            self.strategy = "radix-2" if all(f == 2 for f in factors) else "mixed-radix"
-            self._stages = _build_stages(n, factors)
-        self._cast32 = None
+            self.strategy = "mixed-radix"
+        self._cache = {}
+        self._tables(np.dtype(np.complex128))
 
-    @staticmethod
-    def _build_bluestein(n: int):
-        m = 1 << (2 * n - 1).bit_length()
-        idx = np.arange(n, dtype=np.int64)
-        # Angles reduced mod 2*pi via n^2 mod 2N, keeping sin/cos arguments small.
-        chirp = np.exp((-1j * np.pi / n) * ((idx * idx) % (2 * n)))
-        b = np.zeros(m, dtype=np.complex128)
-        b[:n] = np.conj(chirp)
-        if n > 1:
-            b[m - n + 1:] = np.conj(chirp)[1:][::-1]
-        inner = _build_stages(m, [2] * (m.bit_length() - 1))
-        return m, chirp, _fft_rec(b, inner, 0), inner
-
-    def _tables(self, use32: bool):
-        if not use32:
-            return self._stages, self._blu
-        if self._cast32 is None:
-            stages = None if self._stages is None else _cast_stages(self._stages, np.complex64)
-            blu = None
-            if self._blu is not None:
-                m, chirp, bfft, inner = self._blu
-                blu = (m, chirp.astype(np.complex64), bfft.astype(np.complex64),
-                       _cast_stages(inner, np.complex64))
-            self._cast32 = (stages, blu)
-        return self._cast32
+    def _tables(self, cdt: np.dtype):
+        """Stage list, or Bluestein (chirp, transformed filter), in dtype cdt."""
+        tables = self._cache.get(cdt)
+        if tables is None:
+            n = self.n
+            if self.inner is None:
+                tables = _build_stages(n, self._factors, cdt)
+            else:
+                m = self.inner.n
+                idx = np.arange(n, dtype=np.int64)
+                # Angles reduced mod 2*pi via n^2 mod 2N, keeping sin/cos arguments small.
+                chirp = np.exp((-1j * np.pi / n) * ((idx * idx) % (2 * n)))
+                b = np.zeros(m, dtype=np.complex128)
+                b[:n] = np.conj(chirp)
+                b[m - n + 1:] = np.conj(chirp)[1:][::-1]
+                tables = (chirp.astype(cdt), _fft_array(b, self.inner).astype(cdt))
+            self._cache[cdt] = tables
+        return tables
 
 
 _PLANS: dict[int, FftPlan] = {}
@@ -150,16 +142,14 @@ def _fft_array(x: np.ndarray, plan: FftPlan) -> np.ndarray:
     """Forward DFT along the last axis of a complex array."""
     if x.shape[-1] != plan.n:
         raise ValueError(f"plan is for length {plan.n}, input has {x.shape[-1]}")
-    stages, blu = plan._tables(x.dtype == np.complex64)
-    if blu is None:
-        return _fft_rec(x, stages, 0)
-    m, chirp, bfft, inner = blu
-    n = plan.n
-    u = np.zeros(x.shape[:-1] + (m,), dtype=x.dtype)
-    u[..., :n] = x * chirp
-    v = _fft_rec(u, inner, 0) * bfft
-    w = np.conj(_fft_rec(np.conj(v), inner, 0)) * (1.0 / m)
-    return w[..., :n] * chirp
+    tables = plan._tables(x.dtype)
+    if plan.inner is None:
+        return _fft_rec(x, tables, 0)
+    chirp, bfft = tables
+    u = np.zeros(x.shape[:-1] + (plan.inner.n,), dtype=x.dtype)
+    u[..., :plan.n] = x * chirp
+    w = _ifft_array(_fft_array(u, plan.inner) * bfft, plan.inner)
+    return w[..., :plan.n] * chirp
 
 
 def _ifft_array(x: np.ndarray, plan: FftPlan) -> np.ndarray:
@@ -175,27 +165,21 @@ def _ifft_array(x: np.ndarray, plan: FftPlan) -> np.ndarray:
 
 
 def _rfft_lines(lines: np.ndarray, plan: FftPlan) -> np.ndarray:
-    """(L, n) real -> (L, floor(n/2)+1) complex."""
+    """(L, n) real -> (L, floor(n/2)+1) complex; an odd last line pairs with zeros."""
     if lines.shape[-1] != plan.n:
         raise ValueError(f"plan is for length {plan.n}, lines have {lines.shape[-1]}")
     n = plan.n
     nh = n // 2 + 1
-    cdt = np.complex64 if lines.dtype == np.float32 else np.complex128
     count = lines.shape[0]
-    out = np.empty((count, nh), dtype=cdt)
-    pairs = count // 2
-    if pairs:
-        z = np.empty((pairs, n), dtype=cdt)
-        z.real = lines[0:2 * pairs:2]
-        z.imag = lines[1:2 * pairs:2]
-        zf = _fft_array(z, plan)
-        zrev = np.conj(zf[:, (n - np.arange(n)) % n])
-        out[0:2 * pairs:2] = (0.5 * (zf + zrev))[:, :nh]
-        out[1:2 * pairs:2] = (-0.5j * (zf - zrev))[:, :nh]
-    if count % 2:
-        solo = _fft_array(lines[-1].astype(cdt), plan)
-        out[-1] = solo[:nh]
-    return out
+    z = np.zeros(((count + 1) // 2, n), dtype=np.result_type(lines.dtype, np.complex64))
+    z.real = lines[0::2]
+    z.imag[:count // 2] = lines[1::2]
+    zf = _fft_array(z, plan)
+    zrev = np.conj(zf[:, (n - np.arange(n)) % n])
+    out = np.empty((2 * z.shape[0], nh), dtype=z.dtype)
+    out[0::2] = (0.5 * (zf + zrev))[:, :nh]
+    out[1::2] = (-0.5j * (zf - zrev))[:, :nh]
+    return out[:count]
 
 
 def _irfft_lines(half: np.ndarray, plan: FftPlan) -> np.ndarray:
@@ -204,22 +188,15 @@ def _irfft_lines(half: np.ndarray, plan: FftPlan) -> np.ndarray:
     nh = n // 2 + 1
     if half.shape[-1] != nh:
         raise ValueError(f"expected {nh} bins for length {n}, got {half.shape[-1]}")
-    cdt = np.complex64 if half.dtype == np.complex64 else np.complex128
-    rdt = np.float32 if cdt == np.complex64 else np.float64
     count = half.shape[0]
-    full = np.empty((count, n), dtype=cdt)
-    full[:, :nh] = half
-    full[:, nh:] = np.conj(half[:, 1:n - nh + 1])[:, ::-1]
-    out = np.empty((count, n), dtype=rdt)
-    pairs = count // 2
-    if pairs:
-        z = full[0:2 * pairs:2] + 1j * full[1:2 * pairs:2]
-        w = _ifft_array(z.astype(cdt), plan)
-        out[0:2 * pairs:2] = w.real
-        out[1:2 * pairs:2] = w.imag
-    if count % 2:
-        out[-1] = _ifft_array(full[-1], plan).real
-    return out
+    full = np.zeros((2 * ((count + 1) // 2), n), dtype=np.result_type(half.dtype, np.complex64))
+    full[:count, :nh] = half
+    full[:count, nh:] = np.conj(half[:, 1:n - nh + 1])[:, ::-1]
+    w = _ifft_array(full[0::2] + 1j * full[1::2], plan)
+    out = np.empty(full.shape, dtype=w.real.dtype)
+    out[0::2] = w.real
+    out[1::2] = w.imag
+    return out[:count]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._threads import run_sliced
-from .tensor import Tensor4, interp_linear_adjoint, interp_rows
+from .tensor import Tensor4, finite_field, interp_linear_adjoint, interp_rows
 
 _AXIS = {"H": 2, "V": 3}
 DEFAULT_META_LEN = 14
@@ -61,9 +61,7 @@ class ParCParams:
         if self.mode not in ("depthwise", "dense"):
             raise ValueError(f"mode must be 'depthwise' or 'dense', got {self.mode!r}")
         sweep_axis(self.orientation)
-        mk = np.asarray(self.meta_kernel, dtype=np.float64)
-        pe = np.asarray(self.meta_pe, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
+        mk, pe, b = (finite_field(self, f) for f in ("meta_kernel", "meta_pe", "bias"))
         want = 2 if self.mode == "depthwise" else 3
         if mk.ndim != want or min(mk.shape) < 1:
             raise ValueError(f"{self.mode} meta_kernel must have rank {want} with positive extents")
@@ -77,12 +75,6 @@ class ParCParams:
             raise ValueError(f"meta_pe carries {pe.shape[0]} channels, kernel implies {c_in}")
         if b.shape[0] != c_out:
             raise ValueError(f"bias carries {b.shape[0]} channels, kernel implies {c_out}")
-        for name, arr in (("meta_kernel", mk), ("meta_pe", pe), ("bias", b)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite values")
-        self.meta_kernel = mk
-        self.meta_pe = pe
-        self.bias = b
 
     @property
     def channels_in(self) -> int:

@@ -92,6 +92,19 @@ class Tensor4:
         return self.data.reshape(-1)
 
 
+def finite_field(obj, name: str) -> np.ndarray:
+    """Store field ``name`` of obj as a float64 array with only finite values.
+
+    A float64 array is kept as is, not copied.  Frozen dataclasses are
+    supported.  Raises ValueError naming the field on NaN or infinity.
+    """
+    arr = np.asarray(getattr(obj, name), dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite values")
+    object.__setattr__(obj, name, arr)
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # Linear resampling of 1D parameter vectors.
 #

@@ -14,8 +14,10 @@ from parc.blocks import (
     random_channel_attention,
     random_convnet_mixer,
     random_metaformer,
+    split_sweep,
 )
-from parc.parc_spatial import ParCParams, random_params
+from parc.fast_parc import fast_parc_forward
+from parc.parc_spatial import ParCParams, parc_forward, parc_forward_via_concat, random_params
 from parc.tensor import Tensor4
 
 
@@ -215,3 +217,54 @@ class TestMetaFormerBlock:
         p = random_metaformer(rng, 4)
         with pytest.raises(ValueError, match="channels"):
             metaformer_block_forward(Tensor4.zeros((1, 6, 4, 4)), p)
+
+
+def halves(x):
+    half = x.shape[1] // 2
+    return (Tensor4(np.ascontiguousarray(x.data[:, :half])),
+            Tensor4(np.ascontiguousarray(x.data[:, half:])))
+
+
+def block_reference(x, p):
+    """metaformer_block_forward written out per half, without split_sweep."""
+    first, second = halves(x)
+    first = parc_forward(parc_forward(first, p.first_h), p.first_v)
+    second = parc_forward(parc_forward(second, p.second_v), p.second_h)
+    u = x.data + np.concatenate([first.data, second.data], axis=1)
+    bias = lambda b: b.astype(x.dtype)[None, :, None, None]
+    h = np.tanh(np.einsum("dc,bchw->bdhw", p.mlp_w1.astype(x.dtype), u) + bias(p.mlp_b1))
+    m = np.einsum("cd,bdhw->bchw", p.mlp_w2.astype(x.dtype), h) + bias(p.mlp_b2)
+    return u + channel_attention(Tensor4(np.ascontiguousarray(m)), p.attention).data
+
+
+class TestSplitSweep:
+    @pytest.mark.parametrize("route", [parc_forward, parc_forward_via_concat, fast_parc_forward])
+    def test_equals_per_half_route_calls(self, route, monkeypatch):
+        monkeypatch.setenv("PARC_THREADS", "2")
+        rng = np.random.default_rng(30)
+        x = Tensor4(rng.standard_normal((2, 6, 9, 7)))
+        ph = random_params(rng, 3, orientation="H")
+        pv = random_params(rng, 3, orientation="V")
+        top, bot = halves(x)
+        want = np.concatenate([route(top, ph).data, route(bot, pv).data], axis=1)
+        for parallel in (False, True):
+            got = split_sweep(x, ph, pv, route, parallel=parallel)
+            assert got.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_convnet_mixer_matches_per_half_reference(self, dtype):
+        rng = np.random.default_rng(31)
+        p = random_convnet_mixer(rng, 6)
+        x = Tensor4(rng.standard_normal((2, 6, 5, 8)).astype(dtype))
+        top, bot = halves(x)
+        want = np.concatenate([parc_forward(top, p.parc_h).data,
+                               parc_forward(bot, p.parc_v).data], axis=1)
+        assert convnet_mixer_forward(x, p).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_metaformer_block_matches_per_half_reference(self, dtype):
+        rng = np.random.default_rng(32)
+        p = random_metaformer(rng, 6, kernel_scale=0.2)
+        x = Tensor4(rng.standard_normal((2, 6, 5, 8)).astype(dtype))
+        got = metaformer_block_forward(x, p).data
+        assert got.tobytes() == block_reference(x, p).tobytes()

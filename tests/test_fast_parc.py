@@ -1,13 +1,19 @@
 """Transform-route contracts: FFT engine plus the spectral correlation path."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parc
 from parc.fast_parc import (
     FftPlan,
     Spectrum,
+    _irfft_lines,
+    _rfft_lines,
     dft_naive,
     fast_parc_forward,
     fft,
@@ -44,6 +50,12 @@ class TestPlans:
 
     def test_plan_cache_returns_same_object(self):
         assert get_plan(48) is get_plan(48)
+
+    def test_bluestein_runs_on_the_cached_power_of_two_plan(self):
+        plan = get_plan(83)
+        assert plan.inner is get_plan(256)
+        assert plan.inner.strategy == "radix-2" and plan.inner.inner is None
+        assert get_plan(84).inner is None
 
     def test_length_mismatch(self):
         plan = FftPlan(8)
@@ -199,3 +211,47 @@ class TestSpectralCorrelation:
         seq = fast_parc_forward(x, p).data
         par = fast_parc_forward(x, p, parallel=True).data
         assert seq.tobytes() == par.tobytes()
+
+
+class TestRealPairs:
+    """Two real lines per complex transform; an odd last line pairs with zeros."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 37, 97])
+    def test_lines_against_naive_and_round_trip(self, n, count, dtype, tol):
+        rng = np.random.default_rng(1000 * n + count)
+        lines = rng.standard_normal((count, n)).astype(dtype)
+        plan = get_plan(n)
+        half = _rfft_lines(lines, plan)
+        nh = n // 2 + 1
+        assert half.shape == (count, nh)
+        assert half.dtype == np.result_type(dtype, np.complex64)
+        want = np.stack([dft_naive(line).bins[:nh] for line in lines])
+        assert np.abs(half - want).max() / max(1.0, np.abs(want).max()) <= tol
+        back = _irfft_lines(half, plan)
+        assert back.shape == lines.shape and back.dtype == dtype
+        assert np.abs(back - lines).max() / max(1.0, np.abs(lines).max()) <= tol
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("orientation,shape", [("H", (1, 3, 37, 5)), ("V", (3, 3, 7, 16))])
+    def test_odd_channels_and_lines_match_spatial_route(self, orientation, shape, dtype, tol):
+        rng = np.random.default_rng(18)
+        p = random_params(rng, 3, orientation=orientation)
+        x = Tensor4(rng.standard_normal(shape).astype(dtype))
+        spatial = parc_forward(x, p).data
+        spectral = fast_parc_forward(x, p).data
+        assert spectral.dtype == dtype
+        assert np.abs(spectral - spatial).max() / max(1.0, np.abs(spatial).max()) <= tol
+
+
+def test_engine_uses_no_library_fft():
+    """The package promises its own transforms: no numpy.fft, no scipy."""
+    banned = re.compile(r"\bnp\.fft\b|\bnumpy\.fft\b|\bscipy\b|from numpy import .*\bfft\b")
+    sources = sorted(pathlib.Path(parc.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    hits = [f"{path.name}:{i}: {line.strip()}"
+            for path in sources
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if banned.search(line)]
+    assert not hits, hits

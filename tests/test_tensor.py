@@ -1,5 +1,6 @@
-"""Layout, interpolation, and fixture-format contracts."""
+"""Layout, interpolation, fixture-format and parameter-field contracts."""
 
+import dataclasses
 import json
 import struct
 
@@ -8,6 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from parc.blocks import random_channel_attention, random_metaformer
+from parc.conv_baseline import ZeroPadConvParams
+from parc.parc_spatial import ParCParams, random_params
 from parc.tensor import (
     Tensor4,
     interp_linear,
@@ -259,3 +263,46 @@ class TestMalformedFixtures:
         except ValueError:
             return
         assert isinstance(t, Tensor4)
+
+
+def valid_containers():
+    rng = np.random.default_rng(40)
+    return {
+        "ParCParams": random_params(rng, 2),
+        "ChannelAttentionParams": random_channel_attention(rng, 4),
+        "ZeroPadConvParams": ZeroPadConvParams(rng.uniform(-1, 1, (2, 3)), pad=1),
+        "MetaFormerBlockParams": random_metaformer(rng, 4),
+    }
+
+
+FIELDS = {
+    "ParCParams": ("meta_kernel", "meta_pe", "bias"),
+    "ChannelAttentionParams": ("w1", "b1", "w2", "b2"),
+    "ZeroPadConvParams": ("kernel",),
+    "MetaFormerBlockParams": ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"),
+}
+CHECKED_FIELDS = [(container, name) for container, names in FIELDS.items() for name in names]
+
+
+class TestFiniteFields:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("container,name", CHECKED_FIELDS)
+    def test_non_finite_value_rejected(self, container, name, bad):
+        valid = valid_containers()[container]
+        arr = np.array(getattr(valid, name), dtype=np.float64)
+        arr.flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite values$"):
+            dataclasses.replace(valid, **{name: arr})
+
+    @pytest.mark.parametrize("container,name", CHECKED_FIELDS)
+    def test_fields_stored_as_float64(self, container, name):
+        valid = valid_containers()[container]
+        as_lists = dataclasses.replace(valid, **{name: getattr(valid, name).tolist()})
+        got = getattr(as_lists, name)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert np.array_equal(got, getattr(valid, name))
+
+    def test_float64_parc_arrays_are_kept_not_copied(self):
+        mk, pe, b = np.ones((2, 5)), np.zeros((2, 5)), np.zeros(2)
+        p = ParCParams("depthwise", "H", mk, pe, b)
+        assert p.meta_kernel is mk and p.meta_pe is pe and p.bias is b
