@@ -2,8 +2,7 @@
 
 Each (op, resolution) pair gets one random input allocated up front, a
 untimed warmup run, then individually timed iterations on a monotonic clock.
-Reported spread is the population standard deviation; optional trimming
-drops the fastest and slowest 5% before aggregating.  The circular ops time
+Reported spread is the population standard deviation.  The circular ops time
 the composite used in real blocks, ``blocks.split_sweep``: the channel split,
 half the channels swept along H, half along V, and the concatenation of the
 two halves ("parc" runs the periodic-extension spatial route, "fastparc" the
@@ -22,7 +21,7 @@ import numpy as np
 from .blocks import random_convnet_mixer, split_sweep
 from .conv_baseline import ZeroPadConvParams, dwconv2d_zeropad
 from .fast_parc import fast_parc_forward
-from .flops import format_mega, op_mul_count
+from .flops import dw_taps, format_mega, op_mul_count
 from .parc_spatial import parc_forward_via_concat
 from .tensor import Tensor4, dtype_from_name
 
@@ -43,11 +42,12 @@ class BenchConfig:
     precision: str = "f32"
     seed: int = 0
     parallel: bool = False
-    trim: bool = False
 
     def __post_init__(self):
         if self.warmup < 1 or self.iters < 1:
             raise ValueError("warmup and iters must be >= 1")
+        if len(set(self.resolutions)) != len(self.resolutions):
+            raise ValueError(f"resolutions must be distinct, got {list(self.resolutions)}")
         dtype_from_name(self.precision)
 
 
@@ -78,21 +78,13 @@ def _make_runner(op: str, cfg: BenchConfig, resolution: int):
     rng = np.random.default_rng(cfg.seed * 1_000_003 + n)
     x = Tensor4(rng.standard_normal((cfg.batch, cfg.channels, n, n))
                 .astype(dtype_from_name(cfg.precision)))
-    if op.startswith("dw"):
-        k = int(op[2:])
+    if (k := dw_taps(op)) is not None:
         p = ZeroPadConvParams(rng.uniform(-1, 1, (cfg.channels, k, k)) / (k * k),
                               pad=(k - 1) // 2, orientation="2D")
         return lambda: dwconv2d_zeropad(x, p)
     route = {"parc": parc_forward_via_concat, "fastparc": fast_parc_forward}[op]
     mixer = random_convnet_mixer(rng, cfg.channels, kernel_scale=1.0 / n)
     return lambda: split_sweep(x, mixer.parc_h, mixer.parc_v, route, parallel=cfg.parallel)
-
-
-def _aggregate(samples_ms: np.ndarray, trim: bool):
-    if trim and samples_ms.size >= 20:
-        k = samples_ms.size // 20
-        samples_ms = np.sort(samples_ms)[k:samples_ms.size - k]
-    return float(samples_ms.mean()), float(samples_ms.std())
 
 
 def run_bench(cfg: BenchConfig, progress=None) -> list[BenchRecord]:
@@ -116,11 +108,11 @@ def run_bench(cfg: BenchConfig, progress=None) -> list[BenchRecord]:
                 t0 = time.perf_counter()
                 run()
                 samples[i] = (time.perf_counter() - t0) * 1e3
-            mean, std = _aggregate(samples, cfg.trim)
             rec = BenchRecord(
                 op=op, resolution=n, batch=cfg.batch, channels=cfg.channels,
                 precision=cfg.precision, mul_count=op_mul_count(op, cfg.channels, n),
-                latency_ms_mean=mean, latency_ms_std=std, iters=cfg.iters, host=host,
+                latency_ms_mean=float(samples.mean()), latency_ms_std=float(samples.std()),
+                iters=cfg.iters, host=host,
             )
             table.append(rec)
             if progress is not None:

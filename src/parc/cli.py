@@ -20,7 +20,7 @@ from .fast_parc import fast_parc_forward
 from .flops import complexity_curve, write_curves_csv
 from .parc_spatial import parc_forward, parc_forward_via_concat, random_params
 from .rng import Xoshiro256
-from .tensor import Tensor4, dtype_from_name, write_fixture
+from .tensor import DTYPE_NAMES, Tensor4, dtype_from_name, write_fixture
 
 
 def _parse_ints(text: str, label: str) -> list[int]:
@@ -41,7 +41,7 @@ def main():
 
 @main.command()
 @click.option("--seed", default=0, show_default=True)
-@click.option("--precision", default="f64", type=click.Choice(["f32", "f64"]), show_default=True)
+@click.option("--precision", default="f64", type=click.Choice(list(DTYPE_NAMES)), show_default=True)
 @click.option("--resolutions", default="7,14,28,56", show_default=True)
 @click.option("--channels", default=96, show_default=True)
 @click.option("--batch", default=1, show_default=True)
@@ -54,15 +54,15 @@ def equiv(seed, precision, resolutions, channels, batch):
     res_list = _parse_ints(resolutions, "--resolutions")
     if not res_list:
         raise click.UsageError("--resolutions must name at least one size")
-    limit = 1e-10 if precision == "f64" else 1e-5
+    dtype = dtype_from_name(precision)
+    limit = 1e-10 if dtype == np.float64 else 1e-5
     rng = np.random.default_rng(seed)
     failed = False
     for idx, n in enumerate(res_list):
         orientation = "H" if idx % 2 == 0 else "V"
         try:
             p = random_params(rng, channels, orientation=orientation, kernel_scale=1.0 / n)
-            x = Tensor4(rng.standard_normal((batch, channels, n, n))
-                        .astype(dtype_from_name(precision)))
+            x = Tensor4(rng.standard_normal((batch, channels, n, n)).astype(dtype))
             outs = {
                 "spatial": parc_forward(x, p),
                 "periodic-ext": parc_forward_via_concat(x, p),
@@ -125,14 +125,13 @@ def flops_cmd(ops, channels, resolutions, out):
 @click.option("--ops", default="dw3,dw7,parc,fastparc", show_default=True)
 @click.option("--warmup", default=200, show_default=True)
 @click.option("--iters", default=100, show_default=True)
-@click.option("--precision", default="f32", type=click.Choice(["f32", "f64"]), show_default=True)
+@click.option("--precision", default="f32", type=click.Choice(list(DTYPE_NAMES)), show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--md", is_flag=True, help="Also print a markdown table.")
 @click.option("--parallel", is_flag=True, help="Use the library's threaded path.")
-@click.option("--trim", is_flag=True, help="Drop the fastest/slowest 5% of samples.")
 def bench_cmd(channels, batch, resolutions, ops, warmup, iters, precision, seed,
-              out, md, parallel, trim):
+              out, md, parallel):
     """Time each op at each resolution; latency is host-specific by nature."""
     try:
         cfg = bench_mod.BenchConfig(
@@ -140,7 +139,7 @@ def bench_cmd(channels, batch, resolutions, ops, warmup, iters, precision, seed,
             resolutions=tuple(_parse_ints(resolutions, "--resolutions")),
             ops=tuple(s.strip() for s in ops.split(",") if s.strip()),
             warmup=warmup, iters=iters, precision=precision, seed=seed,
-            parallel=parallel, trim=trim,
+            parallel=parallel,
         )
 
         def progress(rec):
@@ -199,21 +198,15 @@ def demo_block(block, shape, seed):
     half = c // 2
     if block == "convnet":
         # Depthwise halves never mix channels, so probe each group separately.
-        mask_h = blocks_mod.perturbation_support(fn, x, channel=0, i=ci, j=cj)
-        mask_v = blocks_mod.perturbation_support(fn, x, channel=half, i=ci, j=cj)
-        col = np.zeros((h, w), bool)
-        col[:, cj] = True
-        row = np.zeros((h, w), bool)
-        row[ci, :] = True
-        ok_h = (mask_h[0] == col).all() and not mask_h[1:].any()
-        ok_v = (mask_v[half] == row).all() and not np.delete(mask_v, half, axis=0).any()
-        click.echo(f"bumped (ch 0, {ci}, {cj}): {mask_h[0].sum()}/{h * w} positions "
-                   f"moved in channel 0 (column {cj}), other channels untouched: "
-                   f"{not mask_h[1:].any()}")
-        click.echo(f"bumped (ch {half}, {ci}, {cj}): {mask_v[half].sum()}/{h * w} positions "
-                   f"moved in channel {half} (row {ci}), other channels untouched: "
-                   f"{not np.delete(mask_v, half, axis=0).any()}")
-        ok = ok_h and ok_v
+        col, row = np.arange(w) == cj, (np.arange(h) == ci)[:, None]
+        ok = True
+        for ch, line, where in ((0, col, f"column {cj}"), (half, row, f"row {ci}")):
+            mask = blocks_mod.perturbation_support(fn, x, channel=ch, i=ci, j=cj)
+            untouched = not np.delete(mask, ch, axis=0).any()
+            ok = ok and (mask[ch] == line).all() and untouched
+            click.echo(f"bumped (ch {ch}, {ci}, {cj}): {mask[ch].sum()}/{h * w} positions "
+                       f"moved in channel {ch} ({where}), other channels untouched: "
+                       f"{untouched}")
         shape_desc = "cruciform (own-channel column / row only)"
     else:
         mask = blocks_mod.perturbation_support(fn, x, channel=0, i=ci, j=cj)
@@ -227,7 +220,7 @@ def demo_block(block, shape, seed):
 @main.command("gen-fixture")
 @click.option("--shape", required=True, help="B,C,H,W")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--precision", default="f64", type=click.Choice(["f32", "f64"]), show_default=True)
+@click.option("--precision", default="f64", type=click.Choice(list(DTYPE_NAMES)), show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
 def gen_fixture(shape, seed, precision, out):
     """Write a seeded pseudorandom tensor as a PARC1 fixture.

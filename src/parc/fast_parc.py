@@ -249,13 +249,14 @@ def ifft(spec: Spectrum, plan: FftPlan | None = None) -> np.ndarray:
 
 
 def weight_spectrum(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
-    """Per-channel conjugate-ready kernel spectra, cached on the params."""
+    """Per-channel conjugated kernel half spectra, conj(rfft(kernel_n[c])),
+    cached on the params; an unknown dtype_name raises ValueError."""
     key = (n, dtype_name)
     # resolving first also drops spectra of params edited since they were cached
     kernel_n, _, _ = p.resolved(n, dtype_name)
     spec = p._spectra.get(key)
     if spec is None:
-        spec = _rfft_lines(kernel_n, get_plan(n))
+        spec = np.conj(_rfft_lines(kernel_n, get_plan(n)))
         p._spectra[key] = spec
     return spec
 
@@ -269,10 +270,10 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
     """
     if p.mode != "depthwise":
         raise ValueError("the frequency route implements the depthwise operator only")
-    axis, n, _, _, bias, xp = _offset_input(x, p)
+    axis, n, _, bias, xp = _offset_input(x, p)
     plan = get_plan(n)
-    wspec = np.conj(weight_spectrum(p, n, x.dtype_name))
-    lines_first = xp.transpose(0, 1, 3, 2) if axis == 2 else xp
+    wspec = weight_spectrum(p, n, x.dtype_name)
+    lines_first = np.swapaxes(xp, axis, 3)
     batch, _, orth, _ = lines_first.shape
     out_lines = np.empty(lines_first.shape, dtype=xp.dtype)
 
@@ -285,7 +286,6 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
             out_lines[:, c] = _irfft_lines(spec, plan).reshape(batch, orth, n)
 
     run_sliced(work, xp.shape[1], parallel)
-    y = out_lines.transpose(0, 1, 3, 2) if axis == 2 else out_lines
-    y = np.ascontiguousarray(y)
+    y = np.ascontiguousarray(np.swapaxes(out_lines, axis, 3))
     y += _per_channel(bias.astype(xp.dtype))
     return Tensor4(y)

@@ -93,10 +93,14 @@ def flops_self_attention_order(c: int, h: int, w: int) -> FlopsReport:
 # ---------------------------------------------------------------------------
 
 
+def dw_taps(op: str) -> int | None:
+    """K of a "dw<K>" op name, or None when op names another kind."""
+    return int(op[2:]) if op.startswith("dw") and op[2:].isdigit() else None
+
+
 def op_mul_count(op: str, channels: int, resolution: int) -> int:
     """Multiplication count of a named op at a square resolution."""
-    if op.startswith("dw") and op[2:].isdigit():
-        k = int(op[2:])
+    if (k := dw_taps(op)) is not None:
         return flops_dwconv2d(channels, resolution, resolution, k, k)
     if op == "parc":
         return flops_parc(channels, resolution, resolution)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._threads import run_sliced
-from .tensor import Tensor4, finite_field, interp_linear_adjoint, interp_rows
+from .tensor import Tensor4, dtype_from_name, finite_field, interp_linear_adjoint, interp_rows
 
 _AXIS = {"H": 2, "V": 3}
 DEFAULT_META_LEN = 14
@@ -93,7 +93,8 @@ class ParCParams:
 
         Interpolation runs in float64 and the result is cached per
         (n, dtype_name), so repeated calls at one resolution are free.  Both
-        caches are emptied first if the parameter bytes have changed.
+        caches are emptied first if the parameter bytes have changed.  An
+        unknown dtype_name raises ValueError and caches nothing.
         """
         stamp = b"".join(a.tobytes() for a in (self.meta_kernel, self.meta_pe, self.bias))
         if stamp != self._stamp:
@@ -103,7 +104,7 @@ class ParCParams:
         key = (n, dtype_name)
         hit = self._resolved.get(key)
         if hit is None:
-            dt = np.float32 if dtype_name == "f32" else np.float64
+            dt = dtype_from_name(dtype_name)
             hit = (
                 interp_rows(self.meta_kernel, n).astype(dt),
                 interp_rows(self.meta_pe, n).astype(dt),
@@ -146,10 +147,6 @@ def _per_channel(vec: np.ndarray) -> np.ndarray:
     return vec.reshape(1, -1, 1, 1)
 
 
-def _pe_block(pe_n: np.ndarray, axis: int) -> np.ndarray:
-    return pe_n[None, :, :, None] if axis == 2 else pe_n[None, :, None, :]
-
-
 def _axis_window(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
     sl = [slice(None)] * arr.ndim
     sl[axis] = slice(start, stop)
@@ -161,14 +158,19 @@ def _periodic_ext(arr: np.ndarray, axis: int, n: int) -> np.ndarray:
     return np.concatenate([arr, _axis_window(arr, axis, 0, n - 1)], axis=axis)
 
 
+def _ext_taps(axis: int, n: int):
+    """tap_of over a periodic extension: tap k is the window [k, k + n) along axis."""
+    return lambda view, k: _axis_window(view, axis, k, k + n)
+
+
 def _offset_input(x: Tensor4, p: ParCParams):
     if x.shape[1] != p.channels_in:
         raise ValueError(f"input carries {x.shape[1]} channels, params expect {p.channels_in}")
     axis = sweep_axis(p.orientation)
     n = x.shape[axis]
     kernel_n, pe_n, bias = p.resolved(n, x.dtype_name)
-    xp = x.data + _pe_block(pe_n, axis)
-    return axis, n, kernel_n, pe_n, bias, xp
+    xp = x.data + np.swapaxes(pe_n[None, :, None, :], axis, 3)
+    return axis, n, kernel_n, bias, xp
 
 
 def _accumulate(source, tap_of, out_shape, kernel_n, bias, mode, n, parallel):
@@ -185,8 +187,10 @@ def _accumulate(source, tap_of, out_shape, kernel_n, bias, mode, n, parallel):
             src = source[:, sl]
             dst = y[:, sl]
             taps = kernel_n[sl]
+            prod = np.empty_like(dst)
             for k in range(n):
-                dst += _per_channel(taps[:, k]) * tap_of(src, k)
+                np.multiply(_per_channel(taps[:, k]), tap_of(src, k), out=prod)
+                dst += prod
 
         run_sliced(work, out_shape[1], parallel)
     else:
@@ -209,7 +213,7 @@ def parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
     additionally contracts over input channels.  Output shape matches the
     input except that dense mode replaces C with channels_out.
     """
-    axis, n, kernel_n, _, bias, xp = _offset_input(x, p)
+    axis, n, kernel_n, bias, xp = _offset_input(x, p)
     base = np.arange(n)
 
     def tap_of(view, k):
@@ -227,14 +231,9 @@ def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -
     with no padding.  Independent of the modulo route in its indexing, yet
     bit-identical to it because the tap order matches.
     """
-    axis, n, kernel_n, _, bias, xp = _offset_input(x, p)
-    ext = _periodic_ext(xp, axis, n)
-
-    def tap_of(view, k):
-        return _axis_window(view, axis, k, k + n)
-
-    return _accumulate(ext, tap_of, _out_shape(xp, kernel_n),
-                       kernel_n, bias, p.mode, n, parallel)
+    axis, n, kernel_n, bias, xp = _offset_input(x, p)
+    return _accumulate(_periodic_ext(xp, axis, n), _ext_taps(axis, n),
+                       _out_shape(xp, kernel_n), kernel_n, bias, p.mode, n, parallel)
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +268,13 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     kernel, channel axes swapped in dense mode, and zero bias.  Meta-length
     gradients are pulled back through ``interp_linear_adjoint``.
     """
-    axis, n, kernel_n, _, _, xp = _offset_input(x, p)
+    axis, n, kernel_n, _, xp = _offset_input(x, p)
     expect = (x.shape[0], p.channels_out) + x.shape[2:]
     if dy.shape != expect:
         raise ValueError(f"dY shape {dy.shape} does not match forward output {expect}")
     g = dy.data.astype(np.float64, copy=False)
     x_ext = _periodic_ext(xp, axis, n).astype(np.float64, copy=False)
-
-    def tap_of(view, k):
-        return _axis_window(view, axis, k, k + n)
-
+    tap_of = _ext_taps(axis, n)
     spec = "bchw,bchw->c" if p.mode == "depthwise" else "bohw,bihw->oi"
     dwn = np.stack([np.einsum(spec, g, tap_of(x_ext, k)) for k in range(n)], axis=-1)
     k_rev = np.roll(kernel_n.astype(np.float64)[..., ::-1], 1, axis=-1)
@@ -287,8 +283,8 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     dxp = _accumulate(_periodic_ext(g, axis, n), tap_of, xp.shape, k_rev,
                       np.zeros(p.channels_in), p.mode, n, False).data
 
-    orth = 3 if axis == 2 else 2
-    d_pe_n = dxp.sum(axis=(0, orth))
+    # sum over the batch and the unswept spatial axis (_AXIS maps to 2 and 3)
+    d_pe_n = dxp.sum(axis=(0, 5 - axis))
     return ParCGrads(
         d_input=Tensor4(dxp.astype(x.dtype, copy=False)),
         d_kernel_n=dwn,

@@ -203,7 +203,7 @@ def write_fixture(path, t: Tensor4) -> None:
         {"dtype": t.dtype_name, "shape": list(t.shape)},
         separators=(",", ":"), sort_keys=True,
     ).encode("ascii")
-    wire = "<f4" if t.dtype_name == "f32" else "<f8"
+    wire = t.dtype.newbyteorder("<")
     with open(path, "wb") as fh:
         fh.write(FIXTURE_MAGIC)
         fh.write(struct.pack("<I", len(header)))
@@ -240,10 +240,10 @@ def read_fixture(path) -> Tensor4:
     if not (isinstance(shape, list) and len(shape) == 4
             and all(type(e) is int and e > 0 for e in shape)):
         raise ValueError(f"malformed PARC1 header: shape must be four positive ints, got {shape!r}")
-    wire = "<f4" if dtype_name == "f32" else "<f8"
+    wire = DTYPE_NAMES[dtype_name].newbyteorder("<")
     count = math.prod(shape)
     payload = blob[body:]
-    expect = count * np.dtype(wire).itemsize
+    expect = count * wire.itemsize
     if len(payload) != expect:
         raise ValueError(f"PARC1 payload holds {len(payload)} bytes, header implies {expect}")
     arr = np.frombuffer(payload, dtype=wire, count=count).reshape(shape)

@@ -65,6 +65,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="precision"):
             BenchConfig(precision="f16")
 
+    def test_rejects_repeated_resolutions(self):
+        # a repeated size would be timed twice and then break crossover()
+        with pytest.raises(ValueError, match="distinct"):
+            BenchConfig(resolutions=(8, 16, 8))
+
 
 @pytest.fixture(scope="module")
 def table():

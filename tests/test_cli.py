@@ -105,6 +105,15 @@ class TestBenchCmd:
         assert result.exit_code == 0, result.output
         assert "| op | resolution | mul_count | latency (ms) |" in result.output
 
+    def test_repeated_resolution_is_usage_error_before_timing(self, runner):
+        result = runner.invoke(main, [
+            "bench", "--channels", "2", "--resolutions", "8,8",
+            "--ops", "parc,fastparc", "--warmup", "1", "--iters", "1",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "distinct" in result.output
+        assert " ms " not in result.output
+
     def test_zero_iters_is_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "--iters", "0",
                                       "--resolutions", "4", "--ops", "dw3"])

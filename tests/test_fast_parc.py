@@ -124,6 +124,25 @@ class TestRoundTrip:
         assert np.abs(ifft(fft(x)) - x).max() <= 1e-10 * max(1.0, np.abs(x).max())
 
 
+class TestBluesteinF32:
+    """f32 error stays flat as Bluestein lengths grow (inner plans up to 4096)."""
+
+    @pytest.mark.parametrize("n", [37, 83, 97, 257, 509, 1031])
+    def test_real_complex_and_round_trip(self, n):
+        assert get_plan(n).strategy == "bluestein"
+        rng = np.random.default_rng(300 + n)
+
+        def rel(got, want):
+            return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+        x = rng.standard_normal(n).astype(np.float32)
+        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex64)
+        assert rel(fft(x).bins, dft_naive(x).bins[:n // 2 + 1]) <= 1e-6
+        assert rel(fft(z).bins, dft_naive(z).bins) <= 1e-6
+        assert rel(ifft(fft(x)), x) <= 1e-6
+        assert rel(ifft(fft(z)), z) <= 1e-6
+
+
 class TestSpectrumType:
     def test_bin_count_validation(self):
         with pytest.raises(ValueError, match="bins"):
@@ -202,6 +221,18 @@ class TestSpectralCorrelation:
         b = weight_spectrum(p, 16, "f64")
         assert a is b
         assert a.shape == (3, 9)
+        kernel_n, _, _ = p.resolved(16, "f64")
+        assert np.array_equal(a, np.conj(_rfft_lines(kernel_n, get_plan(16))))
+
+    def test_unknown_precision_raises_and_caches_nothing(self):
+        p = random_params(np.random.default_rng(19), 3)
+        weight_spectrum(p, 8, "f64")
+        with pytest.raises(ValueError, match="'f16'"):
+            p.resolved(8, "f16")
+        with pytest.raises(ValueError, match="'bogus'"):
+            weight_spectrum(p, 8, "bogus")
+        assert list(p._resolved) == [(8, "f64")]
+        assert list(p._spectra) == [(8, "f64")]
 
     def test_parallel_matches_sequential(self, monkeypatch):
         monkeypatch.setenv("PARC_THREADS", "4")
