@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -25,14 +25,10 @@ from .flops import dw_taps, format_mega, op_mul_count
 from .parc_spatial import parc_forward_via_concat
 from .tensor import Tensor4, dtype_from_name
 
-CSV_HEADER = [
-    "op", "resolution", "batch", "channels", "precision",
-    "mul_count", "latency_ms_mean", "latency_ms_std", "iters", "host",
-]
-
-
 @dataclass
 class BenchConfig:
+    """One benchmark protocol; the class defaults are the CLI defaults."""
+
     batch: int = 1
     channels: int = 96
     resolutions: tuple = (28, 56, 112, 224)
@@ -46,8 +42,10 @@ class BenchConfig:
     def __post_init__(self):
         if self.warmup < 1 or self.iters < 1:
             raise ValueError("warmup and iters must be >= 1")
-        if len(set(self.resolutions)) != len(self.resolutions):
-            raise ValueError(f"resolutions must be distinct, got {list(self.resolutions)}")
+        for name in ("ops", "resolutions"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct, got {list(values)}")
         dtype_from_name(self.precision)
 
 
@@ -63,6 +61,9 @@ class BenchRecord:
     latency_ms_std: float
     iters: int
     host: str
+
+
+CSV_HEADER = [f.name for f in fields(BenchRecord)]
 
 
 def host_descriptor() -> str:
@@ -93,30 +94,27 @@ def run_bench(cfg: BenchConfig, progress=None) -> list[BenchRecord]:
     progress, when given, is called with each finished BenchRecord.
     """
     host = host_descriptor()
+    # Counting every pair first fails on bad names before any allocation or timing.
+    counts = {(op, n): op_mul_count(op, cfg.channels, n) for op in cfg.ops for n in cfg.resolutions}
     table = []
-    for op in cfg.ops:
-        # Fail on bad names before any allocation or timing happens.
-        for n in cfg.resolutions:
-            op_mul_count(op, cfg.channels, n)
-    for op in cfg.ops:
-        for n in cfg.resolutions:
-            run = _make_runner(op, cfg, n)
-            for _ in range(cfg.warmup):
-                run()
-            samples = np.empty(cfg.iters)
-            for i in range(cfg.iters):
-                t0 = time.perf_counter()
-                run()
-                samples[i] = (time.perf_counter() - t0) * 1e3
-            rec = BenchRecord(
-                op=op, resolution=n, batch=cfg.batch, channels=cfg.channels,
-                precision=cfg.precision, mul_count=op_mul_count(op, cfg.channels, n),
-                latency_ms_mean=float(samples.mean()), latency_ms_std=float(samples.std()),
-                iters=cfg.iters, host=host,
-            )
-            table.append(rec)
-            if progress is not None:
-                progress(rec)
+    for (op, n), mul_count in counts.items():
+        run = _make_runner(op, cfg, n)
+        for _ in range(cfg.warmup):
+            run()
+        samples = np.empty(cfg.iters)
+        for i in range(cfg.iters):
+            t0 = time.perf_counter()
+            run()
+            samples[i] = (time.perf_counter() - t0) * 1e3
+        rec = BenchRecord(
+            op=op, resolution=n, batch=cfg.batch, channels=cfg.channels,
+            precision=cfg.precision, mul_count=mul_count,
+            latency_ms_mean=float(samples.mean()), latency_ms_std=float(samples.std()),
+            iters=cfg.iters, host=host,
+        )
+        table.append(rec)
+        if progress is not None:
+            progress(rec)
     return table
 
 
@@ -138,14 +136,12 @@ def crossover(table: list[BenchRecord], op_a: str, op_b: str):
 
 
 def write_csv(table: list[BenchRecord], path) -> None:
+    """One row per record in BenchRecord field order; floats as %.6f."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in table:
-            writer.writerow([
-                r.op, r.resolution, r.batch, r.channels, r.precision, r.mul_count,
-                f"{r.latency_ms_mean:.6f}", f"{r.latency_ms_std:.6f}", r.iters, r.host,
-            ])
+            writer.writerow([f"{v:.6f}" if isinstance(v, float) else v for v in astuple(r)])
 
 
 def to_markdown(table: list[BenchRecord]) -> str:

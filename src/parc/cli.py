@@ -7,7 +7,6 @@ errors.  PARC_THREADS caps the worker count whenever --parallel is given.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import sys
 
@@ -17,16 +16,25 @@ import numpy as np
 from . import bench as bench_mod
 from . import blocks as blocks_mod
 from .fast_parc import fast_parc_forward
-from .flops import complexity_curve, write_curves_csv
+from .flops import write_curves_csv
 from .parc_spatial import parc_forward, parc_forward_via_concat, random_params
 from .rng import Xoshiro256
 from .tensor import DTYPE_NAMES, Tensor4, dtype_from_name, write_fixture
 
 
+# parc bench and parc flops take their defaults from the benchmark protocol.
+_PROTOCOL = bench_mod.BenchConfig
+_OPS, _RESOLUTIONS = ",".join(_PROTOCOL.ops), ",".join(map(str, _PROTOCOL.resolutions))
+
+
+def _split(text: str) -> list[str]:
+    """The stripped, non-empty entries of a comma-separated list."""
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
 def _parse_ints(text: str, label: str) -> list[int]:
-    items = [s.strip() for s in text.split(",") if s.strip()]
     try:
-        values = [int(s) for s in items]
+        values = [int(s) for s in _split(text)]
     except ValueError:
         raise click.UsageError(f"{label} must be comma-separated integers, got {text!r}")
     if any(v < 1 for v in values):
@@ -92,41 +100,32 @@ def equiv(seed, precision, resolutions, channels, batch):
 
 
 @main.command("flops")
-@click.option("--ops", default="dw3,dw7,parc,fastparc", show_default=True)
-@click.option("--channels", default=96, show_default=True)
-@click.option("--resolutions", default="28,56,112,224", show_default=True)
+@click.option("--ops", default=_OPS, show_default=True)
+@click.option("--channels", default=_PROTOCOL.channels, show_default=True)
+@click.option("--resolutions", default=_RESOLUTIONS, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="CSV path; stdout when omitted.")
 def flops_cmd(ops, channels, resolutions, out):
     """Emit mul-count curves as CSV (op,channels,resolution,mul_count)."""
-    op_list = [s.strip() for s in ops.split(",") if s.strip()]
     res_list = _parse_ints(resolutions, "--resolutions")
     try:
-        # materialize every row before emitting anything, so a bad op or
-        # channel count cannot leave a half-written table behind
-        rows = [(op, channels, r, count)
-                for op in op_list
-                for r, count in complexity_curve(op, channels, res_list)]
+        write_curves_csv(out or sys.stdout, _split(ops), channels, res_list)
     except ValueError as e:
         raise click.UsageError(str(e))
-    if out is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["op", "channels", "resolution", "mul_count"])
-        writer.writerows(rows)
-    else:
-        write_curves_csv(out, op_list, channels, res_list)
+    if out:
         click.echo(f"wrote {out}")
 
 
 @main.command("bench")
-@click.option("--channels", default=96, show_default=True)
-@click.option("--batch", default=1, show_default=True)
-@click.option("--resolutions", default="28,56,112,224", show_default=True)
-@click.option("--ops", default="dw3,dw7,parc,fastparc", show_default=True)
-@click.option("--warmup", default=200, show_default=True)
-@click.option("--iters", default=100, show_default=True)
-@click.option("--precision", default="f32", type=click.Choice(list(DTYPE_NAMES)), show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--channels", default=_PROTOCOL.channels, show_default=True)
+@click.option("--batch", default=_PROTOCOL.batch, show_default=True)
+@click.option("--resolutions", default=_RESOLUTIONS, show_default=True)
+@click.option("--ops", default=_OPS, show_default=True)
+@click.option("--warmup", default=_PROTOCOL.warmup, show_default=True)
+@click.option("--iters", default=_PROTOCOL.iters, show_default=True)
+@click.option("--precision", default=_PROTOCOL.precision, type=click.Choice(list(DTYPE_NAMES)),
+              show_default=True)
+@click.option("--seed", default=_PROTOCOL.seed, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--md", is_flag=True, help="Also print a markdown table.")
 @click.option("--parallel", is_flag=True, help="Use the library's threaded path.")
@@ -137,7 +136,7 @@ def bench_cmd(channels, batch, resolutions, ops, warmup, iters, precision, seed,
         cfg = bench_mod.BenchConfig(
             batch=batch, channels=channels,
             resolutions=tuple(_parse_ints(resolutions, "--resolutions")),
-            ops=tuple(s.strip() for s in ops.split(",") if s.strip()),
+            ops=tuple(_split(ops)),
             warmup=warmup, iters=iters, precision=precision, seed=seed,
             parallel=parallel,
         )

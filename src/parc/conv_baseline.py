@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parc_spatial import sweep_axis
+from .parc_spatial import _per_channel, sweep_axis
 from .tensor import Tensor4, finite_field
 
 
@@ -54,6 +54,22 @@ def _check_channels(x: Tensor4, p: ZeroPadConvParams) -> None:
         raise ValueError(f"input carries {x.shape[1]} channels, kernel {p.channels}")
 
 
+def _correlate_zeropad(x: np.ndarray, kernel: np.ndarray, pad: tuple) -> np.ndarray:
+    """Per-channel correlation of a (C, K_h, K_w) kernel over x zero padded
+    by pad = (pad_h, pad_w); taps run in row-major order into one product buffer."""
+    xpad = np.pad(x, [(0, 0), (0, 0), (pad[0], pad[0]), (pad[1], pad[1])])
+    _, k_h, k_w = kernel.shape
+    h, w = xpad.shape[2] - k_h + 1, xpad.shape[3] - k_w + 1
+    y = np.zeros(x.shape[:2] + (h, w), dtype=x.dtype)
+    prod = np.empty_like(y)
+    taps = kernel.astype(x.dtype)
+    for r in range(k_h):
+        for s in range(k_w):
+            np.multiply(_per_channel(taps[:, r, s]), xpad[:, :, r:r + h, s:s + w], out=prod)
+            y += prod
+    return y
+
+
 def conv1d_zeropad(x: Tensor4, p: ZeroPadConvParams) -> Tensor4:
     """Per-channel 1D correlation along the configured axis with zero padding.
 
@@ -65,25 +81,12 @@ def conv1d_zeropad(x: Tensor4, p: ZeroPadConvParams) -> Tensor4:
     if p.orientation == "2D":
         raise ValueError("conv1d_zeropad needs orientation 'H' or 'V'")
     _check_channels(x, p)
-    axis = sweep_axis(p.orientation)
-    n = x.shape[axis]
+    n = x.shape[sweep_axis(p.orientation)]
     k, pad = p.taps, p.pad
-    out_len = n - k + 2 * pad + 1
-    if out_len < 1:
+    if n - k + 2 * pad + 1 < 1:
         raise ValueError(f"kernel of {k} taps with pad {pad} leaves no output on extent {n}")
-
-    widths = [(0, 0)] * 4
-    widths[axis] = (pad, pad)
-    xpad = np.pad(x.data, widths)
-    shape = list(x.shape)
-    shape[axis] = out_len
-    y = np.zeros(shape, dtype=x.dtype)
-    taps = p.kernel.astype(x.dtype)
-    for j in range(k):
-        sl = [slice(None)] * 4
-        sl[axis] = slice(j, j + out_len)
-        y += taps[:, j].reshape(1, -1, 1, 1) * xpad[tuple(sl)]
-    return Tensor4(y)
+    shape, pads = ((k, 1), (pad, 0)) if p.orientation == "H" else ((1, k), (0, pad))
+    return Tensor4(_correlate_zeropad(x.data, p.kernel.reshape((-1,) + shape), pads))
 
 
 def dwconv2d_zeropad(x: Tensor4, p: ZeroPadConvParams) -> Tensor4:
@@ -98,12 +101,4 @@ def dwconv2d_zeropad(x: Tensor4, p: ZeroPadConvParams) -> Tensor4:
     k, pad = p.taps, p.pad
     if k % 2 == 0 or pad != (k - 1) // 2:
         raise ValueError(f"same-size depthwise conv needs odd K and pad (K-1)/2, got K={k} pad={pad}")
-
-    xpad = np.pad(x.data, [(0, 0), (0, 0), (pad, pad), (pad, pad)])
-    h, w = x.shape[2], x.shape[3]
-    y = np.zeros(x.shape, dtype=x.dtype)
-    taps = p.kernel.astype(x.dtype)
-    for r in range(k):
-        for s in range(k):
-            y += taps[:, r, s].reshape(1, -1, 1, 1) * xpad[:, :, r:r + h, s:s + w]
-    return Tensor4(y)
+    return Tensor4(_correlate_zeropad(x.data, p.kernel, (pad, pad)))

@@ -83,13 +83,14 @@ def _fft_rec(x: np.ndarray, stages, depth: int) -> np.ndarray:
 
 
 class FftPlan:
-    """Precomputed schedule for one transform length.
+    """Schedule for one transform length; ``get_plan`` builds and caches it.
 
     strategy is "radix-2" when the length is a power of two, "mixed-radix"
     when all prime factors are small, "bluestein" otherwise.  A Bluestein
     plan reaches its length through a chirp convolution whose transforms
     run on ``inner``, the cached plan of a power-of-two length m >= 2n - 1;
-    every other plan has ``inner`` None.
+    every other plan has ``inner`` None.  Tables are built per precision on
+    first use.
     """
 
     def __init__(self, n: int):
@@ -106,7 +107,6 @@ class FftPlan:
         else:
             self.strategy = "mixed-radix"
         self._cache = {}
-        self._tables(np.dtype(np.complex128))
 
     def _tables(self, cdt: np.dtype):
         """Stage list, or Bluestein (chirp, transformed filter), in dtype cdt."""
@@ -139,9 +139,7 @@ def get_plan(n: int) -> FftPlan:
 
 
 def _fft_array(x: np.ndarray, plan: FftPlan) -> np.ndarray:
-    """Forward DFT along the last axis of a complex array."""
-    if x.shape[-1] != plan.n:
-        raise ValueError(f"plan is for length {plan.n}, input has {x.shape[-1]}")
+    """Forward DFT along the last axis of a complex array of length plan.n."""
     tables = plan._tables(x.dtype)
     if plan.inner is None:
         return _fft_rec(x, tables, 0)
@@ -166,8 +164,6 @@ def _ifft_array(x: np.ndarray, plan: FftPlan) -> np.ndarray:
 
 def _rfft_lines(lines: np.ndarray, plan: FftPlan) -> np.ndarray:
     """(L, n) real -> (L, floor(n/2)+1) complex; an odd last line pairs with zeros."""
-    if lines.shape[-1] != plan.n:
-        raise ValueError(f"plan is for length {plan.n}, lines have {lines.shape[-1]}")
     n = plan.n
     nh = n // 2 + 1
     count = lines.shape[0]
@@ -186,8 +182,6 @@ def _irfft_lines(half: np.ndarray, plan: FftPlan) -> np.ndarray:
     """(L, floor(n/2)+1) complex -> (L, n) real, undoing ``_rfft_lines``."""
     n = plan.n
     nh = n // 2 + 1
-    if half.shape[-1] != nh:
-        raise ValueError(f"expected {nh} bins for length {n}, got {half.shape[-1]}")
     count = half.shape[0]
     full = np.zeros((2 * ((count + 1) // 2), n), dtype=np.result_type(half.dtype, np.complex64))
     full[:count, :nh] = half
@@ -215,21 +209,16 @@ def dft_naive(x) -> Spectrum:
     return Spectrum(bins=mat @ v.astype(np.complex128), n=n, full=True)
 
 
-def fft(x, plan: FftPlan | None = None) -> Spectrum:
-    """Transform one vector; real input yields the half spectrum.
+def fft(x) -> Spectrum:
+    """Transform one vector on the cached plan of its length.
 
-    Args:
-        x: 1D real or complex sequence.
-        plan: optional FftPlan; built (and cached) from len(x) when omitted.
-
-    Returns:
-        Spectrum with full=False for real input, full=True for complex.
+    Real input yields the half spectrum (full=False), complex input the
+    full spectrum (full=True).
     """
     v = np.asarray(x)
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError("fft expects a non-empty vector")
-    if plan is None:
-        plan = get_plan(v.shape[0])
+    plan = get_plan(v.shape[0])
     if np.iscomplexobj(v):
         cdt = np.complex64 if v.dtype == np.complex64 else np.complex128
         return Spectrum(bins=_fft_array(v.astype(cdt), plan), n=plan.n, full=True)
@@ -237,12 +226,10 @@ def fft(x, plan: FftPlan | None = None) -> Spectrum:
     return Spectrum(bins=_rfft_lines(v.astype(rdt).reshape(1, -1), plan)[0], n=plan.n, full=False)
 
 
-def ifft(spec: Spectrum, plan: FftPlan | None = None) -> np.ndarray:
-    """Invert ``fft`` with 1/n normalization; half spectra come back real."""
-    if plan is None:
-        plan = get_plan(spec.n)
-    if plan.n != spec.n:
-        raise ValueError(f"plan is for length {plan.n}, spectrum for {spec.n}")
+def ifft(spec: Spectrum) -> np.ndarray:
+    """Invert ``fft`` with 1/n normalization on the cached plan of length
+    spec.n; half spectra come back real."""
+    plan = get_plan(spec.n)
     if spec.full:
         return _ifft_array(spec.bins, plan)
     return _irfft_lines(spec.bins.reshape(1, -1), plan)[0]

@@ -9,6 +9,7 @@ asymptotic order because no constant-level recipe is modeled.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
 
@@ -114,14 +115,20 @@ def complexity_curve(op: str, channels: int, resolutions) -> list[tuple[int, int
     return [(r, op_mul_count(op, channels, r)) for r in resolutions]
 
 
-def write_curves_csv(path, ops, channels: int, resolutions) -> None:
-    """Emit one row per (op, resolution) with header op,channels,resolution,mul_count."""
-    with open(path, "w", newline="") as fh:
+def write_curves_csv(dest, ops, channels: int, resolutions) -> None:
+    """Emit one row per (op, resolution) with header op,channels,resolution,mul_count.
+
+    dest is a path or an open text stream.  Every row is computed before
+    anything is written, so a bad op or channel count raises ValueError and
+    leaves no file (and no partial table) behind.
+    """
+    rows = [(op, channels, r, count)
+            for op in ops for r, count in complexity_curve(op, channels, resolutions)]
+    is_stream = hasattr(dest, "write")
+    with contextlib.nullcontext(dest) if is_stream else open(dest, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["op", "channels", "resolution", "mul_count"])
-        for op in ops:
-            for r, count in complexity_curve(op, channels, resolutions):
-                writer.writerow([op, channels, r, count])
+        writer.writerows(rows)
 
 
 def format_mega(count: int) -> str:

@@ -70,6 +70,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="distinct"):
             BenchConfig(resolutions=(8, 16, 8))
 
+    def test_rejects_repeated_ops(self):
+        # a repeated op would be timed twice, and crossover() would keep only the last run
+        with pytest.raises(ValueError, match="ops must be distinct"):
+            BenchConfig(ops=("dw3", "dw3"))
+
 
 @pytest.fixture(scope="module")
 def table():

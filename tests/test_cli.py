@@ -76,10 +76,12 @@ class TestFlopsCmd:
         # validation runs before emission, so not even the header leaks out
         assert "mul_count" not in result.output.splitlines()[0]
 
-    def test_unknown_op_is_usage_error(self, runner):
-        result = runner.invoke(main, ["flops", "--ops", "dw3,warp9"])
+    def test_unknown_op_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "curves.csv"
+        result = runner.invoke(main, ["flops", "--ops", "dw3,warp9", "--out", str(out)])
         assert result.exit_code == 2
         assert "unknown op" in result.output
+        assert not out.exists()
 
 
 class TestBenchCmd:
@@ -112,6 +114,15 @@ class TestBenchCmd:
         ])
         assert result.exit_code == 2, result.output
         assert "distinct" in result.output
+        assert " ms " not in result.output
+
+    def test_repeated_op_is_usage_error_before_timing(self, runner):
+        result = runner.invoke(main, [
+            "bench", "--channels", "2", "--resolutions", "4,8",
+            "--ops", "dw3,dw3", "--warmup", "1", "--iters", "1", "--md",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "ops must be distinct" in result.output
         assert " ms " not in result.output
 
     def test_zero_iters_is_usage_error(self, runner):

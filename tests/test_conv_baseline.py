@@ -146,3 +146,58 @@ class TestParamsValidation:
         p = ZeroPadConvParams(np.ones((1, 3, 3)), pad=1, orientation="2D")
         with pytest.raises(ValueError):
             conv1d_zeropad(Tensor4.zeros((1, 1, 4, 4)), p)
+
+
+def oracle_1d(x, taps, pad, axis):
+    """Scalar-index reference: output i reads input i - pad + t, zero outside."""
+    xs = np.moveaxis(x, axis, -1)
+    n, k = xs.shape[-1], taps.shape[1]
+    out = np.zeros(xs.shape[:-1] + (n - k + 2 * pad + 1,))
+    for i in range(out.shape[-1]):
+        for t in range(k):
+            if 0 <= i - pad + t < n:
+                out[..., i] += taps[:, t, None] * xs[..., i - pad + t]
+    return np.moveaxis(out, -1, axis)
+
+
+def oracle_2d(x, taps, pad):
+    h, w = x.shape[2:]
+    k = taps.shape[1]
+    out = np.zeros(x.shape)
+    for i in range(h):
+        for j in range(w):
+            for r in range(k):
+                for s in range(k):
+                    if 0 <= i - pad + r < h and 0 <= j - pad + s < w:
+                        out[:, :, i, j] += taps[:, r, s] * x[:, :, i - pad + r, j - pad + s]
+    return out
+
+
+class TestBruteForceOracle:
+    """Random kernels against scalar-index loops that treat out-of-range taps as zero."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("orientation,axis", [("H", 2), ("V", 3)])
+    def test_conv1d(self, orientation, axis, dtype, tol):
+        rng = np.random.default_rng(axis)
+        x = rng.standard_normal((2, 3, 6, 7)).astype(dtype)
+        for k in range(1, 6):
+            for pad in range(k + 1):
+                taps = rng.uniform(-1, 1, (3, k))
+                p = ZeroPadConvParams(taps, pad=pad, orientation=orientation)
+                got = conv1d_zeropad(Tensor4(x), p)
+                want = oracle_1d(x.astype(np.float64), taps, pad, axis)
+                assert got.dtype == dtype and got.shape == want.shape
+                assert np.abs(got.data - want).max() <= tol * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_dwconv2d(self, k, dtype, tol):
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((2, 3, 6, 7)).astype(dtype)
+        taps = rng.uniform(-1, 1, (3, k, k))
+        p = ZeroPadConvParams(taps, pad=(k - 1) // 2, orientation="2D")
+        got = dwconv2d_zeropad(Tensor4(x), p)
+        want = oracle_2d(x.astype(np.float64), taps, (k - 1) // 2)
+        assert got.dtype == dtype
+        assert np.abs(got.data - want).max() <= tol * max(1.0, np.abs(want).max())

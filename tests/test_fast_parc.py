@@ -57,10 +57,11 @@ class TestPlans:
         assert plan.inner.strategy == "radix-2" and plan.inner.inner is None
         assert get_plan(84).inner is None
 
-    def test_length_mismatch(self):
-        plan = FftPlan(8)
-        with pytest.raises(ValueError, match="length"):
-            fft(np.zeros(9), plan)
+    def test_tables_are_built_per_precision_on_first_use(self):
+        plan = FftPlan(12)
+        assert plan._cache == {}
+        plan._tables(np.dtype(np.complex64))
+        assert list(plan._cache) == [np.dtype(np.complex64)]
 
     def test_rank_guard(self):
         with pytest.raises(ValueError, match="vector"):
@@ -141,6 +142,36 @@ class TestBluesteinF32:
         assert rel(fft(z).bins, dft_naive(z).bins) <= 1e-6
         assert rel(ifft(fft(x)), x) <= 1e-6
         assert rel(ifft(fft(z)), z) <= 1e-6
+
+
+class TestBluesteinLong:
+    """Bluestein lengths past 1031 (inner plans up to 16384), checked on 32
+    random bins per transform against a direct complex128 sum, O(32 n)."""
+
+    @staticmethod
+    def direct(x, bins):
+        n = x.shape[0]
+        # (j * k) % n keeps every twiddle angle inside [0, 2 pi)
+        angle = (-2 * np.pi / n) * ((bins[:, None] * np.arange(n)[None, :]) % n)
+        return np.exp(1j * angle) @ x.astype(np.complex128)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("n", [2053, 4093, 8191])
+    def test_real_complex_and_round_trip(self, n, dtype, tol):
+        assert get_plan(n).strategy == "bluestein"
+        rng = np.random.default_rng(n)
+
+        def rel(got, want):
+            return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+        x = rng.standard_normal(n).astype(dtype)
+        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.result_type(dtype, 1j))
+        half = rng.choice(n // 2 + 1, 32, replace=False)
+        full = rng.choice(n, 32, replace=False)
+        assert rel(fft(x).bins[half], self.direct(x, half)) <= tol
+        assert rel(fft(z).bins[full], self.direct(z, full)) <= tol
+        assert rel(ifft(fft(x)), x) <= tol
+        assert rel(ifft(fft(z)), z) <= tol
 
 
 class TestSpectrumType:

@@ -1,5 +1,7 @@
 """Multiplication-count formulas and the complexity-curve export."""
 
+import io
+
 import pytest
 
 from parc.flops import (
@@ -121,6 +123,23 @@ class TestCurveExport:
         assert lines[0] == "op,channels,resolution,mul_count"
         assert lines[1] == f"dw3,4,4,{op_mul_count('dw3', 4, 4)}"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("ops,channels,match", [
+        (("dw3", "nope"), 4, "unknown op"),
+        (("dw3", "parc"), 7, "even"),
+    ])
+    def test_failed_row_writes_no_file(self, tmp_path, ops, channels, match):
+        out = tmp_path / "curves.csv"
+        with pytest.raises(ValueError, match=match):
+            write_curves_csv(out, ops, channels, (4, 8))
+        assert not out.exists()
+
+    def test_stream_gets_the_file_bytes(self, tmp_path):
+        out = tmp_path / "curves.csv"
+        write_curves_csv(out, ("dw3", "parc"), 4, (4, 8))
+        stream = io.StringIO(newline="")
+        write_curves_csv(stream, ("dw3", "parc"), 4, (4, 8))
+        assert stream.getvalue() == out.read_bytes().decode()
 
     def test_curve_rejects_unknown_op(self):
         with pytest.raises(ValueError, match="unknown op"):
