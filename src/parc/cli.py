@@ -27,14 +27,17 @@ _PROTOCOL = bench_mod.BenchConfig
 _OPS, _RESOLUTIONS = ",".join(_PROTOCOL.ops), ",".join(map(str, _PROTOCOL.resolutions))
 
 
-def _split(text: str) -> list[str]:
-    """The stripped, non-empty entries of a comma-separated list."""
-    return [s.strip() for s in text.split(",") if s.strip()]
+def _split(text: str, label: str) -> list[str]:
+    """The stripped, non-empty entries of a comma list; none is a usage error."""
+    values = [s.strip() for s in text.split(",") if s.strip()]
+    if not values:
+        raise click.UsageError(f"{label} must name at least one entry, got {text!r}")
+    return values
 
 
 def _parse_ints(text: str, label: str) -> list[int]:
     try:
-        values = [int(s) for s in _split(text)]
+        values = [int(s) for s in _split(text, label)]
     except ValueError:
         raise click.UsageError(f"{label} must be comma-separated integers, got {text!r}")
     if any(v < 1 for v in values):
@@ -60,8 +63,6 @@ def equiv(seed, precision, resolutions, channels, batch):
     relative to the output scale stays below 1e-10 (f64) or 1e-5 (f32).
     """
     res_list = _parse_ints(resolutions, "--resolutions")
-    if not res_list:
-        raise click.UsageError("--resolutions must name at least one size")
     dtype = dtype_from_name(precision)
     limit = 1e-10 if dtype == np.float64 else 1e-5
     rng = np.random.default_rng(seed)
@@ -109,7 +110,7 @@ def flops_cmd(ops, channels, resolutions, out):
     """Emit mul-count curves as CSV (op,channels,resolution,mul_count)."""
     res_list = _parse_ints(resolutions, "--resolutions")
     try:
-        write_curves_csv(out or sys.stdout, _split(ops), channels, res_list)
+        write_curves_csv(out or sys.stdout, _split(ops, "--ops"), channels, res_list)
     except ValueError as e:
         raise click.UsageError(str(e))
     if out:
@@ -136,7 +137,7 @@ def bench_cmd(channels, batch, resolutions, ops, warmup, iters, precision, seed,
         cfg = bench_mod.BenchConfig(
             batch=batch, channels=channels,
             resolutions=tuple(_parse_ints(resolutions, "--resolutions")),
-            ops=tuple(_split(ops)),
+            ops=tuple(_split(ops, "--ops")),
             warmup=warmup, iters=iters, precision=precision, seed=seed,
             parallel=parallel,
         )

@@ -2,10 +2,12 @@
 
 Circular correlation of a length-N line by a length-N kernel is, bin by bin,
 the input spectrum times the conjugated kernel spectrum.  This module owns
-the transforms needed to exploit that: a mixed-radix Cooley–Tukey FFT for
-smooth lengths, a Bluestein chirp transform for lengths with large prime
-factors (so every N >= 1 works, including 7, 14, 56), and a half-spectrum
-real path that transforms two real lines per complex FFT.
+the transforms needed to exploit that.  Every transform is a short chain of
+one stage kind: a batched matmul with a DFT matrix of radix <= _MAX_RADIX, a
+twiddle multiply and an axis swap (Bailey's four-step FFT).  A length with a
+prime factor above _MAX_RADIX runs a Bluestein chirp convolution on such a
+chain, so every N >= 1 works.  A half-spectrum real path transforms two real
+lines per complex FFT.
 
 ``fast_parc_forward`` is the operator-level entry point and matches the
 spatial routes in ``parc_spatial`` to roundoff.
@@ -13,6 +15,7 @@ spatial routes in ``parc_spatial`` to roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +24,7 @@ from ._threads import run_sliced
 from .parc_spatial import ParCParams, _offset_input, _per_channel
 from .tensor import Tensor4
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_MAX_RADIX = 128
 
 
 @dataclass(frozen=True)
@@ -42,70 +45,65 @@ class Spectrum:
             raise ValueError(f"expected {want} bins for n={self.n}, full={self.full}")
 
 
-def _factorize(n: int):
-    fs, m = [], n
-    for p in _SMALL_PRIMES:
-        while m % p == 0:
-            fs.append(p)
-            m //= p
-    return fs, m
+def _radices(n: int) -> tuple:
+    """Stage radices, each <= _MAX_RADIX, multiplying to n, or () when n has
+    a prime factor above _MAX_RADIX.  Splits at the divisor nearest sqrt(n)."""
+    if n <= _MAX_RADIX:
+        return (n,)
+    divisors = [c for d in range(2, math.isqrt(n) + 1) if n % d == 0 for c in (d, n // d)]
+    if not divisors:
+        return ()
+    d = min(divisors, key=lambda c: abs(c - math.sqrt(n)))
+    head, tail = _radices(d), _radices(n // d)
+    return head + tail if head and tail else ()
 
 
-def _build_stages(n: int, factors, cdt) -> list:
-    """Decimation schedule: one (factor, tail, twiddles, dft_matrix) per level.
-
-    Tables are computed in complex128, then cast to cdt.
-    """
-    stages, cur = [], n
-    for f in factors:
+def _dft_stages(radices, cdt) -> list:
+    """One (radix, tail, twiddles, dft_matrix) per stage; tables are computed
+    in complex128 with angles reduced mod their period, then cast to cdt."""
+    stages, cur = [], math.prod(radices)
+    for f in radices:
         m = cur // f
-        grid = np.arange(f).reshape(-1, 1) * np.arange(m).reshape(1, -1)
-        tw = np.exp((-2j * np.pi / cur) * grid).astype(cdt)
-        dmat = None
-        if f != 2:
-            dmat = np.exp((-2j * np.pi / f) * np.outer(np.arange(f), np.arange(f))).astype(cdt)
-        stages.append((f, m, tw, dmat))
+        tw = np.exp((-2j * np.pi / cur) * np.outer(np.arange(f), np.arange(m)))
+        dmat = np.exp((-2j * np.pi / f) * (np.outer(np.arange(f), np.arange(f)) % f))
+        stages.append((f, m, tw.astype(cdt), dmat.astype(cdt)))
         cur = m
     return stages
 
 
 def _fft_rec(x: np.ndarray, stages, depth: int) -> np.ndarray:
-    """DFT along the last axis; x must already be complex."""
-    if depth == len(stages):
-        return x
+    """DFT along the last axis of a complex array, one four-step stage per
+    call, returned as (lines, n).  With n = f*m, input j1*m + j2 and output
+    k1 + f*k2: a length-f DFT over j1, twiddles w_n^(k1*j2), a length-m
+    transform of the tail over j2, then the (k1, k2) axes swap."""
     f, m, tw, dmat = stages[depth]
-    sub = np.swapaxes(x.reshape(x.shape[:-1] + (m, f)), -1, -2)
-    z = _fft_rec(sub, stages, depth + 1) * tw
-    if f == 2:
-        return np.concatenate([z[..., 0, :] + z[..., 1, :], z[..., 0, :] - z[..., 1, :]], axis=-1)
-    out = np.einsum("tj,...jq->...tq", dmat, z)
-    return out.reshape(x.shape)
+    if m == 1:
+        return x.reshape(-1, f) @ dmat
+    y = (dmat @ x.reshape(-1, f, m)) * tw
+    z = _fft_rec(y, stages, depth + 1).reshape(y.shape)
+    return np.swapaxes(z, -1, -2).reshape(-1, f * m)
 
 
 class FftPlan:
     """Schedule for one transform length; ``get_plan`` builds and caches it.
 
-    strategy is "radix-2" when the length is a power of two, "mixed-radix"
-    when all prime factors are small, "bluestein" otherwise.  A Bluestein
-    plan reaches its length through a chirp convolution whose transforms
-    run on ``inner``, the cached plan of a power-of-two length m >= 2n - 1;
-    every other plan has ``inner`` None.  Tables are built per precision on
-    first use.
+    ``radices`` lists its four-step stages, each <= _MAX_RADIX: one stage up
+    to _MAX_RADIX, otherwise n splits at its divisor nearest sqrt(n) and each
+    part splits again (224 -> (14, 16), 16384 -> (128, 128)).  strategy is
+    "mixed-radix" then, or "bluestein" when n has a prime factor above
+    _MAX_RADIX: such a plan has no radices of its own and reaches its length
+    through a chirp convolution whose transforms run on ``inner``, the cached
+    plan of a power-of-two length m >= 2n - 1; every other plan has ``inner``
+    None.  Tables are built per precision on first use.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"transform length must be >= 1, got {n}")
         self.n = n
-        self._factors, residual = _factorize(n)
-        self.inner = None
-        if residual > 1:
-            self.strategy = "bluestein"
-            self.inner = get_plan(1 << (2 * n - 1).bit_length())
-        elif all(f == 2 for f in self._factors):
-            self.strategy = "radix-2"
-        else:
-            self.strategy = "mixed-radix"
+        self.radices = _radices(n)
+        self.strategy = "mixed-radix" if self.radices else "bluestein"
+        self.inner = None if self.radices else get_plan(1 << (2 * n - 1).bit_length())
         self._cache = {}
 
     def _tables(self, cdt: np.dtype):
@@ -114,7 +112,7 @@ class FftPlan:
         if tables is None:
             n = self.n
             if self.inner is None:
-                tables = _build_stages(n, self._factors, cdt)
+                tables = _dft_stages(self.radices, cdt)
             else:
                 m = self.inner.n
                 idx = np.arange(n, dtype=np.int64)
@@ -142,7 +140,7 @@ def _fft_array(x: np.ndarray, plan: FftPlan) -> np.ndarray:
     """Forward DFT along the last axis of a complex array of length plan.n."""
     tables = plan._tables(x.dtype)
     if plan.inner is None:
-        return _fft_rec(x, tables, 0)
+        return _fft_rec(x, tables, 0).reshape(x.shape)
     chirp, bfft = tables
     u = np.zeros(x.shape[:-1] + (plan.inner.n,), dtype=x.dtype)
     u[..., :plan.n] = x * chirp

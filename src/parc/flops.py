@@ -64,12 +64,11 @@ def flops_fast_parc(c: int, h: int, w: int) -> int:
 
     2*C*H*W*(L_H + L_W) + C*H*L_H + C*W*L_W + 4*C*H*W with L_N = ceil(log2 N).
 
-    The model charges ceil(log2 N) radix-2 stages whatever plan strategy N
-    gets.  A Bluestein length instead runs two power-of-two transforms of
-    length m >= 2N - 1 per complex transform (m=256 at N=83), so at such
-    lengths the count understates the work: on a 50x83 map it predicts 0.45x
-    the spatial multiplications, while the measured time on a 2-vCPU host
-    is 2.4-2.7x the spatial time.
+    The model charges ceil(log2 N) radix-2 stages whatever plan the engine
+    runs: a length up to 128 is one N x N DFT matmul, a Bluestein length two
+    power-of-two transforms of length m >= 2N - 1 (m=512 at N=131).  On a
+    50x83 map it predicts 0.454x the spatial multiplications; the measured
+    forward time on a 2-vCPU host is 0.32x the spatial time.
     """
     _positive(c=c, h=h, w=w)
     _even_channels(c)

@@ -46,8 +46,14 @@ class TestEquiv:
         assert "comma-separated integers" in result.output
 
     def test_empty_resolutions_rejected(self, runner):
-        result = runner.invoke(main, ["equiv", "--resolutions", ","])
-        assert result.exit_code == 2
+        # one check serves every command that takes a comma list, before any work
+        for cmd, flag in (("equiv", "--resolutions"), ("bench", "--resolutions"),
+                          ("bench", "--ops"), ("flops", "--resolutions"), ("flops", "--ops")):
+            for text in ("", ","):
+                result = runner.invoke(main, [cmd, flag, text])
+                assert result.exit_code == 2, (cmd, flag, text, result.output)
+                assert f"{flag} must name at least one entry" in result.output
+                assert " ms " not in result.output and "mul_count" not in result.output
 
 
 class TestFlopsCmd:

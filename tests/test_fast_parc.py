@@ -1,5 +1,6 @@
 """Transform-route contracts: FFT engine plus the spectral correlation path."""
 
+import math
 import pathlib
 import re
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import parc
 from parc.fast_parc import (
+    _MAX_RADIX,
     FftPlan,
     Spectrum,
     _irfft_lines,
@@ -42,20 +44,52 @@ class TestNaiveReference:
 
 class TestPlans:
     @pytest.mark.parametrize("n,strategy", [
-        (1, "radix-2"), (64, "radix-2"), (56, "mixed-radix"),
-        (60, "mixed-radix"), (127, "bluestein"), (4096, "radix-2"),
+        (1, "mixed-radix"), (64, "mixed-radix"), (56, "mixed-radix"),
+        (60, "mixed-radix"), (127, "mixed-radix"), (4096, "mixed-radix"),
+        (37, "mixed-radix"), (83, "mixed-radix"), (97, "mixed-radix"),
+        (131, "bluestein"), (257, "bluestein"), (509, "bluestein"), (1031, "bluestein"),
     ])
     def test_strategy_selection(self, n, strategy):
         assert get_plan(n).strategy == strategy
+
+    @pytest.mark.parametrize("n,radices", [
+        (1, (1,)), (83, (83,)), (128, (128,)), (224, (14, 16)), (4096, (64, 64)),
+        (16384, (128, 128)), (131, ()),
+    ])
+    def test_radices_split_at_the_divisor_nearest_the_root(self, n, radices):
+        assert get_plan(n).radices == radices
+
+    def test_plan_invariants_up_to_1100(self):
+        def largest_prime_factor(n):
+            p, big = 2, 1
+            while n > 1:
+                while n % p == 0:
+                    n, big = n // p, p
+                p += 1
+            return big
+
+        for n in range(1, 1101):
+            plan = get_plan(n)
+            bluestein = largest_prime_factor(n) > _MAX_RADIX
+            assert (plan.strategy == "bluestein") == bluestein, n
+            # a Bluestein plan runs no stage of its own: its inner plan does
+            stages = plan.inner if bluestein else plan
+            assert math.prod(stages.radices) == stages.n, n
+            assert all(1 <= f <= _MAX_RADIX for f in stages.radices), n
+            if bluestein:
+                assert plan.radices == ()
+                assert stages.n >= 2 * n - 1 and stages.n & (stages.n - 1) == 0, n
+            else:
+                assert plan.inner is None, n
 
     def test_plan_cache_returns_same_object(self):
         assert get_plan(48) is get_plan(48)
 
     def test_bluestein_runs_on_the_cached_power_of_two_plan(self):
-        plan = get_plan(83)
-        assert plan.inner is get_plan(256)
-        assert plan.inner.strategy == "radix-2" and plan.inner.inner is None
-        assert get_plan(84).inner is None
+        plan = get_plan(131)
+        assert plan.inner is get_plan(512)
+        assert plan.inner.strategy == "mixed-radix" and plan.inner.inner is None
+        assert get_plan(132).inner is None
 
     def test_tables_are_built_per_precision_on_first_use(self):
         plan = FftPlan(12)
@@ -69,7 +103,8 @@ class TestPlans:
 
 
 class TestAgainstNaive:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 21, 29, 35, 56, 64, 97, 127])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 21, 29, 35, 56, 64, 97, 127,
+                                   224])
     def test_real_lines(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
@@ -125,12 +160,12 @@ class TestRoundTrip:
         assert np.abs(ifft(fft(x)) - x).max() <= 1e-10 * max(1.0, np.abs(x).max())
 
 
-class TestBluesteinF32:
-    """f32 error stays flat as Bluestein lengths grow (inner plans up to 4096)."""
+class TestF32ErrorGrowth:
+    """f32 error stays flat from one-stage plans (37, 83, 97) to Bluestein
+    plans (257, 509, 1031; inner plans up to 4096)."""
 
     @pytest.mark.parametrize("n", [37, 83, 97, 257, 509, 1031])
     def test_real_complex_and_round_trip(self, n):
-        assert get_plan(n).strategy == "bluestein"
         rng = np.random.default_rng(300 + n)
 
         def rel(got, want):
@@ -226,8 +261,8 @@ class TestSpectralCorrelation:
     def test_prime_extent_uses_bluestein_and_agrees(self):
         rng = np.random.default_rng(13)
         p = random_params(rng, 2, orientation="V")
-        assert get_plan(37).strategy == "bluestein"
-        x = Tensor4(rng.standard_normal((1, 2, 3, 37)))
+        assert get_plan(131).strategy == "bluestein"
+        x = Tensor4(rng.standard_normal((1, 2, 3, 131)))
         spatial = parc_forward(x, p).data
         spectral = fast_parc_forward(x, p).data
         assert np.abs(spectral - spatial).max() <= 1e-10 * max(1.0, np.abs(spatial).max())
@@ -280,7 +315,7 @@ class TestRealPairs:
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("count", [1, 2, 3, 5])
-    @pytest.mark.parametrize("n", [1, 2, 7, 16, 37, 97])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 37, 50, 83, 97, 224])
     def test_lines_against_naive_and_round_trip(self, n, count, dtype, tol):
         rng = np.random.default_rng(1000 * n + count)
         lines = rng.standard_normal((count, n)).astype(dtype)
