@@ -6,8 +6,8 @@ the transforms needed to exploit that.  Every transform is a short chain of
 one stage kind: a batched matmul with a DFT matrix of radix <= _MAX_RADIX, a
 twiddle multiply and an axis swap (Bailey's four-step FFT).  A length with a
 prime factor above _MAX_RADIX runs a Bluestein chirp convolution on such a
-chain, so every N >= 1 works.  A half-spectrum real path transforms two real
-lines per complex FFT.
+chain, so every N >= 1 works.  The real path packs two real lines into one
+complex line and never splits its spectrum.
 
 ``fast_parc_forward`` is the operator-level entry point and matches the
 spatial routes in ``parc_spatial`` to roundoff.
@@ -154,41 +154,28 @@ def _ifft_array(x: np.ndarray, plan: FftPlan) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Real-input half-spectrum path.  Two real lines ride one complex transform:
-# for z = a + i*b the spectra split as A = (Z + conj(Z[-k]))/2 and
-# B = (Z - conj(Z[-k]))/(2i).
+# Real-input path.  Two real lines ride one complex transform: correlation
+# with a real kernel is linear over C, so corr(a + i*b, k) = corr(a, k) +
+# i*corr(b, k) and the pair comes back as the real and imaginary parts.
 # ---------------------------------------------------------------------------
 
 
 def _rfft_lines(lines: np.ndarray, plan: FftPlan) -> np.ndarray:
-    """(L, n) real -> (L, floor(n/2)+1) complex; an odd last line pairs with zeros."""
-    n = plan.n
-    nh = n // 2 + 1
-    count = lines.shape[0]
-    z = np.zeros(((count + 1) // 2, n), dtype=np.result_type(lines.dtype, np.complex64))
-    z.real = lines[0::2]
-    z.imag[:count // 2] = lines[1::2]
-    zf = _fft_array(z, plan)
-    zrev = np.conj(zf[:, (n - np.arange(n)) % n])
-    out = np.empty((2 * z.shape[0], nh), dtype=z.dtype)
-    out[0::2] = (0.5 * (zf + zrev))[:, :nh]
-    out[1::2] = (-0.5j * (zf - zrev))[:, :nh]
-    return out[:count]
+    """(..., L, n) real -> (..., ceil(L/2), n) full spectra of lines[2j] +
+    i*lines[2j+1], paired along axis -2; an odd last line pairs with zeros."""
+    count = lines.shape[-2]
+    z = np.zeros(lines.shape[:-2] + ((count + 1) // 2, plan.n),
+                 dtype=np.result_type(lines.dtype, np.complex64))
+    z.real = lines[..., 0::2, :]
+    z.imag[..., :count // 2, :] = lines[..., 1::2, :]
+    return _fft_array(z, plan)
 
 
-def _irfft_lines(half: np.ndarray, plan: FftPlan) -> np.ndarray:
-    """(L, floor(n/2)+1) complex -> (L, n) real, undoing ``_rfft_lines``."""
-    n = plan.n
-    nh = n // 2 + 1
-    count = half.shape[0]
-    full = np.zeros((2 * ((count + 1) // 2), n), dtype=np.result_type(half.dtype, np.complex64))
-    full[:count, :nh] = half
-    full[:count, nh:] = np.conj(half[:, 1:n - nh + 1])[:, ::-1]
-    w = _ifft_array(full[0::2] + 1j * full[1::2], plan)
-    out = np.empty(full.shape, dtype=w.real.dtype)
-    out[0::2] = w.real
-    out[1::2] = w.imag
-    return out[:count]
+def _irfft_lines(spec: np.ndarray, plan: FftPlan) -> np.ndarray:
+    """(..., P, n) complex -> (..., 2P, n) real, the inverse's real and
+    imaginary parts interleaved; undoes ``_rfft_lines``."""
+    w = _ifft_array(spec, plan)
+    return np.stack((w.real, w.imag), axis=-2).reshape(w.shape[:-2] + (-1, plan.n))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +208,8 @@ def fft(x) -> Spectrum:
         cdt = np.complex64 if v.dtype == np.complex64 else np.complex128
         return Spectrum(bins=_fft_array(v.astype(cdt), plan), n=plan.n, full=True)
     rdt = np.float32 if v.dtype == np.float32 else np.float64
-    return Spectrum(bins=_rfft_lines(v.astype(rdt).reshape(1, -1), plan)[0], n=plan.n, full=False)
+    bins = _rfft_lines(v.astype(rdt)[None], plan)[0, :plan.n // 2 + 1]
+    return Spectrum(bins=bins, n=plan.n, full=False)
 
 
 def ifft(spec: Spectrum) -> np.ndarray:
@@ -230,18 +218,20 @@ def ifft(spec: Spectrum) -> np.ndarray:
     plan = get_plan(spec.n)
     if spec.full:
         return _ifft_array(spec.bins, plan)
-    return _irfft_lines(spec.bins.reshape(1, -1), plan)[0]
+    # the missing bins n-k are conj(bins[k]) for a real line
+    full = np.concatenate((spec.bins, np.conj(spec.bins[1:(spec.n + 1) // 2][::-1])))
+    return _ifft_array(full, plan).real
 
 
 def weight_spectrum(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
-    """Per-channel conjugated kernel half spectra, conj(rfft(kernel_n[c])),
-    cached on the params; an unknown dtype_name raises ValueError."""
+    """Conjugated full spectra (C, n) of the kernel lines, each with a zero
+    partner, cached on the params; an unknown dtype_name raises ValueError."""
     key = (n, dtype_name)
     # resolving first also drops spectra of params edited since they were cached
     kernel_n, _, _ = p.resolved(n, dtype_name)
     spec = p._spectra.get(key)
     if spec is None:
-        spec = np.conj(_rfft_lines(kernel_n, get_plan(n)))
+        spec = np.conj(_rfft_lines(kernel_n[:, None], get_plan(n))[:, 0])
         p._spectra[key] = spec
     return spec
 
@@ -263,12 +253,11 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
     out_lines = np.empty(lines_first.shape, dtype=xp.dtype)
 
     def work(sl):
-        # one channel per transform batch, so line pairing inside the real
-        # path never depends on how channels were sliced across workers
+        # one channel per transform: both lines of a pair must share one kernel
         for c in range(sl.start, sl.stop):
-            spec = _rfft_lines(np.ascontiguousarray(lines_first[:, c]).reshape(-1, n), plan)
-            spec *= wspec[c][None, :]
-            out_lines[:, c] = _irfft_lines(spec, plan).reshape(batch, orth, n)
+            spec = _rfft_lines(lines_first[:, c].reshape(-1, n), plan)
+            spec *= wspec[c]
+            out_lines[:, c] = _irfft_lines(spec, plan)[:batch * orth].reshape(batch, orth, n)
 
     run_sliced(work, xp.shape[1], parallel)
     y = np.ascontiguousarray(np.swapaxes(out_lines, axis, 3))

@@ -44,8 +44,9 @@ class ParCParams:
     kept as float64 and must be finite.
 
     The trailing dicts cache per-(length, dtype) resolved parameters and
-    weight spectra.  ``resolved`` empties both once the bytes of meta_kernel,
-    meta_pe or bias change, in-place edits included.
+    weight spectra.  Once the bytes of meta_kernel, meta_pe or bias change,
+    in-place edits included, ``resolved`` validates the fields again and
+    empties both.
     """
 
     mode: str
@@ -92,15 +93,20 @@ class ParCParams:
         """Kernel, PE, and bias stretched to sweep length n and cast.
 
         Interpolation runs in float64 and the result is cached per
-        (n, dtype_name), so repeated calls at one resolution are free.  Both
-        caches are emptied first if the parameter bytes have changed.  An
-        unknown dtype_name raises ValueError and caches nothing.
+        (n, dtype_name), so repeated calls at one resolution are free.  If the
+        parameter bytes have changed, the fields are validated as in the
+        constructor and both caches are emptied first.  An unknown dtype_name
+        raises ValueError and caches nothing.
         """
-        stamp = b"".join(a.tobytes() for a in (self.meta_kernel, self.meta_pe, self.bias))
-        if stamp != self._stamp:
+        def stamp():
+            fields = (self.meta_kernel, self.meta_pe, self.bias)
+            return b"".join(np.asarray(a).tobytes() for a in fields)
+
+        if stamp() != self._stamp:
+            self.__post_init__()
             self._resolved.clear()
             self._spectra.clear()
-            self._stamp = stamp
+            self._stamp = stamp()
         key = (n, dtype_name)
         hit = self._resolved.get(key)
         if hit is None:

@@ -70,8 +70,11 @@ class Tensor4:
 
     @classmethod
     def from_array(cls, arr) -> "Tensor4":
-        """Wrap array-like data, promoting integer input to float64."""
+        """Wrap array-like data, promoting integer input to float64; complex
+        input raises ValueError rather than losing its imaginary part."""
         a = np.asarray(arr)
+        if np.iscomplexobj(a):
+            raise ValueError("Tensor4 holds real values, got complex input")
         if a.dtype not in _NAMES_BY_DTYPE:
             a = a.astype(np.float64)
         return cls(np.ascontiguousarray(a))

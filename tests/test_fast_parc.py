@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parc
+from parc import fast_parc
 from parc.fast_parc import (
     _MAX_RADIX,
     FftPlan,
@@ -286,9 +287,22 @@ class TestSpectralCorrelation:
         a = weight_spectrum(p, 16, "f64")
         b = weight_spectrum(p, 16, "f64")
         assert a is b
-        assert a.shape == (3, 9)
+        assert a.shape == (3, 16)
         kernel_n, _, _ = p.resolved(16, "f64")
-        assert np.array_equal(a, np.conj(_rfft_lines(kernel_n, get_plan(16))))
+        for c in range(3):
+            want = np.conj(dft_naive(kernel_n[c]).bins)
+            assert np.abs(a[c] - want).max() / max(1.0, np.abs(want).max()) <= 1e-12
+
+    def test_weight_spectrum_miss_runs_one_rfft_and_a_hit_none(self, monkeypatch):
+        # perfbench counts a spectrum miss as an rfft span inside the spectrum span
+        calls = []
+        rfft = fast_parc._rfft_lines
+        monkeypatch.setattr(fast_parc, "_rfft_lines", lambda *a: calls.append(a) or rfft(*a))
+        p = random_params(np.random.default_rng(21), 3)
+        weight_spectrum(p, 16, "f64")
+        assert len(calls) == 1
+        weight_spectrum(p, 16, "f64")
+        assert len(calls) == 1
 
     def test_unknown_precision_raises_and_caches_nothing(self):
         p = random_params(np.random.default_rng(19), 3)
@@ -320,15 +334,29 @@ class TestRealPairs:
         rng = np.random.default_rng(1000 * n + count)
         lines = rng.standard_normal((count, n)).astype(dtype)
         plan = get_plan(n)
-        half = _rfft_lines(lines, plan)
-        nh = n // 2 + 1
-        assert half.shape == (count, nh)
-        assert half.dtype == np.result_type(dtype, np.complex64)
-        want = np.stack([dft_naive(line).bins[:nh] for line in lines])
-        assert np.abs(half - want).max() / max(1.0, np.abs(want).max()) <= tol
-        back = _irfft_lines(half, plan)
-        assert back.shape == lines.shape and back.dtype == dtype
-        assert np.abs(back - lines).max() / max(1.0, np.abs(lines).max()) <= tol
+
+        def rel(got, want):
+            return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+        pairs = (count + 1) // 2
+        spec = _rfft_lines(lines, plan)
+        assert spec.shape == (pairs, n)
+        assert spec.dtype == np.result_type(dtype, np.complex64)
+        padded = np.vstack((lines, np.zeros((2 * pairs - count, n), dtype=dtype)))
+        want = np.stack([dft_naive(padded[2 * j] + 1j * padded[2 * j + 1]).bins
+                         for j in range(pairs)])
+        assert rel(spec, want) <= tol
+        back = _irfft_lines(spec, plan)
+        assert back.shape == (2 * pairs, n) and back.dtype == dtype
+        assert rel(back[:count], lines) <= tol
+        # leading-axis form (C, 1, n): each line pairs with zeros, as in weight_spectrum
+        lone = _rfft_lines(lines[:, None], plan)
+        assert lone.shape == (count, 1, n)
+        assert rel(lone[:, 0], np.stack([dft_naive(line).bins for line in lines])) <= tol
+        back = _irfft_lines(lone, plan)
+        assert back.shape == (count, 2, n)
+        assert rel(back[:, 0], lines) <= tol
+        assert np.abs(back[:, 1]).max() <= tol * max(1.0, np.abs(lines).max())
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("orientation,shape", [("H", (1, 3, 37, 5)), ("V", (3, 3, 7, 16))])

@@ -306,6 +306,30 @@ class TestParamsContract:
             assert not np.array_equal(after, before)
             assert np.array_equal(after, route(x, fresh).data)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["meta_kernel", "meta_pe", "bias"])
+    @pytest.mark.parametrize("route", [
+        parc_forward, fast_parc_forward, lambda x, p: parc_backward(x, p, x),
+    ], ids=["parc_forward", "fast_parc_forward", "parc_backward"])
+    def test_in_place_non_finite_edit_raises(self, route, name, bad):
+        rng = np.random.default_rng(75)
+        p = random_params(rng, 3, orientation="V")
+        x = Tensor4(rng.standard_normal((1, 3, 4, 6)))
+        route(x, p)
+        getattr(p, name)[0] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite values$"):
+            route(x, p)
+
+    @pytest.mark.parametrize("route", [parc_forward, fast_parc_forward])
+    def test_reassigned_wrong_length_bias_raises_the_constructor_error(self, route):
+        rng = np.random.default_rng(76)
+        p = random_params(rng, 3)
+        x = Tensor4(rng.standard_normal((1, 3, 4, 6)))
+        route(x, p)
+        p.bias = np.zeros(4)
+        with pytest.raises(ValueError, match="bias carries 4 channels, kernel implies 3"):
+            route(x, p)
+
     def test_resolved_matches_interp_per_row(self):
         rng = np.random.default_rng(72)
         p = random_params(rng, 3, k_meta=5)

@@ -67,6 +67,10 @@ class TestLayout:
         t = Tensor4.from_array([[[[1, 2]]]])
         assert t.dtype == np.float64
 
+    def test_from_array_rejects_complex(self):
+        with pytest.raises(ValueError, match="complex"):
+            Tensor4.from_array(np.ones((1, 1, 1, 2)) * (1 + 2j))
+
     def test_noncontiguous_input_is_compacted(self):
         base = np.zeros((2, 2, 4, 4))
         t = Tensor4(base[:, :, ::2, :])
