@@ -17,7 +17,8 @@ from . import bench as bench_mod
 from . import blocks as blocks_mod
 from .fast_parc import fast_parc_forward
 from .flops import write_curves_csv
-from .parc_spatial import parc_forward, parc_forward_via_concat, random_params
+from .parc_spatial import (parc_backward, parc_forward, parc_forward_via_concat,
+                           random_params, sweep_axis)
 from .rng import Xoshiro256
 from .tensor import DTYPE_NAMES, Tensor4, dtype_from_name, write_fixture
 
@@ -50,6 +51,31 @@ def main():
     """Circular-convolution operator toolkit."""
 
 
+def _adjoint_gap(x: Tensor4, p, y: Tensor4) -> float:
+    """Worst gap in parc_backward's adjoint identities at (x, p), relative to
+    the larger norm product.
+
+    y - bias is linear in both the resolved kernel K and the offset input
+    xp, so for any cotangent dy, <dy, y - bias> must equal <dK, K> and
+    <dxp, xp>.  dy = y - bias makes the left side a squared norm, so a
+    relative error in dK or dxp shows at about its own size; a random dy
+    would dilute it by the square root of the output size.
+    """
+    axis = sweep_axis(p.orientation)
+    kernel_n, pe_n, bias = p.resolved(x.shape[axis], x.dtype_name)
+    dy = y.data - bias[None, :, None, None]
+    g = parc_backward(x, p, Tensor4(dy))
+    lin = dy.astype(np.float64)
+    # the offset input is formed at the input precision, as the forward does
+    xp = (x.data + np.swapaxes(pe_n[None, :, None, :], axis, 3)).astype(np.float64)
+    d_in = g.d_input.data.astype(np.float64)
+    lhs = np.vdot(lin, lin)
+    gaps = (abs(lhs - np.vdot(g.d_kernel_n, kernel_n.astype(np.float64))),
+            abs(lhs - np.vdot(d_in, xp)))
+    scale = max(lhs, np.linalg.norm(d_in) * np.linalg.norm(xp), 1e-300)
+    return float(max(gaps) / scale)
+
+
 @main.command()
 @click.option("--seed", default=0, show_default=True)
 @click.option("--precision", default="f64", type=click.Choice(list(DTYPE_NAMES)), show_default=True)
@@ -57,16 +83,26 @@ def main():
 @click.option("--channels", default=96, show_default=True)
 @click.option("--batch", default=1, show_default=True)
 def equiv(seed, precision, resolutions, channels, batch):
-    """Cross-check the three operator implementations pairwise.
+    """Cross-check the three operator implementations pairwise, and the
+    backward pass by its adjoint identities.
 
     Passes when, at every resolution, the worst pairwise max-abs error
-    relative to the output scale stays below 1e-10 (f64) or 1e-5 (f32).
+    relative to the output scale, and the worst adjoint gap of
+    ``parc_backward`` relative to its norm products, stay below 1e-10 (f64)
+    or 1e-5 (f32).
     """
     res_list = _parse_ints(resolutions, "--resolutions")
     dtype = dtype_from_name(precision)
     limit = 1e-10 if dtype == np.float64 else 1e-5
     rng = np.random.default_rng(seed)
     failed = False
+
+    def verdict(rel):
+        nonlocal failed
+        ok = rel <= limit  # false for NaN as well
+        failed |= not ok
+        return "ok" if ok else f"FAIL (rel {rel:.3e} > {limit:.0e})"
+
     for idx, n in enumerate(res_list):
         orientation = "H" if idx % 2 == 0 else "V"
         try:
@@ -77,6 +113,7 @@ def equiv(seed, precision, resolutions, channels, batch):
                 "periodic-ext": parc_forward_via_concat(x, p),
                 "frequency": fast_parc_forward(x, p),
             }
+            gap = _adjoint_gap(x, p, outs["spatial"])
         except ValueError as e:
             raise click.UsageError(str(e))
         scale = max(1.0, float(np.abs(outs["spatial"].data).max()))
@@ -88,16 +125,16 @@ def equiv(seed, precision, resolutions, channels, batch):
                 max_abs = float(diff.max())
                 mean_abs = float(diff.mean())
                 rel = max_abs / scale
-                ok = rel <= limit
-                failed |= not ok
                 click.echo(
                     f"res {n:>4} {orientation} {names[a]:>12} vs {names[b]:<12} "
-                    f"max-abs {max_abs:.3e} mean-abs {mean_abs:.3e} "
-                    f"{'ok' if ok else f'FAIL (rel {rel:.3e} > {limit:.0e})'}"
+                    f"max-abs {max_abs:.3e} mean-abs {mean_abs:.3e} {verdict(rel)}"
                 )
+        click.echo(f"res {n:>4} {orientation} {'backward':>12} adjoint gap {gap:.3e} "
+                   f"{verdict(gap)}")
     if failed:
         sys.exit(1)
-    click.echo(f"all pairs within {limit:.0e} (relative to output scale)")
+    click.echo(f"all pairs within {limit:.0e} (relative to output scale), "
+               f"adjoint gaps too")
 
 
 @main.command("flops")

@@ -183,8 +183,7 @@ def _accumulate(source, tap_of, out_shape, kernel_n, bias, mode, n, parallel):
     """Shared tap loop: tap_of(view, k) yields the k-shifted window of view.
 
     Both spatial routes funnel through here so the accumulation order, and
-    therefore every intermediate rounding, is identical between them.  The
-    backward pass runs dX through it as well, with a reversed kernel.
+    therefore every intermediate rounding, is identical between them.
     """
     y = np.zeros(out_shape, dtype=source.dtype)
     if mode == "depthwise":
@@ -252,7 +251,9 @@ class ParCGrads:
     """Cotangents for every learnable input of the forward pass.
 
     d_kernel_n / d_pe_n are at the resolved sweep length; d_meta_kernel /
-    d_meta_pe are pulled back through the interpolation adjoint.
+    d_meta_pe are pulled back through the interpolation adjoint.  d_input
+    carries the input's dtype; every other field is float64, accumulated in
+    float64 whatever the input precision.
     """
 
     d_input: Tensor4
@@ -266,36 +267,55 @@ class ParCGrads:
 def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     """Analytic adjoint of the forward operator at the point (x, p).
 
-    dY has the forward output's shape.  The adjoint of a circular correlation
-    is again a correlation over the periodic extension, computed in float64:
-    dK[k] = sum_i dY[i] xp[i + k] is one einsum per tap window of the
-    extended offset input xp, and dxp[j] = sum_k K[-k] dY[j + k] (indices
-    mod N) is the forward tap loop over the extended dY with the reversed
-    kernel, channel axes swapped in dense mode, and zero bias.  Meta-length
-    gradients are pulled back through ``interp_linear_adjoint``.
+    dY has the forward output's shape.  Along one line the forward pass is
+    y = xp @ M.T with the circulant M[i, l] = K[(l - i) mod N], so the adjoint
+    is two batched matmuls over lines-last (C, lines, N) arrays, computed in
+    float64 from the offset input xp formed at the input precision:
+    dxp = dY @ M, and dK[k] = sum_i G[i, (i + k) mod N] sums the wrapped
+    diagonals of the Gram matrix G = dY.T @ xp.  Depthwise mode builds one
+    (C, N, N) circulant stack.  Dense mode loops over output channels o, each
+    with a (C_in, N, N) stack and Gram, adding its share to dxp, so no
+    (C_out*N, C_in*N) matrix is ever formed.  Meta-length gradients are
+    pulled back through ``interp_linear_adjoint``.
     """
     axis, n, kernel_n, _, xp = _offset_input(x, p)
     expect = (x.shape[0], p.channels_out) + x.shape[2:]
     if dy.shape != expect:
         raise ValueError(f"dY shape {dy.shape} does not match forward output {expect}")
-    g = dy.data.astype(np.float64, copy=False)
-    x_ext = _periodic_ext(xp, axis, n).astype(np.float64, copy=False)
-    tap_of = _ext_taps(axis, n)
-    spec = "bchw,bchw->c" if p.mode == "depthwise" else "bohw,bihw->oi"
-    dwn = np.stack([np.einsum(spec, g, tap_of(x_ext, k)) for k in range(n)], axis=-1)
-    k_rev = np.roll(kernel_n.astype(np.float64)[..., ::-1], 1, axis=-1)
-    if p.mode == "dense":
-        k_rev = k_rev.transpose(1, 0, 2)
-    dxp = _accumulate(_periodic_ext(g, axis, n), tap_of, xp.shape, k_rev,
-                      np.zeros(p.channels_in), p.mode, n, False).data
+    # (B, C, H, W) <-> (C, B, orth, N), the swept axis last; its own inverse
+    perm = (1, 0, 5 - axis, axis)
 
-    # sum over the batch and the unswept spatial axis (_AXIS maps to 2 and 3)
-    d_pe_n = dxp.sum(axis=(0, 5 - axis))
+    def lines(arr):
+        return np.ascontiguousarray(arr.transpose(perm), dtype=np.float64).reshape(
+            arr.shape[1], -1, n)
+
+    g, xl = lines(dy.data), lines(xp)
+    k64 = kernel_n.astype(np.float64)
+    ramp = np.arange(n)
+    circ = (ramp[None, :] - ramp[:, None]) % n
+    diag = (ramp[:, None] + ramp[None, :]) % n
+
+    def adjoint(g_lines, k):
+        """dxp lines and dK for cotangent lines against the kernel rows k."""
+        gram = np.swapaxes(g_lines, -1, -2) @ xl
+        dk = np.take_along_axis(gram, np.broadcast_to(diag, gram.shape), axis=-1).sum(axis=-2)
+        return g_lines @ k[..., circ], dk
+
+    if p.mode == "depthwise":
+        dxl, dwn = adjoint(g, k64)
+    else:
+        dxl, dwn = np.zeros(xl.shape), np.empty(k64.shape)
+        for o in range(p.channels_out):
+            part, dwn[o] = adjoint(g[o], k64[o])
+            dxl += part
+
+    d_pe_n = dxl.sum(axis=1)
+    d_input = dxl.reshape(xp.shape[1], x.shape[0], -1, n).transpose(perm)
     return ParCGrads(
-        d_input=Tensor4(dxp.astype(x.dtype, copy=False)),
+        d_input=Tensor4(np.ascontiguousarray(d_input, dtype=x.dtype)),
         d_kernel_n=dwn,
         d_pe_n=d_pe_n,
-        d_bias=g.sum(axis=(0, 2, 3)),
+        d_bias=g.sum(axis=(1, 2)),
         d_meta_kernel=interp_linear_adjoint(dwn, p.k_meta),
         d_meta_pe=interp_linear_adjoint(d_pe_n, p.meta_pe.shape[-1]),
     )

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior through click's test runner."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -39,6 +41,25 @@ class TestEquiv:
         result = runner.invoke(main, ["equiv", "--resolutions", "7", "--channels", "4"])
         assert result.exit_code == 1
         assert "FAIL" in result.output
+
+    @pytest.mark.parametrize("field", ["d_kernel_n", "d_input"])
+    def test_fails_when_backward_breaks_its_adjoint(self, runner, monkeypatch, field):
+        # a 1e-4 relative error is ten times the f32 limit once the cotangent
+        # is y - bias; a random cotangent would dilute it below the limit
+        real = cli_mod.parc_backward
+
+        def skewed(x, p, dy):
+            g = real(x, p, dy)
+            value = getattr(g, field)
+            value = Tensor4(value.data * (1 + 1e-4)) if field == "d_input" else value * (1 + 1e-4)
+            return dataclasses.replace(g, **{field: value})
+
+        monkeypatch.setattr(cli_mod, "parc_backward", skewed)
+        result = runner.invoke(main, ["equiv", "--resolutions", "7", "--channels", "4",
+                                      "--precision", "f32"])
+        assert result.exit_code == 1
+        assert "backward adjoint gap" in result.output and "FAIL" in result.output
+        assert result.output.count("FAIL") == 1
 
     def test_bad_resolution_text_is_usage_error(self, runner):
         result = runner.invoke(main, ["equiv", "--resolutions", "7,banana"])

@@ -4,6 +4,8 @@ The oracle here is a deliberately naive scalar loop with explicit modulo
 indexing, structured nothing like the the library's vectorized routes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,7 +238,7 @@ class TestBackward:
         """
         rng = np.random.default_rng(65)
         tol = 1e-5 if dtype == np.float32 else 1e-12
-        for n in (13, 50, 83):
+        for n in (1, 2, 13, 50, 83, 131, 224):
             c_out = 2 if mode == "depthwise" else 3
             p = random_params(rng, 2, orientation=orientation, mode=mode, channels_out=c_out)
             axis = 2 if orientation == "H" else 3
@@ -272,6 +274,51 @@ class TestBackward:
             scale = np.linalg.norm(g64) * np.linalg.norm(lin)
             assert abs(lhs - float(np.sum(g.d_kernel_n * kernel_n))) <= tol * scale
             assert abs(lhs - float(np.sum(g.d_input.data * xp))) <= tol * scale
+
+    @pytest.mark.parametrize("mode", ["depthwise", "dense"])
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grad_fields_dtype_and_shape(self, mode, orientation, dtype):
+        """d_input keeps the input dtype; every other field is float64."""
+        rng = np.random.default_rng(66)
+        c_out = 3 if mode == "depthwise" else 5
+        p = random_params(rng, 3, orientation=orientation, mode=mode, channels_out=c_out,
+                          k_meta=4)
+        shape = (2, 3, 7, 6)
+        n = 7 if orientation == "H" else 6
+        x = Tensor4(rng.standard_normal(shape).astype(dtype))
+        g = parc_backward(x, p, Tensor4(rng.standard_normal((2, c_out, 7, 6)).astype(dtype)))
+        kernel_shape = (3,) if mode == "depthwise" else (c_out, 3)
+        want = {
+            "d_input": (shape, dtype),
+            "d_kernel_n": (kernel_shape + (n,), np.float64),
+            "d_pe_n": ((3, n), np.float64),
+            "d_bias": ((c_out,), np.float64),
+            "d_meta_kernel": (kernel_shape + (4,), np.float64),
+            "d_meta_pe": ((3, 4), np.float64),
+        }
+        for name, (want_shape, want_dtype) in want.items():
+            value = getattr(g, name)
+            value = value.data if name == "d_input" else value
+            assert (value.shape, value.dtype) == (want_shape, want_dtype), name
+
+    def test_dense_peak_memory(self):
+        """The dense adjoint works one output channel at a time.
+
+        A single (C_out*N, C_in*N) circulant matmul peaks near 83 MiB here.
+        """
+        rng = np.random.default_rng(67)
+        p = random_params(rng, 16, orientation="V", mode="dense")
+        x = Tensor4(rng.standard_normal((2, 16, 50, 112)).astype(np.float32))
+        dy = Tensor4(rng.standard_normal((2, 16, 50, 112)).astype(np.float32))
+        p.resolved(112, "f32")
+        tracemalloc.start()
+        try:
+            parc_backward(x, p, dy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_meta_grads_respect_meta_length(self):
         rng = np.random.default_rng(64)
