@@ -1,4 +1,5 @@
-"""Worker-count resolution and channel-axis slicing for optional threading."""
+"""Worker-count resolution and channel-axis slicing for the depthwise tap
+loop, ``parc_spatial._accumulate``, its one user."""
 
 from __future__ import annotations
 

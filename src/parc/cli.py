@@ -2,7 +2,8 @@
 block demos, and fixture generation.
 
 Exit codes: 0 on success, 1 when a verification (equiv) fails, 2 on usage
-errors.  PARC_THREADS caps the worker count whenever --parallel is given.
+errors.  --parallel threads the spatial routes' depthwise tap loop across
+channel slices; PARC_THREADS caps its worker count.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from . import bench as bench_mod
 from . import blocks as blocks_mod
 from .fast_parc import fast_parc_forward
 from .flops import write_curves_csv
-from .parc_spatial import (parc_backward, parc_forward, parc_forward_via_concat,
-                           random_params, sweep_axis)
+from .parc_spatial import (_offset_input, parc_backward, parc_forward,
+                           parc_forward_via_concat, random_params)
 from .rng import Xoshiro256
 from .tensor import DTYPE_NAMES, Tensor4, dtype_from_name, write_fixture
 
@@ -61,13 +62,11 @@ def _adjoint_gap(x: Tensor4, p, y: Tensor4) -> float:
     relative error in dK or dxp shows at about its own size; a random dy
     would dilute it by the square root of the output size.
     """
-    axis = sweep_axis(p.orientation)
-    kernel_n, pe_n, bias = p.resolved(x.shape[axis], x.dtype_name)
+    _, _, kernel_n, bias, xp = _offset_input(x, p)
     dy = y.data - bias[None, :, None, None]
     g = parc_backward(x, p, Tensor4(dy))
     lin = dy.astype(np.float64)
-    # the offset input is formed at the input precision, as the forward does
-    xp = (x.data + np.swapaxes(pe_n[None, :, None, :], axis, 3)).astype(np.float64)
+    xp = xp.astype(np.float64)
     d_in = g.d_input.data.astype(np.float64)
     lhs = np.vdot(lin, lin)
     gaps = (abs(lhs - np.vdot(g.d_kernel_n, kernel_n.astype(np.float64))),
@@ -166,7 +165,7 @@ def flops_cmd(ops, channels, resolutions, out):
 @click.option("--seed", default=_PROTOCOL.seed, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--md", is_flag=True, help="Also print a markdown table.")
-@click.option("--parallel", is_flag=True, help="Use the library's threaded path.")
+@click.option("--parallel", is_flag=True, help="Thread the spatial tap loop across channels.")
 def bench_cmd(channels, batch, resolutions, ops, warmup, iters, precision, seed,
               out, md, parallel):
     """Time each op at each resolution; latency is host-specific by nature."""

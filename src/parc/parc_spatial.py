@@ -159,16 +159,6 @@ def _axis_window(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarra
     return arr[tuple(sl)]
 
 
-def _periodic_ext(arr: np.ndarray, axis: int, n: int) -> np.ndarray:
-    """arr followed by its own first n-1 positions along axis (length 2n-1)."""
-    return np.concatenate([arr, _axis_window(arr, axis, 0, n - 1)], axis=axis)
-
-
-def _ext_taps(axis: int, n: int):
-    """tap_of over a periodic extension: tap k is the window [k, k + n) along axis."""
-    return lambda view, k: _axis_window(view, axis, k, k + n)
-
-
 def _offset_input(x: Tensor4, p: ParCParams):
     if x.shape[1] != p.channels_in:
         raise ValueError(f"input carries {x.shape[1]} channels, params expect {p.channels_in}")
@@ -237,7 +227,8 @@ def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -
     bit-identical to it because the tap order matches.
     """
     axis, n, kernel_n, bias, xp = _offset_input(x, p)
-    return _accumulate(_periodic_ext(xp, axis, n), _ext_taps(axis, n),
+    ext = np.concatenate([xp, _axis_window(xp, axis, 0, n - 1)], axis=axis)
+    return _accumulate(ext, lambda view, k: _axis_window(view, axis, k, k + n),
                        _out_shape(xp, kernel_n), kernel_n, bias, p.mode, n, parallel)
 
 

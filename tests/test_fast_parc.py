@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parc
-from parc import fast_parc
+from parc import _threads, fast_parc
 from parc.fast_parc import (
     _MAX_RADIX,
     FftPlan,
@@ -322,6 +322,25 @@ class TestSpectralCorrelation:
         seq = fast_parc_forward(x, p).data
         par = fast_parc_forward(x, p, parallel=True).data
         assert seq.tobytes() == par.tobytes()
+
+    def test_parallel_threads_only_the_spatial_route(self, monkeypatch):
+        """The frequency route's stage matmuls already run on BLAS threads,
+        so parallel=True builds no worker pool there; the tap loop still does."""
+        pools, pool_class = [], _threads.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return pool_class(max_workers=max_workers)
+
+        monkeypatch.setenv("PARC_THREADS", "2")
+        monkeypatch.setattr(_threads, "ThreadPoolExecutor", recording_pool)
+        rng = np.random.default_rng(23)
+        p = random_params(rng, 4, orientation="V")
+        x = Tensor4(rng.standard_normal((2, 4, 6, 12)))
+        fast_parc_forward(x, p, parallel=True)
+        assert pools == []
+        parc_forward(x, p, parallel=True)
+        assert pools == [2]
 
 
 class TestRealPairs:
