@@ -23,18 +23,15 @@ def thread_count(parallel: bool) -> int:
     return os.cpu_count() or 1
 
 
-def channel_slices(channels: int, workers: int) -> list[slice]:
-    bounds = [round(i * channels / min(workers, channels)) for i in range(min(workers, channels) + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-
-
 def run_sliced(work, channels: int, parallel: bool) -> None:
     """Invoke work(channel_slice) once per slice, threading when asked to.
 
     Each slice touches disjoint channels, so scheduling order cannot change
     results; per-slice arithmetic stays sequential.
     """
-    slices = channel_slices(channels, thread_count(parallel))
+    workers = min(thread_count(parallel), channels)
+    bounds = [round(i * channels / workers) for i in range(workers + 1)]
+    slices = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
     if len(slices) == 1:
         work(slices[0])
         return

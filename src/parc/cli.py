@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from . import blocks as blocks_mod
 from .fast_parc import fast_parc_forward
 from .flops import write_curves_csv
-from .parc_spatial import (_offset_input, parc_backward, parc_forward,
+from .parc_spatial import (_offset_input, _rows, parc_backward, parc_forward,
                            parc_forward_via_concat, random_params)
 from .rng import Xoshiro256
 from .tensor import DTYPE_NAMES, Tensor4, dtype_from_name, write_fixture
@@ -62,11 +62,11 @@ def _adjoint_gap(x: Tensor4, p, y: Tensor4) -> float:
     relative error in dK or dxp shows at about its own size; a random dy
     would dilute it by the square root of the output size.
     """
-    _, _, kernel_n, bias, xp = _offset_input(x, p)
+    axis, _, kernel_n, bias, xp = _offset_input(x, p)
     dy = y.data - bias[None, :, None, None]
     g = parc_backward(x, p, Tensor4(dy))
     lin = dy.astype(np.float64)
-    xp = xp.astype(np.float64)
+    xp = _rows(xp, axis).astype(np.float64, order="C")
     d_in = g.d_input.data.astype(np.float64)
     lhs = np.vdot(lin, lin)
     gaps = (abs(lhs - np.vdot(g.d_kernel_n, kernel_n.astype(np.float64))),

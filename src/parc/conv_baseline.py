@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parc_spatial import _per_channel, sweep_axis
+from .parc_spatial import _per_channel, _rows, sweep_axis
 from .tensor import Tensor4, finite_field
 
 
@@ -81,12 +81,12 @@ def conv1d_zeropad(x: Tensor4, p: ZeroPadConvParams) -> Tensor4:
     if p.orientation == "2D":
         raise ValueError("conv1d_zeropad needs orientation 'H' or 'V'")
     _check_channels(x, p)
-    n = x.shape[sweep_axis(p.orientation)]
-    k, pad = p.taps, p.pad
+    axis = sweep_axis(p.orientation)
+    k, pad, n = p.taps, p.pad, x.shape[axis]
     if n - k + 2 * pad + 1 < 1:
         raise ValueError(f"kernel of {k} taps with pad {pad} leaves no output on extent {n}")
-    shape, pads = ((k, 1), (pad, 0)) if p.orientation == "H" else ((1, k), (0, pad))
-    return Tensor4(_correlate_zeropad(x.data, p.kernel.reshape((-1,) + shape), pads))
+    y = _correlate_zeropad(_rows(x.data, axis), p.kernel[:, :, None], (pad, 0))
+    return Tensor4(_rows(y, axis))
 
 
 def dwconv2d_zeropad(x: Tensor4, p: ZeroPadConvParams) -> Tensor4:

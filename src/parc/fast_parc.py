@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parc_spatial import ParCParams, _offset_input, _per_channel
+from .parc_spatial import ParCParams, _offset_input, _per_channel, _rows
 from .tensor import Tensor4
 
 _MAX_RADIX = 128
@@ -250,14 +250,14 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
     axis, n, _, bias, xp = _offset_input(x, p)
     plan = get_plan(n)
     wspec = weight_spectrum(p, n, x.dtype_name)
-    lines_first = np.swapaxes(xp, axis, 3)
-    batch, channels, orth, _ = lines_first.shape
-    out_lines = np.empty(lines_first.shape, dtype=xp.dtype)
+    batch, channels, _, orth = xp.shape
+    y = np.empty(x.shape, dtype=xp.dtype)
+    # (B, C, orth, N) line views of xp and of y, the latter written in place
+    lines_in, lines_out = np.swapaxes(xp, 2, 3), np.swapaxes(_rows(y, axis), 2, 3)
     # one channel per transform: both lines of a pair must share one kernel
     for c in range(channels):
-        spec = _rfft_lines(lines_first[:, c].reshape(-1, n), plan)
+        spec = _rfft_lines(lines_in[:, c].reshape(-1, n), plan)
         spec *= wspec[c]
-        out_lines[:, c] = _irfft_lines(spec, plan)[:batch * orth].reshape(batch, orth, n)
-    y = np.ascontiguousarray(np.swapaxes(out_lines, axis, 3))
+        lines_out[:, c] = _irfft_lines(spec, plan)[:batch * orth].reshape(batch, orth, n)
     y += _per_channel(bias)
     return Tensor4(y)

@@ -6,6 +6,10 @@ embedding to the input.  Kernel and embedding are stored at a fixed meta
 length and stretched to the runtime extent by linear interpolation, so one
 parameter set serves any input size.
 
+An H sweep and a V sweep are one operator on transposed maps, so every route
+works on the (B, C, N, orth) layout of ``_offset_input``, swept axis at 2,
+and ``_rows`` maps results back to (B, C, H, W), bit for bit.
+
 Two spatial implementations are provided on purpose: ``parc_forward``
 gathers with explicit modulo indexing, ``parc_forward_via_concat`` extends
 the input periodically and runs a valid correlation over the extension.
@@ -44,9 +48,9 @@ class ParCParams:
     kept as float64 and must be finite.
 
     The trailing dicts cache per-(length, dtype) resolved parameters and
-    weight spectra.  Once the bytes of meta_kernel, meta_pe or bias change,
-    in-place edits included, ``resolved`` validates the fields again and
-    empties both.
+    weight spectra.  Once the shape, dtype or bytes of meta_kernel, meta_pe
+    or bias change, in-place edits included, ``resolved`` validates the
+    fields again and empties both.
     """
 
     mode: str
@@ -56,7 +60,7 @@ class ParCParams:
     bias: np.ndarray
     _resolved: dict = field(default_factory=dict, repr=False, compare=False)
     _spectra: dict = field(default_factory=dict, repr=False, compare=False)
-    _stamp: bytes = field(default=b"", init=False, repr=False, compare=False)
+    _stamp: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("depthwise", "dense"):
@@ -93,14 +97,14 @@ class ParCParams:
         """Kernel, PE, and bias stretched to sweep length n and cast.
 
         Interpolation runs in float64 and the result is cached per
-        (n, dtype_name), so repeated calls at one resolution are free.  If the
-        parameter bytes have changed, the fields are validated as in the
-        constructor and both caches are emptied first.  An unknown dtype_name
-        raises ValueError and caches nothing.
+        (n, dtype_name), so repeated calls at one resolution are free.  If a
+        field's shape, dtype or bytes have changed, the fields are validated
+        as in the constructor and both caches are emptied first.  An unknown
+        dtype_name raises ValueError and caches nothing.
         """
         def stamp():
-            fields = (self.meta_kernel, self.meta_pe, self.bias)
-            return b"".join(np.asarray(a).tobytes() for a in fields)
+            fields = map(np.asarray, (self.meta_kernel, self.meta_pe, self.bias))
+            return tuple((a.shape, a.dtype, a.tobytes()) for a in fields)
 
         if stamp() != self._stamp:
             self.__post_init__()
@@ -153,29 +157,34 @@ def _per_channel(vec: np.ndarray) -> np.ndarray:
     return vec.reshape(1, -1, 1, 1)
 
 
-def _axis_window(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
-    sl = [slice(None)] * arr.ndim
-    sl[axis] = slice(start, stop)
-    return arr[tuple(sl)]
+def _rows(arr: np.ndarray, axis: int) -> np.ndarray:
+    """View of a (B, C, H, W) array with the swept axis at position 2, or
+    back: a no-op for H, a swap of H and W for V, and its own inverse."""
+    return np.swapaxes(arr, 2, axis)
 
 
 def _offset_input(x: Tensor4, p: ParCParams):
+    """Swept axis, length N, resolved kernel and bias, and xp = x + pe as one
+    C-contiguous (B, C, N, orth) array; the add that allocates xp also does
+    the transpose, so a V sweep copies the input no more than an H sweep."""
     if x.shape[1] != p.channels_in:
         raise ValueError(f"input carries {x.shape[1]} channels, params expect {p.channels_in}")
     axis = sweep_axis(p.orientation)
     n = x.shape[axis]
     kernel_n, pe_n, bias = p.resolved(n, x.dtype_name)
-    xp = x.data + np.swapaxes(pe_n[None, :, None, :], axis, 3)
+    xp = np.add(_rows(x.data, axis), pe_n[None, :, :, None], order="C")
     return axis, n, kernel_n, bias, xp
 
 
-def _accumulate(source, tap_of, out_shape, kernel_n, bias, mode, n, parallel):
+def _accumulate(source, tap_of, kernel_n, bias, mode, axis, parallel):
     """Shared tap loop: tap_of(view, k) yields the k-shifted window of view.
 
-    Both spatial routes funnel through here so the accumulation order, and
-    therefore every intermediate rounding, is identical between them.
+    The output is accumulated with the swept axis at 2, as the source has it,
+    and returned through ``_rows``.  Both spatial routes funnel through here
+    so the accumulation order, and therefore every rounding, is identical.
     """
-    y = np.zeros(out_shape, dtype=source.dtype)
+    n = kernel_n.shape[-1]
+    y = np.zeros((source.shape[0], kernel_n.shape[0], n, source.shape[3]), dtype=source.dtype)
     if mode == "depthwise":
 
         def work(sl):
@@ -187,17 +196,12 @@ def _accumulate(source, tap_of, out_shape, kernel_n, bias, mode, n, parallel):
                 np.multiply(_per_channel(taps[:, k]), tap_of(src, k), out=prod)
                 dst += prod
 
-        run_sliced(work, out_shape[1], parallel)
+        run_sliced(work, y.shape[1], parallel)
     else:
         for k in range(n):
             y += np.einsum("oi,bihw->bohw", kernel_n[:, :, k], tap_of(source, k))
     y += _per_channel(bias)
-    return Tensor4(y)
-
-
-def _out_shape(xp, kernel_n):
-    """xp's shape with C replaced by the kernel's leading (output) extent."""
-    return xp.shape[:1] + kernel_n.shape[:1] + xp.shape[2:]
+    return Tensor4(_rows(y, axis))
 
 
 def parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
@@ -210,12 +214,8 @@ def parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
     """
     axis, n, kernel_n, bias, xp = _offset_input(x, p)
     base = np.arange(n)
-
-    def tap_of(view, k):
-        return np.take(view, (base + k) % n, axis=axis)
-
-    return _accumulate(xp, tap_of, _out_shape(xp, kernel_n),
-                       kernel_n, bias, p.mode, n, parallel)
+    return _accumulate(xp, lambda view, k: np.take(view, (base + k) % n, axis=2),
+                       kernel_n, bias, p.mode, axis, parallel)
 
 
 def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
@@ -227,9 +227,9 @@ def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -
     bit-identical to it because the tap order matches.
     """
     axis, n, kernel_n, bias, xp = _offset_input(x, p)
-    ext = np.concatenate([xp, _axis_window(xp, axis, 0, n - 1)], axis=axis)
-    return _accumulate(ext, lambda view, k: _axis_window(view, axis, k, k + n),
-                       _out_shape(xp, kernel_n), kernel_n, bias, p.mode, n, parallel)
+    ext = np.concatenate([xp, xp[:, :, :n - 1]], axis=2)
+    return _accumulate(ext, lambda view, k: view[:, :, k:k + n],
+                       kernel_n, bias, p.mode, axis, parallel)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +273,14 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     expect = (x.shape[0], p.channels_out) + x.shape[2:]
     if dy.shape != expect:
         raise ValueError(f"dY shape {dy.shape} does not match forward output {expect}")
-    # (B, C, H, W) <-> (C, B, orth, N), the swept axis last; its own inverse
-    perm = (1, 0, 5 - axis, axis)
+    # (B, C, N, orth) <-> (C, B, orth, N), the swept axis last; its own inverse
+    perm = (1, 0, 3, 2)
 
     def lines(arr):
         return np.ascontiguousarray(arr.transpose(perm), dtype=np.float64).reshape(
             arr.shape[1], -1, n)
 
-    g, xl = lines(dy.data), lines(xp)
+    g, xl = lines(_rows(dy.data, axis)), lines(xp)
     k64 = kernel_n.astype(np.float64)
     ramp = np.arange(n)
     circ = (ramp[None, :] - ramp[:, None]) % n
@@ -301,7 +301,7 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
             dxl += part
 
     d_pe_n = dxl.sum(axis=1)
-    d_input = dxl.reshape(xp.shape[1], x.shape[0], -1, n).transpose(perm)
+    d_input = _rows(dxl.reshape(xp.shape[1], x.shape[0], -1, n).transpose(perm), axis)
     return ParCGrads(
         d_input=Tensor4(np.ascontiguousarray(d_input, dtype=x.dtype)),
         d_kernel_n=dwn,

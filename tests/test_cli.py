@@ -110,6 +110,13 @@ class TestFlopsCmd:
         assert "unknown op" in result.output
         assert not out.exists()
 
+    def test_even_dw_op_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "curves.csv"
+        result = runner.invoke(main, ["flops", "--ops", "dw4", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "unknown op 'dw4'" in result.output
+        assert not out.exists()
+
 
 class TestBenchCmd:
     def test_tiny_run_with_csv(self, runner, tmp_path):
@@ -151,6 +158,17 @@ class TestBenchCmd:
         assert result.exit_code == 2, result.output
         assert "ops must be distinct" in result.output
         assert " ms " not in result.output
+
+    def test_even_dw_op_is_usage_error_before_timing(self, runner, tmp_path):
+        out = tmp_path / "bench.csv"
+        result = runner.invoke(main, [
+            "bench", "--ops", "parc,dw4", "--resolutions", "8,16", "--channels", "4",
+            "--warmup", "1", "--iters", "1", "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "unknown op 'dw4'" in result.output
+        assert " ms " not in result.output
+        assert not out.exists()
 
     def test_zero_iters_is_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "--iters", "0",

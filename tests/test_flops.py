@@ -81,6 +81,10 @@ class TestGuards:
             op_mul_count("conv9000", 96, 56)
         with pytest.raises(ValueError, match="dw<K>"):
             op_mul_count("dwx", 96, 56)
+        # no same-size depthwise conv has an even K, so the harness cannot run one
+        for op in ("dw0", "dw2", "dw4"):
+            with pytest.raises(ValueError, match="unknown op .*odd K"):
+                op_mul_count(op, 96, 56)
 
 
 class TestScaling:

@@ -377,6 +377,30 @@ class TestParamsContract:
         with pytest.raises(ValueError, match="bias carries 4 channels, kernel implies 3"):
             route(x, p)
 
+    @pytest.mark.parametrize("route", [parc_forward, parc_forward_via_concat, fast_parc_forward])
+    def test_reassigned_same_bytes_new_shape_raises(self, route):
+        """A reshape keeps the bytes; the cache must still be revalidated."""
+        rng = np.random.default_rng(77)
+        p = random_params(rng, 4)
+        x = Tensor4(rng.standard_normal((1, 4, 6, 5)))
+        route(x, p)
+        p.meta_kernel = p.meta_kernel.reshape(14, 4)
+        with pytest.raises(ValueError, match="meta_pe carries 4 channels, kernel implies 14"):
+            route(x, p)
+
+    @pytest.mark.parametrize("route", [parc_forward, parc_forward_via_concat, fast_parc_forward])
+    @pytest.mark.parametrize("name", ["meta_kernel", "meta_pe", "bias"])
+    def test_reassigned_same_bytes_new_dtype_serves_fresh_results(self, route, name):
+        rng = np.random.default_rng(78)
+        p = random_params(rng, 4)
+        x = Tensor4(rng.standard_normal((1, 4, 6, 5)))
+        before = route(x, p).data
+        setattr(p, name, getattr(p, name).view(np.int64))
+        fresh = ParCParams(p.mode, p.orientation, p.meta_kernel, p.meta_pe, p.bias)
+        after = route(x, p).data
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, route(x, fresh).data)
+
     def test_resolved_matches_interp_per_row(self):
         rng = np.random.default_rng(72)
         p = random_params(rng, 3, k_meta=5)

@@ -1,0 +1,84 @@
+"""Print one sha256 per route output and per ParCGrads field.
+
+Usage: python3 tools/route_digests.py ROOT
+
+Imports the ``parc`` package from ROOT/src and runs every route over a fixed
+grid of map shapes, precisions, orientations and modes, with inputs and
+parameters drawn from fixed seeds.  Each output line names one result and
+the sha256 of its dtype, shape and C-order bytes, so two trees compute
+bitwise-identical results exactly when their outputs are equal:
+
+    python3 tools/route_digests.py OLD > old.txt
+    python3 tools/route_digests.py NEW > new.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+
+import numpy as np
+
+# (B, C, H, W) maps; the last two keep every extent small and odd
+MAPS = ((2, 32, 50, 83), (1, 48, 28, 28), (8, 32, 64, 64), (1, 8, 224, 224),
+        (2, 3, 7, 13), (2, 3, 1, 5))
+
+
+def _digest(arr) -> str:
+    a = np.ascontiguousarray(arr)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def main(root: str) -> None:
+    sys.path.insert(0, os.path.join(root, "src"))
+    os.environ["PARC_THREADS"] = "2"
+    from parc import (Tensor4, ZeroPadConvParams, conv1d_zeropad, fast_parc_forward,
+                      metaformer_block_forward, parc_backward, parc_forward,
+                      parc_forward_via_concat, random_params)
+    from parc.blocks import random_metaformer
+
+    for seed, shape in enumerate(MAPS):
+        b, c, h, w = shape
+        for precision in ("f32", "f64"):
+            dtype = np.float32 if precision == "f32" else np.float64
+            for orientation in ("H", "V"):
+                for mode in ("depthwise", "dense"):
+                    rng = np.random.default_rng(seed)
+                    n = h if orientation == "H" else w
+                    p = random_params(rng, c, orientation=orientation, mode=mode,
+                                      channels_out=c + 1, kernel_scale=1.0 / n)
+                    x = Tensor4(rng.standard_normal(shape).astype(dtype))
+                    routes = {"modulo": parc_forward, "concat": parc_forward_via_concat}
+                    if mode == "depthwise":
+                        routes["freq"] = fast_parc_forward
+                    results = {f"{name}.{'threaded' if par else 'serial'}": route(x, p, parallel=par).data
+                               for name, route in routes.items() for par in (False, True)}
+                    dy = rng.standard_normal((b, p.channels_out, h, w)).astype(dtype)
+                    g = parc_backward(x, p, Tensor4(dy))
+                    for field in ("d_input", "d_kernel_n", "d_pe_n", "d_bias",
+                                  "d_meta_kernel", "d_meta_pe"):
+                        value = getattr(g, field)
+                        results[f"grad.{field}"] = getattr(value, "data", value)
+                    if mode == "depthwise":
+                        taps = rng.uniform(-1, 1, (c, 5))
+                        conv = ZeroPadConvParams(taps, pad=2, orientation=orientation)
+                        results["conv1d"] = conv1d_zeropad(x, conv).data
+                    for name, arr in results.items():
+                        print(f"{b}x{c}x{h}x{w} {precision} {orientation} {mode:9} {name:18} "
+                              f"{_digest(arr)}")
+            if c % 2 == 0:
+                rng = np.random.default_rng(seed)
+                block = random_metaformer(rng, c, hidden=2 * c, kernel_scale=0.5)
+                x = Tensor4(rng.standard_normal(shape).astype(dtype))
+                print(f"{b}x{c}x{h}x{w} {precision} - {'-':9} {'metaformer':18} "
+                      f"{_digest(metaformer_block_forward(x, block).data)}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(sys.argv[1])
