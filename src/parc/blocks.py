@@ -194,11 +194,11 @@ def metaformer_block_forward(x: Tensor4, p: MetaFormerBlockParams) -> Tensor4:
     if x.shape[1] != p.channels:
         raise ValueError(f"input carries {x.shape[1]} channels, block expects {p.channels}")
     u = x.data + _token_mixer(x, p)
-    w1 = p.mlp_w1.astype(x.dtype)
-    w2 = p.mlp_w2.astype(x.dtype)
-    h = np.tanh(np.einsum("dc,bchw->bdhw", w1, u) + p.mlp_b1.astype(x.dtype)[None, :, None, None])
-    m = np.einsum("cd,bdhw->bchw", w2, h) + p.mlp_b2.astype(x.dtype)[None, :, None, None]
-    gated = channel_attention(Tensor4(np.ascontiguousarray(m)), p.attention)
+    # pointwise layers as BLAS matmuls over (B, C, H*W); einsum would run a C loop
+    cast = lambda a: a.astype(x.dtype)
+    h = np.tanh(cast(p.mlp_w1) @ u.reshape(x.shape[0], p.channels, -1) + cast(p.mlp_b1)[:, None])
+    m = (cast(p.mlp_w2) @ h + cast(p.mlp_b2)[:, None]).reshape(x.shape)
+    gated = channel_attention(Tensor4(m), p.attention)
     return Tensor4(u + gated.data)
 
 

@@ -14,6 +14,9 @@ Two spatial implementations are provided on purpose: ``parc_forward``
 gathers with explicit modulo indexing, ``parc_forward_via_concat`` extends
 the input periodically and runs a valid correlation over the extension.
 Both accumulate taps in the same order, so their outputs agree bit for bit.
+In depthwise mode the tap loop runs all N taps over one cache-sized channel
+block before the next (see ``_accumulate``); channels never mix, so the
+blocking changes no output element's sequence of operations and no bit.
 A frequency-domain route lives in ``fast_parc``.
 """
 
@@ -28,6 +31,9 @@ from .tensor import Tensor4, dtype_from_name, finite_field, interp_linear_adjoin
 
 _AXIS = {"H": 2, "V": 3}
 DEFAULT_META_LEN = 14
+# Output bytes per channel block of the depthwise tap loop: small enough that
+# a block's source window, product buffer and output stay in L2 over all taps.
+_BLOCK_BYTES = 256 * 1024
 
 
 def sweep_axis(orientation: str) -> int:
@@ -182,19 +188,30 @@ def _accumulate(source, tap_of, kernel_n, bias, mode, axis, parallel):
     The output is accumulated with the swept axis at 2, as the source has it,
     and returned through ``_rows``.  Both spatial routes funnel through here
     so the accumulation order, and therefore every rounding, is identical.
+
+    Depthwise, each ``run_sliced`` slice is cut into blocks of
+    max(1, _BLOCK_BYTES // (B * N * orth * itemsize)) channels, the divisor
+    being the bytes of one output channel, and each block runs all N taps
+    before the next starts.  Every output element still receives the
+    products of taps 0..N-1 added in that order into the same
+    zero-initialised value, so neither the block size nor threading can
+    change any rounding.
     """
     n = kernel_n.shape[-1]
     y = np.zeros((source.shape[0], kernel_n.shape[0], n, source.shape[3]), dtype=source.dtype)
     if mode == "depthwise":
+        step = max(1, _BLOCK_BYTES // y[:, :1].nbytes)
 
         def work(sl):
-            src = source[:, sl]
-            dst = y[:, sl]
-            taps = kernel_n[sl]
-            prod = np.empty_like(dst)
-            for k in range(n):
-                np.multiply(_per_channel(taps[:, k]), tap_of(src, k), out=prod)
-                dst += prod
+            for start in range(sl.start, sl.stop, step):
+                blk = slice(start, min(start + step, sl.stop))
+                src = source[:, blk]
+                dst = y[:, blk]
+                taps = kernel_n[blk]
+                prod = np.empty_like(dst)
+                for k in range(n):
+                    np.multiply(_per_channel(taps[:, k]), tap_of(src, k), out=prod)
+                    dst += prod
 
         run_sliced(work, y.shape[1], parallel)
     else:

@@ -231,10 +231,11 @@ def block_reference(x, p):
     first = parc_forward(parc_forward(first, p.first_h), p.first_v)
     second = parc_forward(parc_forward(second, p.second_v), p.second_h)
     u = x.data + np.concatenate([first.data, second.data], axis=1)
-    bias = lambda b: b.astype(x.dtype)[None, :, None, None]
-    h = np.tanh(np.einsum("dc,bchw->bdhw", p.mlp_w1.astype(x.dtype), u) + bias(p.mlp_b1))
-    m = np.einsum("cd,bdhw->bchw", p.mlp_w2.astype(x.dtype), h) + bias(p.mlp_b2)
-    return u + channel_attention(Tensor4(np.ascontiguousarray(m)), p.attention).data
+    cast = lambda a: a.astype(x.dtype)
+    lines = u.reshape(x.shape[0], x.shape[1], -1)
+    h = np.tanh(np.matmul(cast(p.mlp_w1), lines) + cast(p.mlp_b1)[:, None])
+    m = (np.matmul(cast(p.mlp_w2), h) + cast(p.mlp_b2)[:, None]).reshape(x.shape)
+    return u + channel_attention(Tensor4(m), p.attention).data
 
 
 class TestSplitSweep:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parc import parc_spatial
 from parc.fast_parc import fast_parc_forward
 from parc.parc_spatial import (
     ParCParams,
@@ -158,6 +159,73 @@ class TestTwoRoutesBitwise:
         x = Tensor4.zeros((1, 2, 3, 3))
         with pytest.raises(ValueError, match="PARC_THREADS"):
             parc_forward(x, p, parallel=True)
+
+
+def unblocked_forward(x, p):
+    """The depthwise tap loop with every tap sweeping all channels at once."""
+    axis = 2 if p.orientation == "H" else 3
+    n = x.shape[axis]
+    kernel_n, pe_n, bias = p.resolved(n, Tensor4(x).dtype_name)
+    xp = np.swapaxes(x, 2, axis) + pe_n[None, :, :, None]
+    y = np.zeros_like(xp)
+    prod = np.empty_like(y)
+    for k in range(n):
+        np.multiply(kernel_n[:, k].reshape(1, -1, 1, 1), np.roll(xp, -k, axis=2), out=prod)
+        y += prod
+    y += bias.reshape(1, -1, 1, 1)
+    return np.swapaxes(y, 2, axis)
+
+
+class TestChannelBlocks:
+    """The depthwise tap loop runs per channel block; maps this small fit in
+    one block at the default budget, so the budget is patched down to force
+    one channel per block, a ragged last block, and back up to one block."""
+
+    C = 7
+
+    @staticmethod
+    def budgets(x):
+        one_channel = x.shape[0] * x.shape[2] * x.shape[3] * x.itemsize
+        return {"one_channel": 1, "ragged": 3 * one_channel, "one_block": 1 << 40}
+
+    @pytest.mark.parametrize("threads", [None, "2", "3"], ids=["serial", "t2", "t3"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    @pytest.mark.parametrize("route", [parc_forward, parc_forward_via_concat],
+                             ids=["modulo", "concat"])
+    def test_every_budget_gives_the_unblocked_bits(self, route, orientation, dtype, threads,
+                                                   monkeypatch):
+        if threads:
+            monkeypatch.setenv("PARC_THREADS", threads)
+        rng = np.random.default_rng(35)
+        p = random_params(rng, self.C, orientation=orientation)
+        x = rng.standard_normal((2, self.C, 6, 9)).astype(dtype)
+        want = unblocked_forward(x, p).tobytes()
+        for name, budget in self.budgets(x).items():
+            monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", budget)
+            got = route(Tensor4(x), p, parallel=threads is not None).data
+            assert got.dtype == dtype
+            assert got.tobytes() == want, name
+
+    def test_block_sizes_follow_the_budget(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        p = random_params(rng, self.C, orientation="V")
+        x = rng.standard_normal((2, self.C, 6, 9)).astype(np.float32)
+        sizes = []
+        per_channel = parc_spatial._per_channel
+
+        def spy(vec):
+            sizes.append(vec.shape[0])
+            return per_channel(vec)
+
+        monkeypatch.setattr(parc_spatial, "_per_channel", spy)
+        # per block one size for each of the 9 taps; the last entry is the bias
+        want = {"one_channel": [1] * 7, "ragged": [3, 3, 1], "one_block": [7]}
+        for name, budget in self.budgets(x).items():
+            monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", budget)
+            sizes.clear()
+            parc_forward(Tensor4(x), p)
+            assert sizes == [b for b in want[name] for _ in range(9)] + [self.C], name
 
 
 class TestShiftEquivariance:
