@@ -1,7 +1,8 @@
 """Single-operator latency harness with CSV/markdown reporting.
 
-Each (op, resolution) pair gets one random input allocated up front, a
-untimed warmup run, then individually timed iterations on a monotonic clock.
+Each (op, resolution) pair gets one random input allocated up front,
+``warmup`` untimed calls (200 by default), then ``iters`` individually timed
+calls on a monotonic clock.
 Reported spread is the population standard deviation.  The circular ops time
 the composite used in real blocks, ``blocks.split_sweep``: the channel split,
 half the channels swept along H, half along V, and the concatenation of the
@@ -24,6 +25,7 @@ from .fast_parc import fast_parc_forward
 from .flops import dw_taps, format_mega, op_mul_count
 from .parc_spatial import parc_forward_via_concat
 from .tensor import Tensor4, dtype_from_name
+
 
 @dataclass
 class BenchConfig:

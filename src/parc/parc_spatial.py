@@ -10,13 +10,15 @@ An H sweep and a V sweep are one operator on transposed maps, so every route
 works on the (B, C, N, orth) layout of ``_offset_input``, swept axis at 2,
 and ``_rows`` maps results back to (B, C, H, W), bit for bit.
 
-Two spatial implementations are provided on purpose: ``parc_forward``
-gathers with explicit modulo indexing, ``parc_forward_via_concat`` extends
-the input periodically and runs a valid correlation over the extension.
-Both accumulate taps in the same order, so their outputs agree bit for bit.
-In depthwise mode the tap loop runs all N taps over one cache-sized channel
-block before the next (see ``_accumulate``); channels never mix, so the
-blocking changes no output element's sequence of operations and no bit.
+Both spatial routes run one valid correlation over the (2N-1)-long periodic
+extension of the offset input and differ only in how they build that
+extension: ``parc_forward`` with one explicit modulo gather,
+``parc_forward_via_concat`` by concatenating the input's first N-1 positions
+onto it.  The extensions are equal and the tap loop is shared, so their
+outputs agree bit for bit.  In depthwise mode the tap loop runs all N taps
+over one cache-sized channel block before the next (see ``_accumulate``);
+channels never mix, so the blocking changes no output element's sequence of
+operations and no bit.
 A frequency-domain route lives in ``fast_parc``.
 """
 
@@ -182,12 +184,14 @@ def _offset_input(x: Tensor4, p: ParCParams):
     return axis, n, kernel_n, bias, xp
 
 
-def _accumulate(source, tap_of, kernel_n, bias, mode, axis, parallel):
-    """Shared tap loop: tap_of(view, k) yields the k-shifted window of view.
+def _accumulate(ext, kernel_n, bias, mode, axis, parallel):
+    """Shared tap loop over the periodic extension ext, (B, C, 2N-1, orth).
 
-    The output is accumulated with the swept axis at 2, as the source has it,
-    and returned through ``_rows``.  Both spatial routes funnel through here
-    so the accumulation order, and therefore every rounding, is identical.
+    Tap k reads the window ext[..., k:k + N, :], so output position i takes
+    kernel[k] * ext[i + k], which is (x + pe)[(i + k) mod N].  The output is
+    accumulated with the swept axis at 2, as ext has it, and returned through
+    ``_rows``.  Both spatial routes funnel through here so the accumulation
+    order, and therefore every rounding, is identical.
 
     Depthwise, each ``run_sliced`` slice is cut into blocks of
     max(1, _BLOCK_BYTES // (B * N * orth * itemsize)) channels, the divisor
@@ -198,41 +202,40 @@ def _accumulate(source, tap_of, kernel_n, bias, mode, axis, parallel):
     change any rounding.
     """
     n = kernel_n.shape[-1]
-    y = np.zeros((source.shape[0], kernel_n.shape[0], n, source.shape[3]), dtype=source.dtype)
+    y = np.zeros((ext.shape[0], kernel_n.shape[0], n, ext.shape[3]), dtype=ext.dtype)
     if mode == "depthwise":
         step = max(1, _BLOCK_BYTES // y[:, :1].nbytes)
 
         def work(sl):
             for start in range(sl.start, sl.stop, step):
                 blk = slice(start, min(start + step, sl.stop))
-                src = source[:, blk]
                 dst = y[:, blk]
                 taps = kernel_n[blk]
                 prod = np.empty_like(dst)
                 for k in range(n):
-                    np.multiply(_per_channel(taps[:, k]), tap_of(src, k), out=prod)
+                    np.multiply(_per_channel(taps[:, k]), ext[:, blk, k:k + n], out=prod)
                     dst += prod
 
         run_sliced(work, y.shape[1], parallel)
     else:
         for k in range(n):
-            y += np.einsum("oi,bihw->bohw", kernel_n[:, :, k], tap_of(source, k))
+            y += np.einsum("oi,bihw->bohw", kernel_n[:, :, k], ext[:, :, k:k + n])
     y += _per_channel(bias)
     return Tensor4(_rows(y, axis))
 
 
 def parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
-    """Circular correlation via explicit modulo gathers.
+    """Circular correlation via one explicit modulo gather.
 
     Output position i along the swept axis is
     sum_k kernel[c, k] * (x + pe)[c, (k + i) mod N] + bias[c]; dense mode
     additionally contracts over input channels.  Output shape matches the
-    input except that dense mode replaces C with channels_out.
+    input except that dense mode replaces C with channels_out.  The periodic
+    extension is gathered once per call at indices arange(2N - 1) mod N.
     """
     axis, n, kernel_n, bias, xp = _offset_input(x, p)
-    base = np.arange(n)
-    return _accumulate(xp, lambda view, k: np.take(view, (base + k) % n, axis=2),
-                       kernel_n, bias, p.mode, axis, parallel)
+    ext = np.take(xp, np.arange(2 * n - 1) % n, axis=2)
+    return _accumulate(ext, kernel_n, bias, p.mode, axis, parallel)
 
 
 def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
@@ -241,12 +244,11 @@ def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -
     The offset input is concatenated with its own first N-1 positions along
     the swept axis (length 2N-1) and the kernel slides over that extension
     with no padding.  Independent of the modulo route in its indexing, yet
-    bit-identical to it because the tap order matches.
+    bit-identical to it because the extension and the tap loop match.
     """
     axis, n, kernel_n, bias, xp = _offset_input(x, p)
     ext = np.concatenate([xp, xp[:, :, :n - 1]], axis=2)
-    return _accumulate(ext, lambda view, k: view[:, :, k:k + n],
-                       kernel_n, bias, p.mode, axis, parallel)
+    return _accumulate(ext, kernel_n, bias, p.mode, axis, parallel)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from parc import blocks
 from parc.blocks import (
     ChannelAttentionParams,
     ConvNetMixerParams,
@@ -269,3 +270,33 @@ class TestSplitSweep:
         x = Tensor4(rng.standard_normal((2, 6, 5, 8)).astype(dtype))
         got = metaformer_block_forward(x, p).data
         assert got.tobytes() == block_reference(x, p).tobytes()
+
+
+class TestRouteLookup:
+    """The blocks call the modulo route through the module global
+    ``blocks.parc_forward``, looked up at call time.  perfbench patches that
+    name to time its ``parc_spatial.fwd_modulo`` span, so a block that bound
+    the route at import, or called another route, would silence the span."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(x, p, parallel=False):
+            seen.append(p.orientation)
+            return parc_forward(x, p, parallel=parallel)
+
+        monkeypatch.setattr(blocks, "parc_forward", counting)
+        return seen
+
+    def test_metaformer_block_makes_four_calls(self, calls):
+        rng = np.random.default_rng(33)
+        p = random_metaformer(rng, 4)
+        metaformer_block_forward(Tensor4(rng.standard_normal((1, 4, 5, 6))), p)
+        assert calls == ["H", "V", "V", "H"]
+
+    def test_convnet_mixer_makes_two_calls(self, calls):
+        rng = np.random.default_rng(34)
+        p = random_convnet_mixer(rng, 4)
+        convnet_mixer_forward(Tensor4(rng.standard_normal((1, 4, 5, 6))), p)
+        assert calls == ["H", "V"]

@@ -140,6 +140,28 @@ class TestTwoRoutesBitwise:
         diff = parc_forward(x, p).data - parc_forward_via_concat(x, p).data
         assert np.abs(diff).max() == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("mode", ["depthwise", "dense"])
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    @pytest.mark.parametrize("shape", [(2, 10, 50, 83), (2, 3, 1, 2), (2, 3, 2, 1)],
+                             ids=["blocks", "h1w2", "h2w1"])
+    def test_default_budget_and_shortest_extensions(self, shape, orientation, mode, dtype):
+        # at 50x83 one channel holds 33,200 B in f32 and 66,400 B in f64, so the
+        # default budget cuts 10 channels into blocks of 7+3 and 3+3+3+1; the
+        # small maps sweep n = 1 and 2, extensions of 1 and 3 rows
+        rng = np.random.default_rng(37)
+        p = random_params(rng, shape[1], orientation=orientation, mode=mode)
+        x = rng.standard_normal(shape).astype(dtype)
+        if shape[1] == 10:
+            per_block = parc_spatial._BLOCK_BYTES // (2 * 50 * 83 * x.itemsize)
+            assert 1 < per_block < 10 and 10 % per_block
+        a = parc_forward(Tensor4(x), p).data
+        b = parc_forward_via_concat(Tensor4(x), p).data
+        assert a.dtype == dtype
+        assert a.tobytes() == b.tobytes()
+        if mode == "depthwise":
+            assert a.tobytes() == unblocked_forward(x, p).tobytes()
+
     def test_parallel_matches_sequential_bitwise(self, monkeypatch):
         monkeypatch.setenv("PARC_THREADS", "3")
         rng = np.random.default_rng(33)

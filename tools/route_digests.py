@@ -1,22 +1,27 @@
 """Print one sha256 per route output and per ParCGrads field.
 
 Usage: python3 tools/route_digests.py ROOT
+       python3 tools/route_digests.py OLD NEW
 
 Imports the ``parc`` package from ROOT/src and runs every route over a fixed
 grid of map shapes, precisions, orientations and modes, with inputs and
-parameters drawn from fixed seeds.  Each output line names one result and
-the sha256 of its dtype, shape and C-order bytes, so two trees compute
-bitwise-identical results exactly when their outputs are equal:
+parameters drawn from fixed seeds, plus the two blocks that run
+``parc_forward``.  Each output line names one result and the sha256 of its
+dtype, shape and C-order bytes, so two trees compute bitwise-identical
+results exactly when their outputs are equal.
 
-    python3 tools/route_digests.py OLD > old.txt
-    python3 tools/route_digests.py NEW > new.txt
-    diff old.txt new.txt
+With two roots, each tree is digested in its own interpreter by this file,
+so both run the same grid.  Only the results whose digests differ, or that
+one tree lacks, are printed, as ``name OLD-digest NEW-digest`` with ``-``
+for a missing one; a count goes to stderr and the exit status is 1 if any
+result differs, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -39,7 +44,7 @@ def main(root: str) -> None:
     from parc import (Tensor4, ZeroPadConvParams, conv1d_zeropad, fast_parc_forward,
                       metaformer_block_forward, parc_backward, parc_forward,
                       parc_forward_via_concat, random_params)
-    from parc.blocks import random_metaformer
+    from parc.blocks import convnet_mixer_forward, random_convnet_mixer, random_metaformer
 
     for seed, shape in enumerate(MAPS):
         b, c, h, w = shape
@@ -74,11 +79,35 @@ def main(root: str) -> None:
                 rng = np.random.default_rng(seed)
                 block = random_metaformer(rng, c, hidden=2 * c, kernel_scale=0.5)
                 x = Tensor4(rng.standard_normal(shape).astype(dtype))
-                print(f"{b}x{c}x{h}x{w} {precision} - {'-':9} {'metaformer':18} "
-                      f"{_digest(metaformer_block_forward(x, block).data)}")
+                mixer = random_convnet_mixer(rng, c, kernel_scale=0.5)
+                for name, out in (("metaformer", metaformer_block_forward(x, block)),
+                                  ("convnet_mixer", convnet_mixer_forward(x, mixer))):
+                    print(f"{b}x{c}x{h}x{w} {precision} - {'-':9} {name:18} "
+                          f"{_digest(out.data)}")
+
+
+def _digests(root: str) -> dict:
+    """Result name -> digest, from this file run on root in a fresh interpreter."""
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), root],
+                         stdout=subprocess.PIPE, text=True, check=True).stdout
+    return dict(line.rsplit(" ", 1) for line in out.splitlines())
+
+
+def compare(old: str, new: str) -> int:
+    """Print the results on which the two trees differ; 1 if any do."""
+    a, b = _digests(old), _digests(new)
+    names = list(a) + [name for name in b if name not in a]
+    differ = [name for name in names if a.get(name) != b.get(name)]
+    for name in differ:
+        print(f"{name} {a.get(name, '-')} {b.get(name, '-')}")
+    print(f"{len(differ)} of {len(names)} results differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 2:
+        main(sys.argv[1])
+    elif len(sys.argv) == 3:
+        sys.exit(compare(sys.argv[1], sys.argv[2]))
+    else:
         sys.exit(__doc__)
-    main(sys.argv[1])
