@@ -3,7 +3,10 @@
 These are correlation-convention (no kernel flip), per-channel operators:
 the 1D form slides along H or V, the 2D form is the familiar depthwise KxK
 layer.  They exist to contrast local receptive fields with the global
-circular operators and to feed the latency benchmark.
+circular operators and to feed the latency benchmark.  A zero-padded
+correlation is a valid correlation over an input extended by zeros, where
+ParC extends it periodically, so both run the one channel-blocked tap loop,
+``parc_spatial._correlate``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parc_spatial import _per_channel, _rows, sweep_axis
+from .parc_spatial import _correlate, _rows, sweep_axis
 from .tensor import Tensor4, finite_field
 
 
@@ -21,7 +24,8 @@ class ZeroPadConvParams:
     """Per-channel taps, symmetric zero padding, and the swept orientation.
 
     kernel: (C, K) with orientation "H" or "V", (C, K, K) with "2D".
-    pad: zeros added on both ends of each swept axis.
+    pad: zeros added on both ends of each swept axis, an integer >= 0;
+    anything else raises ValueError.
     """
 
     kernel: np.ndarray
@@ -37,6 +41,8 @@ class ZeroPadConvParams:
             raise ValueError(f"orientation {self.orientation} needs a rank-{want} kernel")
         if k.ndim == 3 and k.shape[1] != k.shape[2]:
             raise ValueError("2D kernels must be square")
+        if not isinstance(self.pad, (int, np.integer)):
+            raise ValueError(f"pad must be an integer, got {self.pad!r}")
         if self.pad < 0:
             raise ValueError("pad must be >= 0")
 
@@ -56,17 +62,11 @@ def _check_channels(x: Tensor4, p: ZeroPadConvParams) -> None:
 
 def _correlate_zeropad(x: np.ndarray, kernel: np.ndarray, pad: tuple) -> np.ndarray:
     """Per-channel correlation of a (C, K_h, K_w) kernel over x zero padded
-    by pad = (pad_h, pad_w); taps run in row-major order into one product buffer."""
+    by pad = (pad_h, pad_w), run by the shared channel-blocked tap loop."""
     xpad = np.pad(x, [(0, 0), (0, 0), (pad[0], pad[0]), (pad[1], pad[1])])
     _, k_h, k_w = kernel.shape
-    h, w = xpad.shape[2] - k_h + 1, xpad.shape[3] - k_w + 1
-    y = np.zeros(x.shape[:2] + (h, w), dtype=x.dtype)
-    prod = np.empty_like(y)
-    taps = kernel.astype(x.dtype)
-    for r in range(k_h):
-        for s in range(k_w):
-            np.multiply(_per_channel(taps[:, r, s]), xpad[:, :, r:r + h, s:s + w], out=prod)
-            y += prod
+    y = np.zeros(x.shape[:2] + (xpad.shape[2] - k_h + 1, xpad.shape[3] - k_w + 1), dtype=x.dtype)
+    _correlate(xpad, kernel.astype(x.dtype), y, slice(0, y.shape[1]))
     return y
 
 

@@ -15,10 +15,9 @@ extension of the offset input and differ only in how they build that
 extension: ``parc_forward`` with one explicit modulo gather,
 ``parc_forward_via_concat`` by concatenating the input's first N-1 positions
 onto it.  The extensions are equal and the tap loop is shared, so their
-outputs agree bit for bit.  In depthwise mode the tap loop runs all N taps
-over one cache-sized channel block before the next (see ``_accumulate``);
-channels never mix, so the blocking changes no output element's sequence of
-operations and no bit.
+outputs agree bit for bit.  In depthwise mode the tap loop is
+``_correlate``, which runs all taps over one cache-sized channel block before
+the next; the zero-padded baselines in ``conv_baseline`` share it.
 A frequency-domain route lives in ``fast_parc``.
 """
 
@@ -33,7 +32,7 @@ from .tensor import Tensor4, dtype_from_name, finite_field, interp_linear_adjoin
 
 _AXIS = {"H": 2, "V": 3}
 DEFAULT_META_LEN = 14
-# Output bytes per channel block of the depthwise tap loop: small enough that
+# Output bytes per channel block of the tap loop ``_correlate``: small enough that
 # a block's source window, product buffer and output stay in L2 over all taps.
 _BLOCK_BYTES = 256 * 1024
 
@@ -184,6 +183,28 @@ def _offset_input(x: Tensor4, p: ParCParams):
     return axis, n, kernel_n, bias, xp
 
 
+def _correlate(src, taps, y, chans) -> None:
+    """Add sum_(r,s) taps[c, r, s] * src[:, c, r:r + h, s:s + w] into y[:, c]
+    for the channels c in the slice chans, (h, w) being y's last two extents.
+
+    Taps run in row-major order, each multiplied into one product buffer, one
+    block of max(1, _BLOCK_BYTES // y[:, :1].nbytes) channels at a time: a
+    block runs all its taps before the next starts, so its source window,
+    product buffer and output stay in cache.  Channels never mix, so neither
+    the block size nor a caller's threading over channel slices changes any
+    output element's sequence of operations, or any bit.
+    """
+    h, w = y.shape[2:]
+    step = max(1, _BLOCK_BYTES // y[:, :1].nbytes)
+    for start in range(chans.start, chans.stop, step):
+        blk = slice(start, min(start + step, chans.stop))
+        dst = y[:, blk]
+        prod = np.empty_like(dst)
+        for r, s in np.ndindex(taps.shape[1:]):
+            np.multiply(_per_channel(taps[blk, r, s]), src[:, blk, r:r + h, s:s + w], out=prod)
+            dst += prod
+
+
 def _accumulate(ext, kernel_n, bias, mode, axis, parallel):
     """Shared tap loop over the periodic extension ext, (B, C, 2N-1, orth).
 
@@ -191,32 +212,13 @@ def _accumulate(ext, kernel_n, bias, mode, axis, parallel):
     kernel[k] * ext[i + k], which is (x + pe)[(i + k) mod N].  The output is
     accumulated with the swept axis at 2, as ext has it, and returned through
     ``_rows``.  Both spatial routes funnel through here so the accumulation
-    order, and therefore every rounding, is identical.
-
-    Depthwise, each ``run_sliced`` slice is cut into blocks of
-    max(1, _BLOCK_BYTES // (B * N * orth * itemsize)) channels, the divisor
-    being the bytes of one output channel, and each block runs all N taps
-    before the next starts.  Every output element still receives the
-    products of taps 0..N-1 added in that order into the same
-    zero-initialised value, so neither the block size nor threading can
-    change any rounding.
+    order, and therefore every rounding, is identical.  Depthwise, each
+    ``run_sliced`` slice runs the channel-blocked ``_correlate``.
     """
     n = kernel_n.shape[-1]
     y = np.zeros((ext.shape[0], kernel_n.shape[0], n, ext.shape[3]), dtype=ext.dtype)
     if mode == "depthwise":
-        step = max(1, _BLOCK_BYTES // y[:, :1].nbytes)
-
-        def work(sl):
-            for start in range(sl.start, sl.stop, step):
-                blk = slice(start, min(start + step, sl.stop))
-                dst = y[:, blk]
-                taps = kernel_n[blk]
-                prod = np.empty_like(dst)
-                for k in range(n):
-                    np.multiply(_per_channel(taps[:, k]), ext[:, blk, k:k + n], out=prod)
-                    dst += prod
-
-        run_sliced(work, y.shape[1], parallel)
+        run_sliced(lambda sl: _correlate(ext, kernel_n[:, :, None], y, sl), y.shape[1], parallel)
     else:
         for k in range(n):
             y += np.einsum("oi,bihw->bohw", kernel_n[:, :, k], ext[:, :, k:k + n])

@@ -138,7 +138,8 @@ def interp_linear(v: np.ndarray, n: int) -> np.ndarray:
 
     Args:
         v: source vector, shape (K,), K >= 1.
-        n: target length, >= 1.
+        n: target length, an integer >= 1; a float such as 2.5 or 2.0
+            raises ValueError, as does a v that is not a non-empty vector.
 
     Returns:
         Resampled vector of shape (n,), same dtype as v.
@@ -146,8 +147,8 @@ def interp_linear(v: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError("interp_linear expects a 1D vector with at least one entry")
-    if n < 1:
-        raise ValueError(f"target length must be >= 1, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"target length must be an integer >= 1, got {n!r}")
     return interp_rows(v, n)
 
 
@@ -162,7 +163,8 @@ def interp_linear_adjoint(g: np.ndarray, k: int) -> np.ndarray:
 
     Args:
         g: cotangents of resampled vectors, shape (n,) or stacked (..., n).
-        k: source length the gradient is scattered back to.
+        k: source length the gradient is scattered back to, an integer
+            >= 1; a float such as 2.0 raises ValueError.
 
     Returns:
         Accumulated gradient of shape (..., k), float64.
@@ -170,8 +172,8 @@ def interp_linear_adjoint(g: np.ndarray, k: int) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     if g.ndim < 1 or g.shape[-1] < 1:
         raise ValueError("interp_linear_adjoint expects cotangent rows of length >= 1")
-    if k < 1:
-        raise ValueError(f"source length must be >= 1, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"source length must be an integer >= 1, got {k!r}")
     n = g.shape[-1]
     i0, i1, frac = _interp_taps(k, n)
     rows = np.arange(n)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from parc import parc_spatial
 from parc.conv_baseline import ZeroPadConvParams, conv1d_zeropad, dwconv2d_zeropad
 from parc.tensor import Tensor4
+
+import test_parc_spatial
 
 
 def row_tensor(values):
@@ -141,11 +144,50 @@ class TestParamsValidation:
             ZeroPadConvParams(np.array([[np.nan, 1.0]]), pad=0, orientation="H")
         with pytest.raises(ValueError):
             ZeroPadConvParams(np.ones((1, 3)), pad=-1, orientation="H")
+        with pytest.raises(ValueError, match="integer"):
+            ZeroPadConvParams(np.ones((1, 3, 3)), pad=1.5, orientation="2D")
 
     def test_conv1d_rejects_2d_params(self):
         p = ZeroPadConvParams(np.ones((1, 3, 3)), pad=1, orientation="2D")
         with pytest.raises(ValueError):
             conv1d_zeropad(Tensor4.zeros((1, 1, 4, 4)), p)
+
+
+class TestChannelBlocks:
+    """Both baselines run ``parc_spatial``'s channel-blocked tap loop, so the
+    budgets of the spatial route's block test, one channel per block, a
+    ragged last block and one block, give the same bytes and block sizes."""
+
+    C = 7
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("orientation,k", [("H", 5), ("V", 5), ("2D", 3), ("2D", 7)])
+    def test_every_budget_gives_the_same_bits(self, orientation, k, dtype, monkeypatch):
+        rng = np.random.default_rng(38)
+        shape = (self.C, k, k) if orientation == "2D" else (self.C, k)
+        p = ZeroPadConvParams(rng.uniform(-1, 1, shape), pad=(k - 1) // 2,
+                              orientation=orientation)
+        op = dwconv2d_zeropad if orientation == "2D" else conv1d_zeropad
+        x = rng.standard_normal((2, self.C, 6, 9)).astype(dtype)
+        sizes, per_channel = [], parc_spatial._per_channel
+
+        def spy(vec):
+            sizes.append(vec.shape[0])
+            return per_channel(vec)
+
+        monkeypatch.setattr(parc_spatial, "_per_channel", spy)
+        # same-size outputs, so a block holds as many channels as the budget
+        # allows input channels; per block one size for each tap
+        want = {"one_channel": [1] * 7, "ragged": [3, 3, 1], "one_block": [7]}
+        got = {}
+        for name, budget in test_parc_spatial.TestChannelBlocks.budgets(x).items():
+            monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", budget)
+            sizes.clear()
+            got[name] = op(Tensor4(x), p).data
+            assert got[name].dtype == dtype
+            assert sizes == [b for b in want[name] for _ in range(p.kernel[0].size)], name
+        assert got["one_channel"].tobytes() == got["one_block"].tobytes()
+        assert got["ragged"].tobytes() == got["one_block"].tobytes()
 
 
 def oracle_1d(x, taps, pad, axis):

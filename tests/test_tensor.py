@@ -150,6 +150,13 @@ class TestInterp:
             interp_linear_adjoint(np.zeros(3), 0)
         with pytest.raises(ValueError):
             interp_linear_adjoint(np.float64(1.0), 2)
+        for length in (2.5, 2.0, "3", None):
+            with pytest.raises(ValueError, match="must be an integer"):
+                interp_linear(np.ones(3), length)
+            with pytest.raises(ValueError, match="must be an integer"):
+                interp_linear_adjoint(np.ones(3), length)
+        assert interp_linear(np.array([0.0, 4.0]), np.int64(5)).tolist() == [0, 1, 2, 3, 4]
+        assert interp_linear_adjoint(np.ones(3), np.int32(2)).tolist() == [1.5, 1.5]
 
 
 class TestFixtureFormat:

@@ -5,10 +5,11 @@ Usage: python3 tools/route_digests.py ROOT
 
 Imports the ``parc`` package from ROOT/src and runs every route over a fixed
 grid of map shapes, precisions, orientations and modes, with inputs and
-parameters drawn from fixed seeds, plus the two blocks that run
-``parc_forward``.  Each output line names one result and the sha256 of its
-dtype, shape and C-order bytes, so two trees compute bitwise-identical
-results exactly when their outputs are equal.
+parameters drawn from fixed seeds, plus both zero-padded baselines, which
+share the depthwise tap loop, and the two blocks that run ``parc_forward``.
+Each output line names one result and the sha256 of its dtype, shape and
+C-order bytes, so two trees compute bitwise-identical results exactly when
+their outputs are equal.
 
 With two roots, each tree is digested in its own interpreter by this file,
 so both run the same grid.  Only the results whose digests differ, or that
@@ -41,8 +42,8 @@ def _digest(arr) -> str:
 def main(root: str) -> None:
     sys.path.insert(0, os.path.join(root, "src"))
     os.environ["PARC_THREADS"] = "2"
-    from parc import (Tensor4, ZeroPadConvParams, conv1d_zeropad, fast_parc_forward,
-                      metaformer_block_forward, parc_backward, parc_forward,
+    from parc import (Tensor4, ZeroPadConvParams, conv1d_zeropad, dwconv2d_zeropad,
+                      fast_parc_forward, metaformer_block_forward, parc_backward, parc_forward,
                       parc_forward_via_concat, random_params)
     from parc.blocks import convnet_mixer_forward, random_convnet_mixer, random_metaformer
 
@@ -75,6 +76,13 @@ def main(root: str) -> None:
                     for name, arr in results.items():
                         print(f"{b}x{c}x{h}x{w} {precision} {orientation} {mode:9} {name:18} "
                               f"{_digest(arr)}")
+            rng = np.random.default_rng(seed)
+            x = Tensor4(rng.standard_normal(shape).astype(dtype))
+            for k in (3, 7):
+                conv = ZeroPadConvParams(rng.uniform(-1, 1, (c, k, k)), pad=(k - 1) // 2,
+                                         orientation="2D")
+                print(f"{b}x{c}x{h}x{w} {precision} 2D {'depthwise':9} {f'dwconv2d.k{k}':18} "
+                      f"{_digest(dwconv2d_zeropad(x, conv).data)}")
             if c % 2 == 0:
                 rng = np.random.default_rng(seed)
                 block = random_metaformer(rng, c, hidden=2 * c, kernel_scale=0.5)
