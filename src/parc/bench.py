@@ -29,7 +29,11 @@ from .tensor import Tensor4, dtype_from_name
 
 @dataclass
 class BenchConfig:
-    """One benchmark protocol; the class defaults are the CLI defaults."""
+    """One benchmark protocol; the class defaults are the CLI defaults.
+
+    ``parallel`` is kept for callers that still pass it, and ignored: every
+    route runs serially.
+    """
 
     batch: int = 1
     channels: int = 96
@@ -87,7 +91,7 @@ def _make_runner(op: str, cfg: BenchConfig, resolution: int):
         return lambda: dwconv2d_zeropad(x, p)
     route = {"parc": parc_forward_via_concat, "fastparc": fast_parc_forward}[op]
     mixer = random_convnet_mixer(rng, cfg.channels, kernel_scale=1.0 / n)
-    return lambda: split_sweep(x, mixer.parc_h, mixer.parc_v, route, parallel=cfg.parallel)
+    return lambda: split_sweep(x, mixer.parc_h, mixer.parc_v, route)
 
 
 def run_bench(cfg: BenchConfig, progress=None) -> list[BenchRecord]:

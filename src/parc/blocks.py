@@ -109,12 +109,11 @@ def random_convnet_mixer(rng: np.random.Generator, channels: int, **kw) -> ConvN
     )
 
 
-def split_sweep(x: Tensor4, first: ParCParams, second: ParCParams, route,
-                parallel: bool = False) -> Tensor4:
+def split_sweep(x: Tensor4, first: ParCParams, second: ParCParams, route) -> Tensor4:
     """route(., first) on channels [0, C/2), route(., second) on [C/2, C), concatenated."""
     half = x.shape[1] // 2
-    top = route(Tensor4(x.data[:, :half]), first, parallel=parallel)
-    bot = route(Tensor4(x.data[:, half:]), second, parallel=parallel)
+    top = route(Tensor4(x.data[:, :half]), first)
+    bot = route(Tensor4(x.data[:, half:]), second)
     return Tensor4(np.concatenate([top.data, bot.data], axis=1))
 
 

@@ -2,8 +2,7 @@
 block demos, and fixture generation.
 
 Exit codes: 0 on success, 1 when a verification (equiv) fails, 2 on usage
-errors.  --parallel threads the spatial routes' depthwise tap loop across
-channel slices; PARC_THREADS caps its worker count.
+errors.
 """
 
 from __future__ import annotations
@@ -165,9 +164,7 @@ def flops_cmd(ops, channels, resolutions, out):
 @click.option("--seed", default=_PROTOCOL.seed, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--md", is_flag=True, help="Also print a markdown table.")
-@click.option("--parallel", is_flag=True, help="Thread the spatial tap loop across channels.")
-def bench_cmd(channels, batch, resolutions, ops, warmup, iters, precision, seed,
-              out, md, parallel):
+def bench_cmd(channels, batch, resolutions, ops, warmup, iters, precision, seed, out, md):
     """Time each op at each resolution; latency is host-specific by nature."""
     try:
         cfg = bench_mod.BenchConfig(
@@ -175,7 +172,6 @@ def bench_cmd(channels, batch, resolutions, ops, warmup, iters, precision, seed,
             resolutions=tuple(_parse_ints(resolutions, "--resolutions")),
             ops=tuple(_split(ops, "--ops")),
             warmup=warmup, iters=iters, precision=precision, seed=seed,
-            parallel=parallel,
         )
 
         def progress(rec):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parc_spatial import ParCParams, _offset_input, _per_channel, _rows
-from .tensor import Tensor4
+from .tensor import Tensor4, working_dtype
 
 _MAX_RADIX = 128
 
@@ -193,32 +193,40 @@ def dft_naive(x) -> Spectrum:
     return Spectrum(bins=mat @ v.astype(np.complex128), n=n, full=True)
 
 
+def _complex_dtype(a: np.ndarray) -> np.dtype:
+    """complex64 when a's real part works in float32, else complex128."""
+    return np.result_type(working_dtype(a.real.dtype), np.complex64)
+
+
 def fft(x) -> Spectrum:
     """Transform one vector on the cached plan of its length.
 
     Real input yields the half spectrum (full=False), complex input the
-    full spectrum (full=True).
+    full spectrum (full=True).  Precision follows ``tensor.working_dtype``,
+    promoting and never rejecting: float32 input transforms in complex64,
+    as does complex64 input; any other real, integer or boolean input is
+    promoted to float64 and any other complex input to complex128.
     """
     v = np.asarray(x)
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError("fft expects a non-empty vector")
     plan = get_plan(v.shape[0])
     if np.iscomplexobj(v):
-        cdt = np.complex64 if v.dtype == np.complex64 else np.complex128
-        return Spectrum(bins=_fft_array(v.astype(cdt), plan), n=plan.n, full=True)
-    rdt = np.float32 if v.dtype == np.float32 else np.float64
-    bins = _rfft_lines(v.astype(rdt)[None], plan)[0, :plan.n // 2 + 1]
+        return Spectrum(bins=_fft_array(v.astype(_complex_dtype(v)), plan), n=plan.n, full=True)
+    bins = _rfft_lines(v.astype(working_dtype(v.dtype))[None], plan)[0, :plan.n // 2 + 1]
     return Spectrum(bins=bins, n=plan.n, full=False)
 
 
 def ifft(spec: Spectrum) -> np.ndarray:
     """Invert ``fft`` with 1/n normalization on the cached plan of length
-    spec.n; half spectra come back real."""
+    spec.n; half spectra come back real.  The bins are cast first by the
+    rule of ``fft``, so real or integer bins are read as complex values."""
     plan = get_plan(spec.n)
+    bins = spec.bins.astype(_complex_dtype(spec.bins), copy=False)
     if spec.full:
-        return _ifft_array(spec.bins, plan)
+        return _ifft_array(bins, plan)
     # the missing bins n-k are conj(bins[k]) for a real line
-    full = np.concatenate((spec.bins, np.conj(spec.bins[1:(spec.n + 1) // 2][::-1])))
+    full = np.concatenate((bins, np.conj(bins[1:(spec.n + 1) // 2][::-1])))
     return _ifft_array(full, plan).real
 
 
@@ -241,9 +249,8 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
     Adds the position embedding spatially, transforms every line along the
     swept axis, multiplies by the conjugated kernel spectrum bin-wise,
     transforms back, and adds bias.  Depthwise mode only.  ``parallel`` is
-    accepted so every route shares one call signature, and has no effect
-    here: the stage matmuls already run on BLAS threads, and splitting the
-    channels across worker threads measured slower than serial.
+    accepted and ignored; perfbench's ``call_route`` still passes it.  The
+    stage matmuls run on BLAS threads.
     """
     if p.mode != "depthwise":
         raise ValueError("the frequency route implements the depthwise operator only")

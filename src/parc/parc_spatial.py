@@ -183,21 +183,20 @@ def _offset_input(x: Tensor4, p: ParCParams):
     return axis, n, kernel_n, bias, xp
 
 
-def _correlate(src, taps, y, chans) -> None:
+def _correlate(src, taps, y) -> None:
     """Add sum_(r,s) taps[c, r, s] * src[:, c, r:r + h, s:s + w] into y[:, c]
-    for the channels c in the slice chans, (h, w) being y's last two extents.
+    for every channel c, (h, w) being y's last two extents.
 
     Taps run in row-major order, each multiplied into one product buffer, one
     block of max(1, _BLOCK_BYTES // y[:, :1].nbytes) channels at a time: a
     block runs all its taps before the next starts, so its source window,
-    product buffer and output stay in cache.  Channels never mix, so neither
-    the block size nor a caller's threading over channel slices changes any
-    output element's sequence of operations, or any bit.
+    product buffer and output stay in cache.  Channels never mix, so the
+    block size changes no output element's sequence of operations, or any bit.
     """
     h, w = y.shape[2:]
     step = max(1, _BLOCK_BYTES // y[:, :1].nbytes)
-    for start in range(chans.start, chans.stop, step):
-        blk = slice(start, min(start + step, chans.stop))
+    for start in range(0, y.shape[1], step):
+        blk = slice(start, start + step)
         dst = y[:, blk]
         prod = np.empty_like(dst)
         for r, s in np.ndindex(taps.shape[1:]):
@@ -205,20 +204,20 @@ def _correlate(src, taps, y, chans) -> None:
             dst += prod
 
 
-def _accumulate(ext, kernel_n, bias, mode, axis, parallel):
+def _accumulate(ext, kernel_n, bias, mode, axis):
     """Shared tap loop over the periodic extension ext, (B, C, 2N-1, orth).
 
     Tap k reads the window ext[..., k:k + N, :], so output position i takes
     kernel[k] * ext[i + k], which is (x + pe)[(i + k) mod N].  The output is
     accumulated with the swept axis at 2, as ext has it, and returned through
     ``_rows``.  Both spatial routes funnel through here so the accumulation
-    order, and therefore every rounding, is identical.  Depthwise, each
-    ``run_sliced`` slice runs the channel-blocked ``_correlate``.
+    order, and therefore every rounding, is identical.  Depthwise, it runs
+    the channel-blocked ``_correlate`` through ``run_sliced``.
     """
     n = kernel_n.shape[-1]
     y = np.zeros((ext.shape[0], kernel_n.shape[0], n, ext.shape[3]), dtype=ext.dtype)
     if mode == "depthwise":
-        run_sliced(lambda sl: _correlate(ext, kernel_n[:, :, None], y, sl), y.shape[1], parallel)
+        run_sliced(_correlate, ext, kernel_n[:, :, None], y)
     else:
         for k in range(n):
             y += np.einsum("oi,bihw->bohw", kernel_n[:, :, k], ext[:, :, k:k + n])
@@ -226,7 +225,7 @@ def _accumulate(ext, kernel_n, bias, mode, axis, parallel):
     return Tensor4(_rows(y, axis))
 
 
-def parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
+def parc_forward(x: Tensor4, p: ParCParams) -> Tensor4:
     """Circular correlation via one explicit modulo gather.
 
     Output position i along the swept axis is
@@ -237,7 +236,7 @@ def parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
     """
     axis, n, kernel_n, bias, xp = _offset_input(x, p)
     ext = np.take(xp, np.arange(2 * n - 1) % n, axis=2)
-    return _accumulate(ext, kernel_n, bias, p.mode, axis, parallel)
+    return _accumulate(ext, kernel_n, bias, p.mode, axis)
 
 
 def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
@@ -247,10 +246,12 @@ def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -
     the swept axis (length 2N-1) and the kernel slides over that extension
     with no padding.  Independent of the modulo route in its indexing, yet
     bit-identical to it because the extension and the tap loop match.
+    ``parallel`` is accepted and ignored; perfbench's ``call_route`` still
+    passes it.  The tap loop always runs serially.
     """
     axis, n, kernel_n, bias, xp = _offset_input(x, p)
     ext = np.concatenate([xp, xp[:, :, :n - 1]], axis=2)
-    return _accumulate(ext, kernel_n, bias, p.mode, axis, parallel)
+    return _accumulate(ext, kernel_n, bias, p.mode, axis)
 
 
 # ---------------------------------------------------------------------------

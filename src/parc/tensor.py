@@ -29,6 +29,13 @@ def dtype_from_name(name: str) -> np.dtype:
         raise ValueError(f"unknown precision {name!r}; expected one of {sorted(DTYPE_NAMES)}")
 
 
+def working_dtype(dtype) -> np.dtype:
+    """The dtype that real values of dtype compute in: dtype itself when
+    DTYPE_NAMES holds it (native float32 or float64), float64 for any other."""
+    dt = np.dtype(dtype)
+    return dt if dt in _NAMES_BY_DTYPE else DTYPE_NAMES["f64"]
+
+
 @dataclass(frozen=True)
 class Tensor4:
     """A (B, C, H, W) array of float32 or float64 scalars.
@@ -70,14 +77,13 @@ class Tensor4:
 
     @classmethod
     def from_array(cls, arr) -> "Tensor4":
-        """Wrap array-like data, promoting integer input to float64; complex
-        input raises ValueError rather than losing its imaginary part."""
+        """Wrap array-like data in its ``working_dtype``, so integer input is
+        promoted to float64; complex input raises ValueError rather than
+        losing its imaginary part."""
         a = np.asarray(arr)
         if np.iscomplexobj(a):
             raise ValueError("Tensor4 holds real values, got complex input")
-        if a.dtype not in _NAMES_BY_DTYPE:
-            a = a.astype(np.float64)
-        return cls(np.ascontiguousarray(a))
+        return cls(np.ascontiguousarray(a, dtype=working_dtype(a.dtype)))
 
     def index(self, b: int, c: int, i: int, j: int) -> float:
         """Read one scalar with full range validation.

@@ -241,17 +241,14 @@ def block_reference(x, p):
 
 class TestSplitSweep:
     @pytest.mark.parametrize("route", [parc_forward, parc_forward_via_concat, fast_parc_forward])
-    def test_equals_per_half_route_calls(self, route, monkeypatch):
-        monkeypatch.setenv("PARC_THREADS", "2")
+    def test_equals_per_half_route_calls(self, route):
         rng = np.random.default_rng(30)
         x = Tensor4(rng.standard_normal((2, 6, 9, 7)))
         ph = random_params(rng, 3, orientation="H")
         pv = random_params(rng, 3, orientation="V")
         top, bot = halves(x)
         want = np.concatenate([route(top, ph).data, route(bot, pv).data], axis=1)
-        for parallel in (False, True):
-            got = split_sweep(x, ph, pv, route, parallel=parallel)
-            assert got.data.tobytes() == want.tobytes()
+        assert split_sweep(x, ph, pv, route).data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_convnet_mixer_matches_per_half_reference(self, dtype):
@@ -282,9 +279,9 @@ class TestRouteLookup:
     def calls(self, monkeypatch):
         seen = []
 
-        def counting(x, p, parallel=False):
+        def counting(x, p):
             seen.append(p.orientation)
-            return parc_forward(x, p, parallel=parallel)
+            return parc_forward(x, p)
 
         monkeypatch.setattr(blocks, "parc_forward", counting)
         return seen

@@ -33,8 +33,8 @@ class TestEquiv:
     def test_fails_when_routes_disagree(self, runner, monkeypatch):
         real = cli_mod.fast_parc_forward
 
-        def skewed(x, p, parallel=False):
-            y = real(x, p, parallel=parallel)
+        def skewed(x, p):
+            y = real(x, p)
             return Tensor4(y.data + 1e-3)
 
         monkeypatch.setattr(cli_mod, "fast_parc_forward", skewed)
@@ -169,6 +169,11 @@ class TestBenchCmd:
         assert "unknown op 'dw4'" in result.output
         assert " ms " not in result.output
         assert not out.exists()
+
+    def test_parallel_is_no_option(self, runner):
+        result = runner.invoke(main, ["bench", "--parallel", "--resolutions", "4", "--ops", "dw3"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
     def test_zero_iters_is_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "--iters", "0",

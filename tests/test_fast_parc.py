@@ -3,6 +3,7 @@
 import math
 import pathlib
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parc
-from parc import _threads, fast_parc
+from parc import fast_parc
 from parc.fast_parc import (
     _MAX_RADIX,
     FftPlan,
@@ -24,7 +25,7 @@ from parc.fast_parc import (
     ifft,
     weight_spectrum,
 )
-from parc.parc_spatial import ParCParams, parc_forward, random_params
+from parc.parc_spatial import ParCParams, parc_forward, parc_forward_via_concat, random_params
 from parc.tensor import Tensor4
 
 
@@ -224,6 +225,46 @@ class TestSpectrumType:
         assert np.allclose(ifft(half), [1.0, 3.0])
 
 
+class TestPrecisionRule:
+    """fft and ifft compute in float32/complex64 for float32 or complex64
+    data and promote everything else to float64/complex128."""
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.bool_, ">f4"], ids=str)
+    @pytest.mark.parametrize("n", [8, 131])
+    def test_promoted_input_gives_the_float64_bytes(self, n, dtype):
+        x = np.random.default_rng(n).integers(-8, 9, n).astype(dtype)
+        want = fft(x.astype(np.float64))
+        got = fft(x)
+        assert got.bins.dtype == np.complex128
+        assert got.bins.tobytes() == want.bins.tobytes()
+        for full in (False, True):
+            bins = x if full else x[:n // 2 + 1]
+            back = ifft(Spectrum(bins, n, full=full))
+            assert back.tobytes() == ifft(Spectrum(bins.astype(np.float64), n, full=full)).tobytes()
+
+    def test_single_precision_stays_single(self):
+        x = np.random.default_rng(3).standard_normal(12).astype(np.float32)
+        assert fft(x).bins.dtype == np.complex64
+        assert fft(x.astype(np.complex64)).bins.dtype == np.complex64
+        assert ifft(Spectrum(x, 12, full=True)).dtype == np.complex64
+        assert ifft(fft(x)).dtype == np.float32
+
+    @pytest.mark.parametrize("kind", ["float64", "int"])
+    @pytest.mark.parametrize("full", [False, True], ids=["half", "full"])
+    @pytest.mark.parametrize("n", [8, 224, 131])
+    def test_real_bins_are_read_as_complex(self, n, full, kind):
+        rng = np.random.default_rng(n)
+        bins = fft(rng.standard_normal(n)).bins.real
+        if full:
+            bins = np.resize(bins, n)
+        if kind == "int":
+            bins = np.arange(bins.shape[0])
+        got = ifft(Spectrum(bins, n, full=full))
+        want = ifft(Spectrum(bins.astype(np.complex128), n, full=full))
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSpectralCorrelation:
     def test_frozen_line(self):
         # x=[1,2,3,4], w=[1,2,0,0]: X*conj(W) then inverse gives [5,8,11,6]
@@ -314,33 +355,19 @@ class TestSpectralCorrelation:
         assert list(p._resolved) == [(8, "f64")]
         assert list(p._spectra) == [(8, "f64")]
 
-    def test_parallel_matches_sequential(self, monkeypatch):
-        monkeypatch.setenv("PARC_THREADS", "4")
-        rng = np.random.default_rng(17)
-        p = random_params(rng, 6, orientation="H")
-        x = Tensor4(rng.standard_normal((2, 6, 16, 5)))
-        seq = fast_parc_forward(x, p).data
-        par = fast_parc_forward(x, p, parallel=True).data
-        assert seq.tobytes() == par.tobytes()
-
-    def test_parallel_threads_only_the_spatial_route(self, monkeypatch):
-        """The frequency route's stage matmuls already run on BLAS threads,
-        so parallel=True builds no worker pool there; the tap loop still does."""
-        pools, pool_class = [], _threads.ThreadPoolExecutor
-
-        def recording_pool(max_workers):
-            pools.append(max_workers)
-            return pool_class(max_workers=max_workers)
-
-        monkeypatch.setenv("PARC_THREADS", "2")
-        monkeypatch.setattr(_threads, "ThreadPoolExecutor", recording_pool)
+    def test_no_route_starts_a_thread(self, monkeypatch):
+        """Every route runs serially: no route starts a Python thread, and
+        parallel=True on the two routes that still accept it gives the serial
+        bytes.  The stage matmuls' BLAS threads are native, not counted."""
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
         rng = np.random.default_rng(23)
-        p = random_params(rng, 4, orientation="V")
-        x = Tensor4(rng.standard_normal((2, 4, 6, 12)))
-        fast_parc_forward(x, p, parallel=True)
-        assert pools == []
-        parc_forward(x, p, parallel=True)
-        assert pools == [2]
+        p = random_params(rng, 6, orientation="V")
+        x = Tensor4(rng.standard_normal((2, 6, 6, 12)))
+        parc_forward(x, p)
+        for route in (parc_forward_via_concat, fast_parc_forward):
+            assert route(x, p, parallel=True).data.tobytes() == route(x, p).data.tobytes()
+        assert started == []
 
 
 class TestRealPairs:
@@ -389,13 +416,24 @@ class TestRealPairs:
         assert np.abs(spectral - spatial).max() / max(1.0, np.abs(spatial).max()) <= tol
 
 
-def test_engine_uses_no_library_fft():
-    """The package promises its own transforms: no numpy.fft, no scipy."""
-    banned = re.compile(r"\bnp\.fft\b|\bnumpy\.fft\b|\bscipy\b|from numpy import .*\bfft\b")
+def _source_lines(pattern: str) -> list:
+    """Lines of the package's sources that match pattern, as file:line: text."""
+    banned = re.compile(pattern)
     sources = sorted(pathlib.Path(parc.__file__).parent.glob("*.py"))
     assert len(sources) >= 10
-    hits = [f"{path.name}:{i}: {line.strip()}"
+    return [f"{path.name}:{i}: {line.strip()}"
             for path in sources
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if banned.search(line)]
+
+
+def test_engine_uses_no_library_fft():
+    """The package promises its own transforms: no numpy.fft, no scipy."""
+    hits = _source_lines(r"\bnp\.fft\b|\bnumpy\.fft\b|\bscipy\b|from numpy import .*\bfft\b")
+    assert not hits, hits
+
+
+def test_engine_starts_no_thread_pool():
+    """Every route runs serially: no worker pool, and no PARC_THREADS knob."""
+    hits = _source_lines(r"ThreadPoolExecutor|import threading|PARC_THREADS")
     assert not hits, hits

@@ -22,14 +22,12 @@ from parc.tensor import Tensor4
 
 EXTENTS = [(1, 5), (7, 13), (50, 83)]
 DTYPES = [np.float32, np.float64]
-# (route, parallel, mode); the frequency route is depthwise only
+# (route, mode); the frequency route is depthwise only
 ROUTES = {
-    f"{fn.__name__}{'.threaded' if parallel else ''}.{mode}": (fn, parallel, mode)
-    for fn, parallel, modes in ((parc_forward, False, ("depthwise", "dense")),
-                                (parc_forward, True, ("depthwise", "dense")),
-                                (parc_forward_via_concat, False, ("depthwise", "dense")),
-                                (parc_forward_via_concat, True, ("depthwise", "dense")),
-                                (fast_parc_forward, False, ("depthwise",)))
+    f"{fn.__name__}.{mode}": (fn, mode)
+    for fn, modes in ((parc_forward, ("depthwise", "dense")),
+                      (parc_forward_via_concat, ("depthwise", "dense")),
+                      (fast_parc_forward, ("depthwise",)))
     for mode in modes
 }
 
@@ -51,12 +49,11 @@ def _pair(mode, extent, dtype, seed=0):
 @pytest.mark.parametrize("extent", EXTENTS, ids=lambda e: f"{e[0]}x{e[1]}")
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
 @pytest.mark.parametrize("route", list(ROUTES))
-def test_v_sweep_is_the_h_sweep_of_the_transposed_map(route, extent, dtype, monkeypatch):
-    fn, parallel, mode = ROUTES[route]
-    monkeypatch.setenv("PARC_THREADS", "2")
+def test_v_sweep_is_the_h_sweep_of_the_transposed_map(route, extent, dtype):
+    fn, mode = ROUTES[route]
     p_v, p_h, x, _ = _pair(mode, extent, dtype)
-    y_v = fn(Tensor4(x), p_v, parallel=parallel).data
-    y_h = fn(Tensor4(_t(x)), p_h, parallel=parallel).data
+    y_v = fn(Tensor4(x), p_v).data
+    y_h = fn(Tensor4(_t(x)), p_h).data
     assert y_v.dtype == dtype
     assert y_v.tobytes() == _t(y_h).tobytes()
 

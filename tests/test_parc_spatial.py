@@ -162,25 +162,6 @@ class TestTwoRoutesBitwise:
         if mode == "depthwise":
             assert a.tobytes() == unblocked_forward(x, p).tobytes()
 
-    def test_parallel_matches_sequential_bitwise(self, monkeypatch):
-        monkeypatch.setenv("PARC_THREADS", "3")
-        rng = np.random.default_rng(33)
-        p = random_params(rng, 7, orientation="V")
-        x = Tensor4(rng.standard_normal((2, 7, 6, 9)))
-        seq = parc_forward(x, p).data
-        par = parc_forward(x, p, parallel=True).data
-        assert seq.tobytes() == par.tobytes()
-        seq_c = parc_forward_via_concat(x, p).data
-        par_c = parc_forward_via_concat(x, p, parallel=True).data
-        assert seq_c.tobytes() == par_c.tobytes()
-
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv("PARC_THREADS", "zero")
-        rng = np.random.default_rng(34)
-        p = random_params(rng, 2)
-        x = Tensor4.zeros((1, 2, 3, 3))
-        with pytest.raises(ValueError, match="PARC_THREADS"):
-            parc_forward(x, p, parallel=True)
 
 
 def unblocked_forward(x, p):
@@ -210,22 +191,18 @@ class TestChannelBlocks:
         one_channel = x.shape[0] * x.shape[2] * x.shape[3] * x.itemsize
         return {"one_channel": 1, "ragged": 3 * one_channel, "one_block": 1 << 40}
 
-    @pytest.mark.parametrize("threads", [None, "2", "3"], ids=["serial", "t2", "t3"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("orientation", ["H", "V"])
     @pytest.mark.parametrize("route", [parc_forward, parc_forward_via_concat],
                              ids=["modulo", "concat"])
-    def test_every_budget_gives_the_unblocked_bits(self, route, orientation, dtype, threads,
-                                                   monkeypatch):
-        if threads:
-            monkeypatch.setenv("PARC_THREADS", threads)
+    def test_every_budget_gives_the_unblocked_bits(self, route, orientation, dtype, monkeypatch):
         rng = np.random.default_rng(35)
         p = random_params(rng, self.C, orientation=orientation)
         x = rng.standard_normal((2, self.C, 6, 9)).astype(dtype)
         want = unblocked_forward(x, p).tobytes()
         for name, budget in self.budgets(x).items():
             monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", budget)
-            got = route(Tensor4(x), p, parallel=threads is not None).data
+            got = route(Tensor4(x), p).data
             assert got.dtype == dtype
             assert got.tobytes() == want, name
 

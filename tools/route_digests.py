@@ -41,7 +41,6 @@ def _digest(arr) -> str:
 
 def main(root: str) -> None:
     sys.path.insert(0, os.path.join(root, "src"))
-    os.environ["PARC_THREADS"] = "2"
     from parc import (Tensor4, ZeroPadConvParams, conv1d_zeropad, dwconv2d_zeropad,
                       fast_parc_forward, metaformer_block_forward, parc_backward, parc_forward,
                       parc_forward_via_concat, random_params)
@@ -61,8 +60,7 @@ def main(root: str) -> None:
                     routes = {"modulo": parc_forward, "concat": parc_forward_via_concat}
                     if mode == "depthwise":
                         routes["freq"] = fast_parc_forward
-                    results = {f"{name}.{'threaded' if par else 'serial'}": route(x, p, parallel=par).data
-                               for name, route in routes.items() for par in (False, True)}
+                    results = {name: route(x, p).data for name, route in routes.items()}
                     dy = rng.standard_normal((b, p.channels_out, h, w)).astype(dtype)
                     g = parc_backward(x, p, Tensor4(dy))
                     for field in ("d_input", "d_kernel_n", "d_pe_n", "d_bias",
