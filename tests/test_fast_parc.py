@@ -249,18 +249,22 @@ class TestPrecisionRule:
         assert ifft(Spectrum(x, 12, full=True)).dtype == np.complex64
         assert ifft(fft(x)).dtype == np.float32
 
-    @pytest.mark.parametrize("kind", ["float64", "int"])
+    @pytest.mark.parametrize("kind", ["float64", "float32", "int"])
     @pytest.mark.parametrize("full", [False, True], ids=["half", "full"])
     @pytest.mark.parametrize("n", [8, 224, 131])
     def test_real_bins_are_read_as_complex(self, n, full, kind):
+        """float32 bins are read as complex64, float64 and int bins as complex128."""
         rng = np.random.default_rng(n)
         bins = fft(rng.standard_normal(n)).bins.real
         if full:
             bins = np.resize(bins, n)
+        if kind == "float32":
+            bins = bins.astype(np.float32)
         if kind == "int":
             bins = np.arange(bins.shape[0])
+        cdt = np.complex64 if kind == "float32" else np.complex128
         got = ifft(Spectrum(bins, n, full=full))
-        want = ifft(Spectrum(bins.astype(np.complex128), n, full=full))
+        want = ifft(Spectrum(bins.astype(cdt), n, full=full))
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 

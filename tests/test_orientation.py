@@ -22,12 +22,15 @@ from parc.tensor import Tensor4
 
 EXTENTS = [(1, 5), (7, 13), (50, 83)]
 DTYPES = [np.float32, np.float64]
-# (route, mode); the frequency route is depthwise only
+# (route, keywords, mode); the frequency route is depthwise only.  The two
+# routes that still accept parallel=True (and ignore it) run with it too.
 ROUTES = {
-    f"{fn.__name__}.{mode}": (fn, mode)
-    for fn, modes in ((parc_forward, ("depthwise", "dense")),
-                      (parc_forward_via_concat, ("depthwise", "dense")),
-                      (fast_parc_forward, ("depthwise",)))
+    f"{fn.__name__}{'.parallel' if kw else ''}.{mode}": (fn, kw, mode)
+    for fn, kw, modes in ((parc_forward, {}, ("depthwise", "dense")),
+                          (parc_forward_via_concat, {}, ("depthwise", "dense")),
+                          (parc_forward_via_concat, {"parallel": True}, ("depthwise", "dense")),
+                          (fast_parc_forward, {}, ("depthwise",)),
+                          (fast_parc_forward, {"parallel": True}, ("depthwise",)))
     for mode in modes
 }
 
@@ -50,12 +53,14 @@ def _pair(mode, extent, dtype, seed=0):
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
 @pytest.mark.parametrize("route", list(ROUTES))
 def test_v_sweep_is_the_h_sweep_of_the_transposed_map(route, extent, dtype):
-    fn, mode = ROUTES[route]
+    fn, kw, mode = ROUTES[route]
     p_v, p_h, x, _ = _pair(mode, extent, dtype)
-    y_v = fn(Tensor4(x), p_v).data
-    y_h = fn(Tensor4(_t(x)), p_h).data
+    y_v = fn(Tensor4(x), p_v, **kw).data
+    y_h = fn(Tensor4(_t(x)), p_h, **kw).data
     assert y_v.dtype == dtype
     assert y_v.tobytes() == _t(y_h).tobytes()
+    if kw:
+        assert y_v.tobytes() == fn(Tensor4(x), p_v).data.tobytes()
 
 
 @pytest.mark.parametrize("extent", EXTENTS, ids=lambda e: f"{e[0]}x{e[1]}")
