@@ -84,6 +84,11 @@ def equiv(seed, precision, resolutions, channels, batch):
     """Cross-check the three operator implementations pairwise, and the
     backward pass by its adjoint identities.
 
+    Rows are labelled by computation: ``circulant`` is ``parc_forward``, one
+    batched circulant matmul on these square depthwise maps,
+    ``periodic-ext`` is ``parc_forward_via_concat``, the tap loop over the
+    periodic extension, and ``frequency`` is ``fast_parc_forward``.
+
     Passes when, at every resolution, the worst pairwise max-abs error
     relative to the output scale, and the worst adjoint gap of
     ``parc_backward`` relative to its norm products, stay below 1e-10 (f64)
@@ -107,14 +112,14 @@ def equiv(seed, precision, resolutions, channels, batch):
             p = random_params(rng, channels, orientation=orientation, kernel_scale=1.0 / n)
             x = Tensor4(rng.standard_normal((batch, channels, n, n)).astype(dtype))
             outs = {
-                "spatial": parc_forward(x, p),
+                "circulant": parc_forward(x, p),
                 "periodic-ext": parc_forward_via_concat(x, p),
                 "frequency": fast_parc_forward(x, p),
             }
-            gap = _adjoint_gap(x, p, outs["spatial"])
+            gap = _adjoint_gap(x, p, outs["circulant"])
         except ValueError as e:
             raise click.UsageError(str(e))
-        scale = max(1.0, float(np.abs(outs["spatial"].data).max()))
+        scale = max(1.0, float(np.abs(outs["circulant"].data).max()))
         names = list(outs)
         for a in range(len(names)):
             for b in range(a + 1, len(names)):

@@ -10,15 +10,17 @@ An H sweep and a V sweep are one operator on transposed maps, so every route
 works on the (B, C, N, orth) layout of ``_offset_input``, swept axis at 2,
 and ``_rows`` maps results back to (B, C, H, W), bit for bit.
 
-Both spatial routes run one valid correlation over the (2N-1)-long periodic
-extension of the offset input and differ only in how they build that
-extension: ``parc_forward`` with one explicit modulo gather,
-``parc_forward_via_concat`` by concatenating the input's first N-1 positions
-onto it.  The extensions are equal and the tap loop is shared, so their
-outputs agree bit for bit.  In depthwise mode the tap loop is
-``_correlate``, which runs all taps over one cache-sized channel block before
-the next; the zero-padded baselines in ``conv_baseline`` share it.
-A frequency-domain route lives in ``fast_parc``.
+``parc_forward_via_concat`` is the paper's tap loop: one valid correlation
+over the (2N-1)-long periodic extension of the offset input.  Along one line
+the operator is also a product with the circulant M[i, l] = K[(l - i) mod N]
+(``_circulant``), so in depthwise mode ``parc_forward`` runs the sweep as one
+stacked matmul, agreeing with the tap loop to roundoff.  Where that stack
+would outgrow the periodic extension (thin maps) and in dense mode,
+``parc_forward`` runs the same tap loop, bit for bit.  In depthwise mode the
+tap loop is ``_correlate``, which runs all taps over one cache-sized channel
+block before the next; the zero-padded baselines in ``conv_baseline`` share
+it.  ``parc_backward`` computes the adjoint with the same circulants.  A
+frequency-domain route lives in ``fast_parc``.
 """
 
 from __future__ import annotations
@@ -210,9 +212,10 @@ def _accumulate(ext, kernel_n, bias, mode, axis):
     Tap k reads the window ext[..., k:k + N, :], so output position i takes
     kernel[k] * ext[i + k], which is (x + pe)[(i + k) mod N].  The output is
     accumulated with the swept axis at 2, as ext has it, and returned through
-    ``_rows``.  Both spatial routes funnel through here so the accumulation
-    order, and therefore every rounding, is identical.  Depthwise, it runs
-    the channel-blocked ``_correlate`` through ``run_sliced``.
+    ``_rows``.  Every tap-loop forward funnels through here so the
+    accumulation order, and therefore every rounding, is identical.
+    Depthwise, it runs the channel-blocked ``_correlate`` through
+    ``run_sliced``.
     """
     n = kernel_n.shape[-1]
     y = np.zeros((ext.shape[0], kernel_n.shape[0], n, ext.shape[3]), dtype=ext.dtype)
@@ -225,29 +228,50 @@ def _accumulate(ext, kernel_n, bias, mode, axis):
     return Tensor4(_rows(y, axis))
 
 
+def _circulant(k: np.ndarray) -> np.ndarray:
+    """Circulant stack M[..., i, l] = k[..., (l - i) mod N] of kernel rows
+    k (..., N): along one line the forward is y = M @ xp and the input
+    adjoint is dY @ M."""
+    ramp = np.arange(k.shape[-1])
+    return k[..., (ramp[None, :] - ramp[:, None]) % k.shape[-1]]
+
+
 def parc_forward(x: Tensor4, p: ParCParams) -> Tensor4:
-    """Circular correlation via one explicit modulo gather.
+    """Circular correlation, depthwise as one batched circulant matmul.
 
     Output position i along the swept axis is
     sum_k kernel[c, k] * (x + pe)[c, (k + i) mod N] + bias[c]; dense mode
     additionally contracts over input channels.  Output shape matches the
-    input except that dense mode replaces C with channels_out.  The periodic
-    extension is gathered once per call at indices arange(2N - 1) mod N.
+    input except that dense mode replaces C with channels_out.
+
+    Depthwise, y = M @ xp with the (C, N, N) circulant stack M of
+    ``_circulant``, in the input's precision, over the (B, C, N, orth)
+    offset input, so BLAS runs batch, channels and lines at once.  The stack
+    is used only while it holds no more elements than the periodic extension
+    the tap loop would allocate, N^2 <= B * orth * (2N - 1), so peak memory
+    never exceeds the tap loop's.  Dense mode and thin maps run the tap
+    loop over the extension gathered at indices arange(2N - 1) mod N, and
+    match ``parc_forward_via_concat`` bit for bit.
     """
     axis, n, kernel_n, bias, xp = _offset_input(x, p)
+    b, _, _, orth = xp.shape
+    if p.mode == "depthwise" and n * n <= b * orth * (2 * n - 1):
+        y = _circulant(kernel_n) @ xp
+        y += _per_channel(bias)
+        return Tensor4(_rows(y, axis))
     ext = np.take(xp, np.arange(2 * n - 1) % n, axis=2)
     return _accumulate(ext, kernel_n, bias, p.mode, axis)
 
 
 def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
-    """Same operator computed over a periodic extension of the input.
+    """Same operator as the paper's tap loop over a periodic extension.
 
     The offset input is concatenated with its own first N-1 positions along
     the swept axis (length 2N-1) and the kernel slides over that extension
-    with no padding.  Independent of the modulo route in its indexing, yet
-    bit-identical to it because the extension and the tap loop match.
-    ``parallel`` is accepted and ignored; perfbench's ``call_route`` still
-    passes it.  The tap loop always runs serially.
+    with no padding.  Bit-identical to ``parc_forward`` wherever that runs
+    the tap loop (dense mode, thin maps), and equal to its circulant matmul
+    to roundoff.  ``parallel`` is accepted and ignored; perfbench's
+    ``call_route`` still passes it.  The tap loop always runs serially.
     """
     axis, n, kernel_n, bias, xp = _offset_input(x, p)
     ext = np.concatenate([xp, xp[:, :, :n - 1]], axis=2)
@@ -305,14 +329,13 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     g, xl = lines(_rows(dy.data, axis)), lines(xp)
     k64 = kernel_n.astype(np.float64)
     ramp = np.arange(n)
-    circ = (ramp[None, :] - ramp[:, None]) % n
     diag = (ramp[:, None] + ramp[None, :]) % n
 
     def adjoint(g_lines, k):
         """dxp lines and dK for cotangent lines against the kernel rows k."""
         gram = np.swapaxes(g_lines, -1, -2) @ xl
         dk = np.take_along_axis(gram, np.broadcast_to(diag, gram.shape), axis=-1).sum(axis=-2)
-        return g_lines @ k[..., circ], dk
+        return g_lines @ _circulant(k), dk
 
     if p.mode == "depthwise":
         dxl, dwn = adjoint(g, k64)

@@ -143,12 +143,15 @@ def interp_linear(v: np.ndarray, n: int) -> np.ndarray:
     a length-1 source broadcasts its single value.
 
     Args:
-        v: source vector, shape (K,), K >= 1.
+        v: source vector, shape (K,), K >= 1, of real values.
         n: target length, an integer >= 1; a float such as 2.5 or 2.0
-            raises ValueError, as does a v that is not a non-empty vector.
+            raises ValueError, as does a v that is not a non-empty vector
+            or that is complex.
 
     Returns:
-        Resampled vector of shape (n,), same dtype as v.
+        Resampled vector of shape (n,) in ``working_dtype(v.dtype)``: float32
+        and float64 stay as they are, any other dtype (integer, bool,
+        float16) computes and returns in float64.
     """
     v = np.asarray(v)
     if v.ndim != 1 or v.shape[0] < 1:
@@ -190,8 +193,12 @@ def interp_linear_adjoint(g: np.ndarray, k: int) -> np.ndarray:
 
 
 def interp_rows(m: np.ndarray, n: int) -> np.ndarray:
-    """``interp_linear`` along the last axis of a vector or stacked rows."""
+    """``interp_linear`` along the last axis of a vector or stacked rows, in
+    the rows' ``working_dtype``."""
     m = np.asarray(m)
+    if np.iscomplexobj(m):
+        raise ValueError("interpolation takes real values, got complex input")
+    m = m.astype(working_dtype(m.dtype), copy=False)
     k = m.shape[-1]
     if n == k:
         return m.copy()

@@ -24,6 +24,9 @@ class TestEquiv:
         assert result.exit_code == 0, result.output
         assert "all pairs within" in result.output
         assert result.output.count("ok") >= 6  # 3 pairs x 2 resolutions
+        for pair in ("circulant vs periodic-ext", "circulant vs frequency",
+                     "periodic-ext vs frequency"):
+            assert result.output.count(pair) == 2, pair
 
     def test_f32_band(self, runner):
         result = runner.invoke(main, ["equiv", "--resolutions", "14",

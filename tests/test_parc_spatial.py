@@ -106,7 +106,10 @@ class TestOracleEquivalence:
                 want = oracle_forward(x.data, p)
                 got = parc_forward(x, p).data
                 assert np.abs(got - want).max() <= 1e-12
-                assert np.array_equal(parc_forward_via_concat(x, p).data, got)
+                concat = parc_forward_via_concat(x, p).data
+                assert np.abs(concat - want).max() <= 1e-12
+                if not takes_circulant(x.shape, p):
+                    assert np.array_equal(concat, got)
 
     def test_dense_rectangular_channels(self):
         rng = np.random.default_rng(22)
@@ -118,7 +121,27 @@ class TestOracleEquivalence:
         assert np.abs(got - want).max() <= 1e-12
 
 
+def takes_circulant(shape, p):
+    """parc_forward's documented branch rule: depthwise, and a (C, N, N) stack
+    no larger than the (B, C, 2N-1, orth) periodic extension."""
+    axis = 2 if p.orientation == "H" else 3
+    n, orth = shape[axis], shape[5 - axis]
+    return p.mode == "depthwise" and n * n <= shape[0] * orth * (2 * n - 1)
+
+
+def assert_roundoff(got, want):
+    """The circulant matmul against the tap loop: <= 1e-13 (f64) or 1e-6 (f32)
+    of max(1, |want|)."""
+    assert got.dtype == want.dtype
+    tol = 1e-6 if want.dtype == np.float32 else 1e-13
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(got.astype(np.float64) - want).max() <= tol * scale
+
+
 class TestTwoRoutesBitwise:
+    """The tap loop is bitwise the same on both routes wherever parc_forward
+    runs it (dense mode, thin maps); its circulant matmul agrees to roundoff."""
+
     def test_random_instances(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
@@ -131,14 +154,19 @@ class TestTwoRoutesBitwise:
             x = Tensor4(rng.standard_normal((2, c, h, w)))
             a = parc_forward(x, p).data
             b = parc_forward_via_concat(x, p).data
-            assert a.tobytes() == b.tobytes()
+            if takes_circulant(x.shape, p):
+                assert_roundoff(a, b)
+            else:
+                assert a.tobytes() == b.tobytes()
 
     def test_documented_random_shape(self):
+        # N^2 = 25 <= B * orth * (2N - 1) = 27: the circulant branch
         rng = np.random.default_rng(32)
         p = random_params(rng, 2, orientation="H")
         x = Tensor4(rng.standard_normal((1, 2, 5, 3)))
+        assert takes_circulant(x.shape, p)
         diff = parc_forward(x, p).data - parc_forward_via_concat(x, p).data
-        assert np.abs(diff).max() == 0.0
+        assert np.abs(diff).max() <= 1e-13
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("mode", ["depthwise", "dense"])
@@ -157,10 +185,13 @@ class TestTwoRoutesBitwise:
             assert 1 < per_block < 10 and 10 % per_block
         a = parc_forward(Tensor4(x), p).data
         b = parc_forward_via_concat(Tensor4(x), p).data
-        assert a.dtype == dtype
-        assert a.tobytes() == b.tobytes()
+        assert b.dtype == dtype
         if mode == "depthwise":
-            assert a.tobytes() == unblocked_forward(x, p).tobytes()
+            assert b.tobytes() == unblocked_forward(x, p).tobytes()
+        if takes_circulant(shape, p):
+            assert_roundoff(a, b)
+        else:
+            assert a.tobytes() == b.tobytes()
 
 
 
@@ -182,9 +213,13 @@ def unblocked_forward(x, p):
 class TestChannelBlocks:
     """The depthwise tap loop runs per channel block; maps this small fit in
     one block at the default budget, so the budget is patched down to force
-    one channel per block, a ragged last block, and back up to one block."""
+    one channel per block, a ragged last block, and back up to one block.
+    parc_forward runs the tap loop on thin maps only, so it sweeps a 9-long
+    axis over two lines of one batch: 81 > 2 * 17."""
 
     C = 7
+    SHAPES = {"modulo": {"H": (1, C, 9, 2), "V": (1, C, 2, 9)},
+              "concat": {"H": (2, C, 6, 9), "V": (2, C, 6, 9)}}
 
     @staticmethod
     def budgets(x):
@@ -198,7 +233,9 @@ class TestChannelBlocks:
     def test_every_budget_gives_the_unblocked_bits(self, route, orientation, dtype, monkeypatch):
         rng = np.random.default_rng(35)
         p = random_params(rng, self.C, orientation=orientation)
-        x = rng.standard_normal((2, self.C, 6, 9)).astype(dtype)
+        shape = self.SHAPES["modulo" if route is parc_forward else "concat"][orientation]
+        x = rng.standard_normal(shape).astype(dtype)
+        assert not (route is parc_forward and takes_circulant(shape, p))
         want = unblocked_forward(x, p).tobytes()
         for name, budget in self.budgets(x).items():
             monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", budget)
@@ -223,8 +260,66 @@ class TestChannelBlocks:
         for name, budget in self.budgets(x).items():
             monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", budget)
             sizes.clear()
-            parc_forward(Tensor4(x), p)
+            parc_forward_via_concat(Tensor4(x), p)
             assert sizes == [b for b in want[name] for _ in range(9)] + [self.C], name
+
+
+class TestMemoryRule:
+    """parc_forward builds the (C, N, N) circulant stack only while it holds no
+    more elements than the (B, C, 2N-1, orth) extension of the tap loop."""
+
+    @staticmethod
+    def spy_circulant(monkeypatch):
+        built = []
+        circulant = parc_spatial._circulant
+
+        def spy(k):
+            built.append(k.shape)
+            return circulant(k)
+
+        monkeypatch.setattr(parc_spatial, "_circulant", spy)
+        return built
+
+    @staticmethod
+    def peak(route, x, p) -> int:
+        route(x, p)  # resolve the parameters outside the measurement
+        tracemalloc.start()
+        try:
+            route(x, p)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_thin_map_keeps_the_tap_loop(self, monkeypatch):
+        # the stack would hold 4 * 512^2 elements, the extension 4 * 1023
+        rng = np.random.default_rng(38)
+        p = random_params(rng, 4, kernel_scale=1.0 / 512)
+        x = Tensor4(rng.standard_normal((1, 4, 512, 1)))
+        built = self.spy_circulant(monkeypatch)
+        got = parc_forward(x, p).data
+        assert built == []
+        assert got.tobytes() == parc_forward_via_concat(x, p).data.tobytes()
+        peak, tap_peak = self.peak(parc_forward, x, p), self.peak(parc_forward_via_concat, x, p)
+        assert peak <= 1.5 * tap_peak, f"{peak} B against the tap loop's {tap_peak} B"
+
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    def test_square_map_takes_the_circulant(self, orientation, monkeypatch):
+        rng = np.random.default_rng(39)
+        p = random_params(rng, 4, orientation=orientation)
+        x = Tensor4(rng.standard_normal((1, 4, 16, 16)))
+        built = self.spy_circulant(monkeypatch)
+        got = parc_forward(x, p).data
+        assert built == [(4, 16)]
+        assert_roundoff(got, parc_forward_via_concat(x, p).data)
+
+    def test_dense_mode_keeps_the_tap_loop(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        p = random_params(rng, 4, mode="dense", channels_out=3)
+        x = Tensor4(rng.standard_normal((2, 4, 16, 16)))
+        built = self.spy_circulant(monkeypatch)
+        got = parc_forward(x, p).data
+        assert built == []
+        assert got.tobytes() == parc_forward_via_concat(x, p).data.tobytes()
 
 
 class TestShiftEquivariance:
@@ -235,9 +330,24 @@ class TestShiftEquivariance:
         mk = rng.standard_normal((2, 5))
         p = ParCParams("depthwise", "H", mk, np.zeros((2, 5)), np.zeros(2))
         x = rng.standard_normal((1, 2, 8, 3))
+        # 64 > 3 * 15: a thin map, so both calls run the tap loop
+        assert not takes_circulant(x.shape, p)
         y = parc_forward(Tensor4(x), p).data
         y_shifted = parc_forward(Tensor4(np.roll(x, shift, axis=2)), p).data
         assert np.array_equal(y_shifted, np.roll(y, shift, axis=2))
+
+    @given(st.integers(0, 7), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_zero_pe_commutes_with_circular_shift_to_roundoff(self, shift, seed):
+        # a square map takes the circulant matmul, whose sums run in BLAS order
+        rng = np.random.default_rng(seed)
+        mk = rng.standard_normal((2, 5))
+        p = ParCParams("depthwise", "H", mk, np.zeros((2, 5)), np.zeros(2))
+        x = rng.standard_normal((1, 2, 8, 8))
+        assert takes_circulant(x.shape, p)
+        y = parc_forward(Tensor4(x), p).data
+        y_shifted = parc_forward(Tensor4(np.roll(x, shift, axis=2)), p).data
+        assert np.abs(y_shifted - np.roll(y, shift, axis=2)).max() <= 1e-12
 
     def test_generic_pe_breaks_shift_equivariance(self):
         rng = np.random.default_rng(41)

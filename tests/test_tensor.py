@@ -141,6 +141,27 @@ class TestInterp:
         for r in range(4):
             assert np.array_equal(out[r], interp_linear(m[r], 11))
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.bool_, np.float16,
+                                       np.float32, np.float64])
+    def test_computes_in_the_working_dtype(self, dtype):
+        # float32 and float64 are kept; anything else is promoted to float64
+        want_dtype = np.float32 if dtype == np.float32 else np.float64
+        v = np.array([0, 1]).astype(dtype)
+        for n, want in ((3, [0.0, 0.5, 1.0]), (2, [0.0, 1.0]), (1, [0.0])):
+            out = interp_linear(v, n)
+            assert (out.dtype, out.tolist()) == (want_dtype, want)
+        rows = np.array([[0, 1], [1, 1]]).astype(dtype)
+        assert interp_rows(rows, 5).tolist() == [[0, 0.25, 0.5, 0.75, 1], [1] * 5]
+        single = interp_rows(np.array([[1]]).astype(dtype), 3)
+        assert (single.dtype, single.tolist()) == (want_dtype, [[1.0] * 3])
+
+    def test_integer_ramp_is_not_truncated(self):
+        assert interp_linear(np.array([0, 10]), 3).tolist() == [0.0, 5.0, 10.0]
+
+    def test_complex_input_raises(self):
+        with pytest.raises(ValueError, match="real values"):
+            interp_linear(np.array([0.0, 1j]), 3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             interp_linear(np.zeros((2, 2)), 3)

@@ -9,7 +9,15 @@ parameters drawn from fixed seeds, plus both zero-padded baselines, which
 share the depthwise tap loop, and the two blocks that run ``parc_forward``.
 Each output line names one result and the sha256 of its dtype, shape and
 C-order bytes, so two trees compute bitwise-identical results exactly when
-their outputs are equal.
+their outputs are equal.  Results are named by route: ``modulo`` is
+``parc_forward`` (depthwise, a circulant matmul on every map here but the
+thin 2x3x1x5 V sweep, which keeps the tap loop), ``concat`` is
+``parc_forward_via_concat`` (the tap loop) and ``freq`` is
+``fast_parc_forward``; ``metaformer`` and ``convnet_mixer`` run
+``parc_forward``.  Against a tree whose ``parc_forward`` ran the tap loop on
+every map, only depthwise ``modulo`` results on the matmul branch and block
+results may differ, within roundoff (36 of 472; the one-tap 2x3x1x5 H sweep
+rounds alike on both), and the thin 2x3x1x5 V results must not.
 
 With two roots, each tree is digested in its own interpreter by this file,
 so both run the same grid.  Only the results whose digests differ, or that
