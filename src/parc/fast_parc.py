@@ -232,15 +232,10 @@ def ifft(spec: Spectrum) -> np.ndarray:
 
 def weight_spectrum(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
     """Conjugated full spectra (C, n) of the kernel lines, each with a zero
-    partner, cached on the params; an unknown dtype_name raises ValueError."""
-    key = (n, dtype_name)
-    # resolving first also drops spectra of params edited since they were cached
-    kernel_n, _, _ = p.resolved(n, dtype_name)
-    spec = p._spectra.get(key)
-    if spec is None:
-        spec = np.conj(_rfft_lines(kernel_n[:, None], get_plan(n))[:, 0])
-        p._spectra[key] = spec
-    return spec
+    partner: the "spectrum" plan of the params, read-only; an unknown
+    dtype_name raises ValueError."""
+    return p.prepared("spectrum", n, dtype_name, lambda: (np.conj(
+        _rfft_lines(p.resolved(n, dtype_name)[0][:, None], get_plan(n))[:, 0]),))[0]
 
 
 def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:

@@ -20,7 +20,8 @@ would outgrow the periodic extension (thin maps) and in dense mode,
 tap loop is ``_correlate``, which runs all taps over one cache-sized channel
 block before the next; the zero-padded baselines in ``conv_baseline`` share
 it.  ``parc_backward`` computes the adjoint with the same circulants.  A
-frequency-domain route lives in ``fast_parc``.
+frequency-domain route lives in ``fast_parc``.  Resolved rows, weight spectra
+and forward circulant stacks are plans, cached by ``ParCParams.prepared``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from .tensor import Tensor4, dtype_from_name, finite_field, interp_linear_adjoin
 
 _AXIS = {"H": 2, "V": 3}
 DEFAULT_META_LEN = 14
+# Most plans one ParCParams keeps, least recently used dropped first.  A count
+# bounds the bytes: the one large plan, a circulant stack, passed parc_forward's
+# memory rule, so it is no larger than the extension its own call allocated.
+_PLAN_CAP = 16
 # Output bytes per channel block of the tap loop ``_correlate``: small enough that
 # a block's source window, product buffer and output stay in L2 over all taps.
 _BLOCK_BYTES = 256 * 1024
@@ -56,10 +61,9 @@ class ParCParams:
     (C_out, C_in, K), meta_pe (C_in, K_pe), bias (C_out,).  All values are
     kept as float64 and must be finite.
 
-    The trailing dicts cache per-(length, dtype) resolved parameters and
-    weight spectra.  Once the shape, dtype or bytes of meta_kernel, meta_pe
-    or bias change, in-place edits included, ``resolved`` validates the
-    fields again and empties both.
+    The trailing dict caches the read-only plans of ``prepared`` per (kind,
+    length, dtype).  Once the shape, dtype or bytes of meta_kernel, meta_pe
+    or bias change, in-place edits included, ``prepared`` empties it.
     """
 
     mode: str
@@ -67,8 +71,7 @@ class ParCParams:
     meta_kernel: np.ndarray
     meta_pe: np.ndarray
     bias: np.ndarray
-    _resolved: dict = field(default_factory=dict, repr=False, compare=False)
-    _spectra: dict = field(default_factory=dict, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _stamp: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -102,35 +105,37 @@ class ParCParams:
     def k_meta(self) -> int:
         return self.meta_kernel.shape[-1]
 
-    def resolved(self, n: int, dtype_name: str):
-        """Kernel, PE, and bias stretched to sweep length n and cast.
-
-        Interpolation runs in float64 and the result is cached per
-        (n, dtype_name), so repeated calls at one resolution are free.  If a
-        field's shape, dtype or bytes have changed, the fields are validated
-        as in the constructor and both caches are emptied first.  An unknown
-        dtype_name raises ValueError and caches nothing.
-        """
+    def prepared(self, kind: str, n: int, dtype_name: str, build) -> tuple:
+        """Plan ``kind`` at sweep length n and precision dtype_name: the tuple
+        of arrays build() returns on a miss, made read-only; a build that
+        raises caches nothing.  Edited fields are validated as in the
+        constructor and drop every plan first."""
         def stamp():
             fields = map(np.asarray, (self.meta_kernel, self.meta_pe, self.bias))
             return tuple((a.shape, a.dtype, a.tobytes()) for a in fields)
 
         if stamp() != self._stamp:
             self.__post_init__()
-            self._resolved.clear()
-            self._spectra.clear()
+            self._plans.clear()
             self._stamp = stamp()
-        key = (n, dtype_name)
-        hit = self._resolved.get(key)
-        if hit is None:
-            dt = dtype_from_name(dtype_name)
-            hit = (
-                interp_rows(self.meta_kernel, n).astype(dt),
-                interp_rows(self.meta_pe, n).astype(dt),
-                self.bias.astype(dt),
-            )
-            self._resolved[key] = hit
-        return hit
+        key = (kind, n, dtype_name)
+        plan = self._plans.pop(key, None)
+        if plan is None:
+            plan = build()
+            for arr in plan:
+                arr.flags.writeable = False
+        self._plans[key] = plan  # most recently used last
+        if len(self._plans) > _PLAN_CAP:
+            del self._plans[next(iter(self._plans))]
+        return plan
+
+    def resolved(self, n: int, dtype_name: str):
+        """Kernel, PE, and bias stretched to sweep length n in float64 and
+        cast: the "rows" plan.  An unknown dtype_name raises ValueError."""
+        dt = dtype_from_name(dtype_name)
+        return self.prepared("rows", n, dtype_name, lambda: (
+            interp_rows(self.meta_kernel, n).astype(dt),
+            interp_rows(self.meta_pe, n).astype(dt), self.bias.astype(dt)))
 
 
 def random_params(
@@ -206,19 +211,19 @@ def _correlate(src, taps, y) -> None:
             dst += prod
 
 
-def _accumulate(ext, kernel_n, bias, mode, axis):
-    """Shared tap loop over the periodic extension ext, (B, C, 2N-1, orth).
-
-    Tap k reads the window ext[..., k:k + N, :], so output position i takes
-    kernel[k] * ext[i + k], which is (x + pe)[(i + k) mod N].  The output is
-    accumulated with the swept axis at 2, as ext has it, and returned through
-    ``_rows``.  Every tap-loop forward funnels through here so the
-    accumulation order, and therefore every rounding, is identical.
-    Depthwise, it runs the channel-blocked ``_correlate`` through
-    ``run_sliced``.
+def _accumulate(xp, kernel_n, bias, mode, axis):
+    """Shared tap loop over ext, (B, C, 2N-1, orth): the offset input xp and
+    its first N-1 positions, its periodic extension.  Tap k reads the window
+    ext[..., k:k + N, :], so output position i takes kernel[k] * ext[i + k],
+    which is (x + pe)[(i + k) mod N].  The output is accumulated with the
+    swept axis at 2, as ext has it, and returned through ``_rows``.  Every
+    tap-loop forward funnels through here so the accumulation order, and
+    therefore every rounding, is identical.  Depthwise, it runs the
+    channel-blocked ``_correlate`` through ``run_sliced``.
     """
     n = kernel_n.shape[-1]
-    y = np.zeros((ext.shape[0], kernel_n.shape[0], n, ext.shape[3]), dtype=ext.dtype)
+    ext = np.concatenate([xp, xp[:, :, :n - 1]], axis=2)
+    y = np.zeros((xp.shape[0], kernel_n.shape[0], n, xp.shape[3]), dtype=xp.dtype)
     if mode == "depthwise":
         run_sliced(_correlate, ext, kernel_n[:, :, None], y)
     else:
@@ -247,20 +252,19 @@ def parc_forward(x: Tensor4, p: ParCParams) -> Tensor4:
     Depthwise, y = M @ xp with the (C, N, N) circulant stack M of
     ``_circulant``, in the input's precision, over the (B, C, N, orth)
     offset input, so BLAS runs batch, channels and lines at once.  The stack
-    is used only while it holds no more elements than the periodic extension
-    the tap loop would allocate, N^2 <= B * orth * (2N - 1), so peak memory
-    never exceeds the tap loop's.  Dense mode and thin maps run the tap
-    loop over the extension gathered at indices arange(2N - 1) mod N, and
-    match ``parc_forward_via_concat`` bit for bit.
+    is built only while it holds no more elements than the periodic
+    extension the tap loop would allocate, N^2 <= B * orth * (2N - 1), so
+    peak memory never exceeds the tap loop's, and kept as a plan of the
+    params.  Dense mode and thin maps run the tap loop of
+    ``parc_forward_via_concat``, bit for bit.
     """
     axis, n, kernel_n, bias, xp = _offset_input(x, p)
     b, _, _, orth = xp.shape
     if p.mode == "depthwise" and n * n <= b * orth * (2 * n - 1):
-        y = _circulant(kernel_n) @ xp
+        y = p.prepared("circulant", n, x.dtype_name, lambda: (_circulant(kernel_n),))[0] @ xp
         y += _per_channel(bias)
         return Tensor4(_rows(y, axis))
-    ext = np.take(xp, np.arange(2 * n - 1) % n, axis=2)
-    return _accumulate(ext, kernel_n, bias, p.mode, axis)
+    return _accumulate(xp, kernel_n, bias, p.mode, axis)
 
 
 def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
@@ -273,9 +277,8 @@ def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -
     to roundoff.  ``parallel`` is accepted and ignored; perfbench's
     ``call_route`` still passes it.  The tap loop always runs serially.
     """
-    axis, n, kernel_n, bias, xp = _offset_input(x, p)
-    ext = np.concatenate([xp, xp[:, :, :n - 1]], axis=2)
-    return _accumulate(ext, kernel_n, bias, p.mode, axis)
+    axis, _, kernel_n, bias, xp = _offset_input(x, p)
+    return _accumulate(xp, kernel_n, bias, p.mode, axis)
 
 
 # ---------------------------------------------------------------------------

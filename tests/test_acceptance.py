@@ -294,11 +294,10 @@ def test_backward_matches_finite_differences():
             assert np.allclose(grads.d_kernel_n, grads.d_meta_kernel, atol=1e-12)
             assert np.allclose(grads.d_pe_n, grads.d_meta_pe, atol=1e-12)
         for name, (arr, analytic) in checks.items():
-            p._resolved.clear()
-            p._spectra.clear()
+            p._plans.clear()
 
             def loss():
-                p._resolved.clear()
+                p._plans.clear()
                 return (dy * parc_forward(Tensor4(x), p).data).sum()
 
             numeric = _fd(loss, arr)

@@ -356,8 +356,7 @@ class TestSpectralCorrelation:
             p.resolved(8, "f16")
         with pytest.raises(ValueError, match="'bogus'"):
             weight_spectrum(p, 8, "bogus")
-        assert list(p._resolved) == [(8, "f64")]
-        assert list(p._spectra) == [(8, "f64")]
+        assert list(p._plans) == [("rows", 8, "f64"), ("spectrum", 8, "f64")]
 
     def test_no_route_starts_a_thread(self, monkeypatch):
         """Every route runs serially: no route starts a Python thread, and

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parc import parc_spatial
-from parc.fast_parc import fast_parc_forward
+from parc.fast_parc import fast_parc_forward, weight_spectrum
 from parc.parc_spatial import (
     ParCParams,
     parc_backward,
@@ -311,6 +311,9 @@ class TestMemoryRule:
         got = parc_forward(x, p).data
         assert built == [(4, 16)]
         assert_roundoff(got, parc_forward_via_concat(x, p).data)
+        # a second call takes the stack cached on the params
+        assert parc_forward(x, p).data.tobytes() == got.tobytes()
+        assert built == [(4, 16)]
 
     def test_dense_mode_keeps_the_tap_loop(self, monkeypatch):
         rng = np.random.default_rng(40)
@@ -609,3 +612,59 @@ class TestParamsContract:
         p = random_params(rng, 3)
         with pytest.raises(ValueError, match="channels"):
             parc_forward(Tensor4.zeros((1, 2, 4, 4)), p)
+
+
+class TestPlanCache:
+    """Resolved rows, weight spectra and circulant stacks are plans cached on
+    the params as read-only arrays, at most ``_PLAN_CAP`` of them."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("route, shape", [
+        (parc_forward, (2, 3, 16, 16)),
+        (parc_forward, (1, 3, 64, 1)),
+        (parc_forward_via_concat, (2, 3, 16, 16)),
+        (fast_parc_forward, (2, 3, 16, 16)),
+    ], ids=["circulant", "thin-tap-loop", "concat", "freq"])
+    def test_a_cache_hit_gives_the_first_calls_bytes(self, route, shape, dtype):
+        rng = np.random.default_rng(81)
+        p = random_params(rng, 3, kernel_scale=1.0 / 16)
+        x = Tensor4(rng.standard_normal(shape).astype(dtype))
+        if route is parc_forward:
+            assert takes_circulant(shape, p) == (shape[2] == 16)
+        first = route(x, p).data
+        plans = dict(p._plans)
+        again = route(x, p).data
+        assert p._plans.keys() == plans.keys()
+        assert all(p._plans[key] is plan for key, plan in plans.items())
+        assert again.tobytes() == first.tobytes()
+
+    def test_least_recently_used_plan_goes_past_the_cap(self):
+        cap = parc_spatial._PLAN_CAP
+        p = random_params(np.random.default_rng(82), 2)
+        kept = p.resolved(2, "f64")
+        for n in range(3, cap + 6):
+            p.resolved(n, "f64")
+            assert p.resolved(2, "f64") is kept
+            assert len(p._plans) <= cap
+        # lengths 3 to 6 were used least recently, so they went first
+        assert list(p._plans) == [("rows", n, "f64") for n in range(7, cap + 6)] + [
+            ("rows", 2, "f64")]
+        assert np.array_equal(p.resolved(3, "f64")[0][0], interp_linear(p.meta_kernel[0], 3))
+
+    def test_writes_into_cached_arrays_raise_and_change_nothing(self):
+        rng = np.random.default_rng(83)
+        p = random_params(rng, 3)
+        x = Tensor4(rng.standard_normal((1, 3, 8, 8)))
+        routes = (parc_forward, parc_forward_via_concat, fast_parc_forward)
+        before = [route(x, p).data for route in routes]
+        kernel_n, pe_n, bias = p.resolved(8, "f64")
+        spectrum = weight_spectrum(p, 8, "f64")
+        circulant, = p._plans[("circulant", 8, "f64")]
+        for arr in (kernel_n, pe_n, bias, spectrum, circulant):
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 0
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        assert not any(arr.flags.writeable for plan in p._plans.values() for arr in plan)
+        for route, want in zip(routes, before):
+            assert route(x, p).data.tobytes() == want.tobytes()

@@ -19,11 +19,15 @@ every map, only depthwise ``modulo`` results on the matmul branch and block
 results may differ, within roundoff (36 of 472; the one-tap 2x3x1x5 H sweep
 rounds alike on both), and the thin 2x3x1x5 V results must not.
 
+Every route runs twice on the same inputs and params, and the digest is the
+first call's.  The second call is served from the params' plan caches, so a
+cache hit that changes any bit is named on stderr and the exit status is 1.
+
 With two roots, each tree is digested in its own interpreter by this file,
 so both run the same grid.  Only the results whose digests differ, or that
 one tree lacks, are printed, as ``name OLD-digest NEW-digest`` with ``-``
 for a missing one; a count goes to stderr and the exit status is 1 if any
-result differs, 0 otherwise.
+result differs or either tree fails its repeat check, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -47,12 +51,26 @@ def _digest(arr) -> str:
     return h.hexdigest()
 
 
-def main(root: str) -> None:
+def main(root: str) -> int:
+    """Print every result's digest; 1 if any differs between two calls."""
     sys.path.insert(0, os.path.join(root, "src"))
     from parc import (Tensor4, ZeroPadConvParams, conv1d_zeropad, dwconv2d_zeropad,
                       fast_parc_forward, metaformer_block_forward, parc_backward, parc_forward,
                       parc_forward_via_concat, random_params)
     from parc.blocks import convnet_mixer_forward, random_convnet_mixer, random_metaformer
+
+    unstable = []
+
+    def emit(label, produce):
+        """Print the digest of each result of produce(), a dict name -> array,
+        called twice on the same inputs and params: the second call, served
+        from the params' caches, must give the first call's bytes."""
+        first, again = produce(), produce()
+        for name, arr in first.items():
+            digest = _digest(arr)
+            print(f"{label} {name:18} {digest}")
+            if _digest(again[name]) != digest:
+                unstable.append(f"{label} {name}")
 
     for seed, shape in enumerate(MAPS):
         b, c, h, w = shape
@@ -65,62 +83,69 @@ def main(root: str) -> None:
                     p = random_params(rng, c, orientation=orientation, mode=mode,
                                       channels_out=c + 1, kernel_scale=1.0 / n)
                     x = Tensor4(rng.standard_normal(shape).astype(dtype))
-                    routes = {"modulo": parc_forward, "concat": parc_forward_via_concat}
+                    dy = Tensor4(rng.standard_normal((b, p.channels_out, h, w)).astype(dtype))
                     if mode == "depthwise":
-                        routes["freq"] = fast_parc_forward
-                    results = {name: route(x, p).data for name, route in routes.items()}
-                    dy = rng.standard_normal((b, p.channels_out, h, w)).astype(dtype)
-                    g = parc_backward(x, p, Tensor4(dy))
-                    for field in ("d_input", "d_kernel_n", "d_pe_n", "d_bias",
-                                  "d_meta_kernel", "d_meta_pe"):
-                        value = getattr(g, field)
-                        results[f"grad.{field}"] = getattr(value, "data", value)
-                    if mode == "depthwise":
-                        taps = rng.uniform(-1, 1, (c, 5))
-                        conv = ZeroPadConvParams(taps, pad=2, orientation=orientation)
-                        results["conv1d"] = conv1d_zeropad(x, conv).data
-                    for name, arr in results.items():
-                        print(f"{b}x{c}x{h}x{w} {precision} {orientation} {mode:9} {name:18} "
-                              f"{_digest(arr)}")
+                        conv = ZeroPadConvParams(rng.uniform(-1, 1, (c, 5)), pad=2,
+                                                 orientation=orientation)
+
+                    def produce():
+                        out = {"modulo": parc_forward(x, p).data,
+                               "concat": parc_forward_via_concat(x, p).data}
+                        if mode == "depthwise":
+                            out["freq"] = fast_parc_forward(x, p).data
+                        g = parc_backward(x, p, dy)
+                        for field in ("d_input", "d_kernel_n", "d_pe_n", "d_bias",
+                                      "d_meta_kernel", "d_meta_pe"):
+                            value = getattr(g, field)
+                            out[f"grad.{field}"] = getattr(value, "data", value)
+                        if mode == "depthwise":
+                            out["conv1d"] = conv1d_zeropad(x, conv).data
+                        return out
+
+                    emit(f"{b}x{c}x{h}x{w} {precision} {orientation} {mode:9}", produce)
             rng = np.random.default_rng(seed)
             x = Tensor4(rng.standard_normal(shape).astype(dtype))
-            for k in (3, 7):
-                conv = ZeroPadConvParams(rng.uniform(-1, 1, (c, k, k)), pad=(k - 1) // 2,
-                                         orientation="2D")
-                print(f"{b}x{c}x{h}x{w} {precision} 2D {'depthwise':9} {f'dwconv2d.k{k}':18} "
-                      f"{_digest(dwconv2d_zeropad(x, conv).data)}")
+            convs = {f"dwconv2d.k{k}": ZeroPadConvParams(rng.uniform(-1, 1, (c, k, k)),
+                                                         pad=(k - 1) // 2, orientation="2D")
+                     for k in (3, 7)}
+            emit(f"{b}x{c}x{h}x{w} {precision} 2D {'depthwise':9}",
+                 lambda: {name: dwconv2d_zeropad(x, conv).data for name, conv in convs.items()})
             if c % 2 == 0:
                 rng = np.random.default_rng(seed)
                 block = random_metaformer(rng, c, hidden=2 * c, kernel_scale=0.5)
                 x = Tensor4(rng.standard_normal(shape).astype(dtype))
                 mixer = random_convnet_mixer(rng, c, kernel_scale=0.5)
-                for name, out in (("metaformer", metaformer_block_forward(x, block)),
-                                  ("convnet_mixer", convnet_mixer_forward(x, mixer))):
-                    print(f"{b}x{c}x{h}x{w} {precision} - {'-':9} {name:18} "
-                          f"{_digest(out.data)}")
+                emit(f"{b}x{c}x{h}x{w} {precision} - {'-':9}",
+                     lambda: {"metaformer": metaformer_block_forward(x, block).data,
+                              "convnet_mixer": convnet_mixer_forward(x, mixer).data})
+    for name in unstable:
+        print(f"{name}: a second call on the same params differs from the first",
+              file=sys.stderr)
+    return 1 if unstable else 0
 
-
-def _digests(root: str) -> dict:
-    """Result name -> digest, from this file run on root in a fresh interpreter."""
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), root],
-                         stdout=subprocess.PIPE, text=True, check=True).stdout
-    return dict(line.rsplit(" ", 1) for line in out.splitlines())
+def _digests(root: str) -> tuple:
+    """Result name -> digest, from this file run on root in a fresh
+    interpreter, and whether every repeated call matched its first."""
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), root],
+                          stdout=subprocess.PIPE, text=True)
+    return dict(line.rsplit(" ", 1) for line in proc.stdout.splitlines()), proc.returncode == 0
 
 
 def compare(old: str, new: str) -> int:
-    """Print the results on which the two trees differ; 1 if any do."""
-    a, b = _digests(old), _digests(new)
+    """Print the results on which the two trees differ; 1 if any do, or if
+    either tree's repeated calls do not match its first."""
+    (a, a_stable), (b, b_stable) = _digests(old), _digests(new)
     names = list(a) + [name for name in b if name not in a]
     differ = [name for name in names if a.get(name) != b.get(name)]
     for name in differ:
         print(f"{name} {a.get(name, '-')} {b.get(name, '-')}")
     print(f"{len(differ)} of {len(names)} results differ", file=sys.stderr)
-    return 1 if differ else 0
+    return 1 if differ or not (a_stable and b_stable) else 0
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 2:
-        main(sys.argv[1])
+        sys.exit(main(sys.argv[1]))
     elif len(sys.argv) == 3:
         sys.exit(compare(sys.argv[1], sys.argv[2]))
     else:
