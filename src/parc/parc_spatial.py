@@ -109,7 +109,8 @@ class ParCParams:
         """Plan ``kind`` at sweep length n and precision dtype_name: the tuple
         of arrays build() returns on a miss, made read-only; a build that
         raises caches nothing.  Edited fields are validated as in the
-        constructor and drop every plan first."""
+        constructor and drop every plan first.  Past ``_PLAN_CAP`` plans the
+        least recently used one is dropped."""
         def stamp():
             fields = map(np.asarray, (self.meta_kernel, self.meta_pe, self.bias))
             return tuple((a.shape, a.dtype, a.tobytes()) for a in fields)
