@@ -192,13 +192,18 @@ def metaformer_block_forward(x: Tensor4, p: MetaFormerBlockParams) -> Tensor4:
     """u = x + TokenMixer(x); y = u + Attention(MLP(u)).  Shape-preserving."""
     if x.shape[1] != p.channels:
         raise ValueError(f"input carries {x.shape[1]} channels, block expects {p.channels}")
-    u = x.data + _token_mixer(x, p)
-    # pointwise layers as BLAS matmuls over (B, C, H*W); einsum would run a C loop
+    u = _token_mixer(x, p)
+    u += x.data
+    # pointwise layers as BLAS matmuls over (B, C, H*W), each bias and
+    # activation applied in place; einsum would run a C loop
     cast = lambda a: a.astype(x.dtype)
-    h = np.tanh(cast(p.mlp_w1) @ u.reshape(x.shape[0], p.channels, -1) + cast(p.mlp_b1)[:, None])
-    m = (cast(p.mlp_w2) @ h + cast(p.mlp_b2)[:, None]).reshape(x.shape)
-    gated = channel_attention(Tensor4(m), p.attention)
-    return Tensor4(u + gated.data)
+    h = cast(p.mlp_w1) @ u.reshape(x.shape[0], p.channels, -1)
+    h += cast(p.mlp_b1)[:, None]
+    np.tanh(h, out=h)
+    m = cast(p.mlp_w2) @ h
+    m += cast(p.mlp_b2)[:, None]
+    u += channel_attention(Tensor4(m.reshape(x.shape)), p.attention).data
+    return Tensor4(u)
 
 
 def perturbation_support(fn, x: Tensor4, channel: int, i: int, j: int,

@@ -19,9 +19,12 @@ would outgrow the periodic extension (thin maps) and in dense mode,
 ``parc_forward`` runs the same tap loop, bit for bit.  In depthwise mode the
 tap loop is ``_correlate``, which runs all taps over one cache-sized channel
 block before the next; the zero-padded baselines in ``conv_baseline`` share
-it.  ``parc_backward`` computes the adjoint with the same circulants.  A
-frequency-domain route lives in ``fast_parc``.  Resolved rows, weight spectra
-and forward circulant stacks are plans, cached by ``ParCParams.prepared``.
+it.  ``parc_backward`` computes the adjoint under the same memory rule: with
+circulants, one channel block at a time in depthwise mode, where they fit,
+and as a tap loop over periodic extensions on thin maps, so it never holds
+much more than the forward.  A frequency-domain route lives in
+``fast_parc``.  Resolved rows, weight spectra and forward circulant stacks
+are plans, cached by ``ParCParams.prepared``.
 """
 
 from __future__ import annotations
@@ -178,17 +181,30 @@ def _rows(arr: np.ndarray, axis: int) -> np.ndarray:
     return np.swapaxes(arr, 2, axis)
 
 
-def _offset_input(x: Tensor4, p: ParCParams):
-    """Swept axis, length N, resolved kernel and bias, and xp = x + pe as one
-    C-contiguous (B, C, N, orth) array; the add that allocates xp also does
-    the transpose, so a V sweep copies the input no more than an H sweep."""
+def _resolve(x: Tensor4, p: ParCParams):
+    """Swept axis, its length N, and the kernel, PE and bias resolved to N at
+    the input's precision; an input with the wrong channel count raises."""
     if x.shape[1] != p.channels_in:
         raise ValueError(f"input carries {x.shape[1]} channels, params expect {p.channels_in}")
     axis = sweep_axis(p.orientation)
     n = x.shape[axis]
-    kernel_n, pe_n, bias = p.resolved(n, x.dtype_name)
+    return (axis, n) + p.resolved(n, x.dtype_name)
+
+
+def _offset_input(x: Tensor4, p: ParCParams):
+    """Swept axis, length N, resolved kernel and bias, and xp = x + pe as one
+    C-contiguous (B, C, N, orth) array; the add that allocates xp also does
+    the transpose, so a V sweep copies the input no more than an H sweep."""
+    axis, n, kernel_n, pe_n, bias = _resolve(x, p)
     xp = np.add(_rows(x.data, axis), pe_n[None, :, :, None], order="C")
     return axis, n, kernel_n, bias, xp
+
+
+def _channel_blocks(channels: int, channel_bytes: int) -> list:
+    """Slices of max(1, _BLOCK_BYTES // channel_bytes) channels that cover
+    range(channels) in order, the last one possibly shorter."""
+    step = max(1, _BLOCK_BYTES // channel_bytes)
+    return [slice(start, start + step) for start in range(0, channels, step)]
 
 
 def _correlate(src, taps, y) -> None:
@@ -196,15 +212,13 @@ def _correlate(src, taps, y) -> None:
     for every channel c, (h, w) being y's last two extents.
 
     Taps run in row-major order, each multiplied into one product buffer, one
-    block of max(1, _BLOCK_BYTES // y[:, :1].nbytes) channels at a time: a
-    block runs all its taps before the next starts, so its source window,
-    product buffer and output stay in cache.  Channels never mix, so the
-    block size changes no output element's sequence of operations, or any bit.
+    ``_channel_blocks`` block of y's channels at a time: a block runs all its
+    taps before the next starts, so its source window, product buffer and
+    output stay in cache.  Channels never mix, so the block size changes no
+    output element's sequence of operations, or any bit.
     """
     h, w = y.shape[2:]
-    step = max(1, _BLOCK_BYTES // y[:, :1].nbytes)
-    for start in range(0, y.shape[1], step):
-        blk = slice(start, start + step)
+    for blk in _channel_blocks(y.shape[1], y[:, :1].nbytes):
         dst = y[:, blk]
         prod = np.empty_like(dst)
         for r, s in np.ndindex(taps.shape[1:]):
@@ -219,15 +233,20 @@ def _accumulate(xp, kernel_n, bias, mode, axis):
     which is (x + pe)[(i + k) mod N].  The output is accumulated with the
     swept axis at 2, as ext has it, and returned through ``_rows``.  Every
     tap-loop forward funnels through here so the accumulation order, and
-    therefore every rounding, is identical.  Depthwise, it runs the
-    channel-blocked ``_correlate`` through ``run_sliced``.
+    therefore every rounding, is identical; ``_tap_adjoint`` runs it over dY
+    with the reversed kernel.  Depthwise, each ``_channel_blocks`` block
+    of the output builds its own slice of ext and runs ``_correlate`` on it
+    through ``run_sliced``, so no extension of the whole tensor is held.
     """
     n = kernel_n.shape[-1]
-    ext = np.concatenate([xp, xp[:, :, :n - 1]], axis=2)
     y = np.zeros((xp.shape[0], kernel_n.shape[0], n, xp.shape[3]), dtype=xp.dtype)
     if mode == "depthwise":
-        run_sliced(_correlate, ext, kernel_n[:, :, None], y)
+        for blk in _channel_blocks(y.shape[1], y[:, :1].nbytes):
+            part = xp[:, blk]
+            run_sliced(_correlate, np.concatenate([part, part[:, :, :n - 1]], axis=2),
+                       kernel_n[blk, :, None], y[:, blk])
     else:
+        ext = np.concatenate([xp, xp[:, :, :n - 1]], axis=2)
         for k in range(n):
             y += np.einsum("oi,bihw->bohw", kernel_n[:, :, k], ext[:, :, k:k + n])
     y += _per_channel(bias)
@@ -240,6 +259,13 @@ def _circulant(k: np.ndarray) -> np.ndarray:
     adjoint is dY @ M."""
     ramp = np.arange(k.shape[-1])
     return k[..., (ramp[None, :] - ramp[:, None]) % k.shape[-1]]
+
+
+def _circulant_fits(n: int, lines: int) -> bool:
+    """The memory rule of both circulant branches: a (C, N, N) stack holds no
+    more elements than the (lines, C, 2N-1) periodic extension of the tap
+    loop, lines = B * orth being the count of swept lines per channel."""
+    return n * n <= lines * (2 * n - 1)
 
 
 def parc_forward(x: Tensor4, p: ParCParams) -> Tensor4:
@@ -261,7 +287,7 @@ def parc_forward(x: Tensor4, p: ParCParams) -> Tensor4:
     """
     axis, n, kernel_n, bias, xp = _offset_input(x, p)
     b, _, _, orth = xp.shape
-    if p.mode == "depthwise" and n * n <= b * orth * (2 * n - 1):
+    if p.mode == "depthwise" and _circulant_fits(n, b * orth):
         y = p.prepared("circulant", n, x.dtype_name, lambda: (_circulant(kernel_n),))[0] @ xp
         y += _per_channel(bias)
         return Tensor4(_rows(y, axis))
@@ -294,7 +320,9 @@ class ParCGrads:
     d_kernel_n / d_pe_n are at the resolved sweep length; d_meta_kernel /
     d_meta_pe are pulled back through the interpolation adjoint.  d_input
     carries the input's dtype; every other field is float64, accumulated in
-    float64 whatever the input precision.
+    float64 whatever the input precision.  Every field is bitwise the same
+    whatever the channel block size; the circulant and tap-loop branches of
+    ``parc_backward`` agree to roundoff.
     """
 
     d_input: Tensor4
@@ -305,57 +333,110 @@ class ParCGrads:
     d_meta_pe: np.ndarray
 
 
+def _lines(rows: np.ndarray, blk: slice, pe_n: np.ndarray | None = None) -> np.ndarray:
+    """Channels blk of a (B, C, N, orth) array as C-contiguous float64 lines,
+    (C_blk, B * orth, N); given pe_n, of rows + pe_n added at the precision of
+    rows, as ``_offset_input`` adds it, and widened by the same pass."""
+    view = rows[:, blk].transpose(1, 0, 3, 2)
+    out = np.empty(view.shape)
+    if pe_n is None:
+        out[...] = view
+    else:
+        np.add(view, pe_n[blk, None, None, :], out=out, dtype=rows.dtype)
+    return out.reshape(out.shape[0], -1, out.shape[-1])
+
+
+def _wrapped_diagonals(gram: np.ndarray) -> np.ndarray:
+    """dK[..., k] = sum_i gram[..., i, (i + k) mod N], summed through a view of
+    [gram, gram] whose element [..., i, k] sits at [..., i, i + k]."""
+    twice = np.concatenate([gram, gram], axis=-1)
+    *outer, row, col = twice.strides
+    view = np.lib.stride_tricks.as_strided(twice, gram.shape, (*outer, row + col, col),
+                                           writeable=False)
+    return view.sum(axis=-2)
+
+
+def _tap_adjoint(xr, gr, k64, pe_n, mode):
+    """dxp (B, C_in, N, orth) and dK of the tap loop, in float64, from the
+    (B, C, N, orth) views xr of the input and gr of dY.  The input adjoint is
+    the forward tap loop ``_accumulate`` over dY with the reversed kernel
+    K'[..., j] = K[..., (-j) mod N], its channel axes swapped in dense mode;
+    dK[..., k] is one reduction of dY against window k of xp's extension."""
+    n = k64.shape[-1]
+    g = gr.astype(np.float64)
+    flip = k64[..., -np.arange(n) % n]
+    if mode == "dense":
+        flip = np.swapaxes(flip, 0, 1)
+    dxp = _accumulate(g, flip, np.zeros(1), mode, 2).data
+    xp = np.add(xr, pe_n[None, :, :, None], out=np.empty(xr.shape), dtype=xr.dtype)
+    ext = np.concatenate([xp, xp[:, :, :n - 1]], axis=2)
+    dk = np.empty(k64.shape)
+    spec = "bchw,bchw->c" if mode == "depthwise" else "bohw,bihw->oi"
+    for k in range(n):
+        dk[..., k] = np.einsum(spec, g, ext[:, :, k:k + n])
+    return dxp, dk
+
+
 def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     """Analytic adjoint of the forward operator at the point (x, p).
 
-    dY has the forward output's shape.  Along one line the forward pass is
-    y = xp @ M.T with the circulant M[i, l] = K[(l - i) mod N], so the adjoint
-    is two batched matmuls over lines-last (C, lines, N) arrays, computed in
-    float64 from the offset input xp formed at the input precision:
-    dxp = dY @ M, and dK[k] = sum_i G[i, (i + k) mod N] sums the wrapped
-    diagonals of the Gram matrix G = dY.T @ xp.  Depthwise mode builds one
-    (C, N, N) circulant stack.  Dense mode loops over output channels o, each
-    with a (C_in, N, N) stack and Gram, adding its share to dxp, so no
-    (C_out*N, C_in*N) matrix is ever formed.  Meta-length gradients are
-    pulled back through ``interp_linear_adjoint``.
+    dY has the forward output's shape.  Every gradient is computed in
+    float64 from the offset input xp formed at the input precision.  Along
+    one line the forward pass is y = xp @ M.T with the circulant
+    M[i, l] = K[(l - i) mod N], so under the forward's memory rule,
+    N^2 <= B * orth * (2N - 1), the adjoint is two batched matmuls over
+    lines-last (C, lines, N) arrays: dxp = dY @ M, and dK[k] =
+    sum_i G[i, (i + k) mod N] sums the wrapped diagonals of the Gram matrix
+    G = dY.T @ xp.  Depthwise mode runs them one ``_channel_blocks`` block
+    of channels at a time, each block building its own float64 lines, Gram
+    and circulant slice and writing its share of every gradient in place, so
+    no temporary spans all channels.  Dense mode loops over output channels
+    o, each with a (C_in, N, N) stack and Gram, adding its share to dxp, so
+    no (C_out*N, C_in*N) matrix is ever formed.  Outside the memory rule
+    (thin maps), in either mode, the tap-loop adjoint ``_tap_adjoint`` runs
+    instead and no (N, N) array is built; its results agree with the
+    circulant adjoint to roundoff.  Meta-length gradients are pulled back
+    through ``interp_linear_adjoint``.
     """
-    axis, n, kernel_n, _, xp = _offset_input(x, p)
+    axis, n, kernel_n, pe_n, _ = _resolve(x, p)
     expect = (x.shape[0], p.channels_out) + x.shape[2:]
     if dy.shape != expect:
         raise ValueError(f"dY shape {dy.shape} does not match forward output {expect}")
-    # (B, C, N, orth) <-> (C, B, orth, N), the swept axis last; its own inverse
-    perm = (1, 0, 3, 2)
-
-    def lines(arr):
-        return np.ascontiguousarray(arr.transpose(perm), dtype=np.float64).reshape(
-            arr.shape[1], -1, n)
-
-    g, xl = lines(_rows(dy.data, axis)), lines(xp)
+    xr, gr = _rows(x.data, axis), _rows(dy.data, axis)
+    b, c, _, orth = xr.shape
     k64 = kernel_n.astype(np.float64)
-    ramp = np.arange(n)
-    diag = (ramp[:, None] + ramp[None, :]) % n
+    d_input = np.empty(x.shape, dtype=x.dtype)
+    d_rows = _rows(d_input, axis)
 
-    def adjoint(g_lines, k):
-        """dxp lines and dK for cotangent lines against the kernel rows k."""
-        gram = np.swapaxes(g_lines, -1, -2) @ xl
-        dk = np.take_along_axis(gram, np.broadcast_to(diag, gram.shape), axis=-1).sum(axis=-2)
-        return g_lines @ _circulant(k), dk
-
-    if p.mode == "depthwise":
-        dxl, dwn = adjoint(g, k64)
+    if not _circulant_fits(n, b * orth):
+        dxp, d_kernel_n = _tap_adjoint(xr, gr, k64, pe_n, p.mode)
+        d_rows[...] = dxp
+        d_pe_n, d_bias = dxp.sum(axis=(0, 3)), gr.sum(axis=(0, 2, 3), dtype=np.float64)
     else:
-        dxl, dwn = np.zeros(xl.shape), np.empty(k64.shape)
-        for o in range(p.channels_out):
-            part, dwn[o] = adjoint(g[o], k64[o])
-            dxl += part
+        d_kernel_n, d_pe_n = np.empty(k64.shape), np.empty((c, n))
+        d_bias = np.empty(p.channels_out)
+        # d_input as lines-last (C, B, orth, N), the layout of _lines
+        d_lines = d_rows.transpose(1, 0, 3, 2)
+        depthwise = p.mode == "depthwise"
+        for blk in _channel_blocks(c, b * orth * n * 8) if depthwise else [slice(None)]:
+            xl, g = _lines(xr, blk, pe_n), _lines(gr, blk)
+            if depthwise:
+                d_kernel_n[blk] = _wrapped_diagonals(np.swapaxes(g, 1, 2) @ xl)
+                dxl = g @ _circulant(k64[blk])
+            else:
+                dxl = np.zeros(xl.shape)
+                for o in range(p.channels_out):
+                    d_kernel_n[o] = _wrapped_diagonals(g[o].T @ xl)
+                    dxl += g[o] @ _circulant(k64[o])
+            d_bias[blk] = g.sum(axis=(1, 2))
+            d_pe_n[blk] = dxl.sum(axis=1)
+            d_lines[blk] = dxl.reshape(d_lines[blk].shape)
 
-    d_pe_n = dxl.sum(axis=1)
-    d_input = _rows(dxl.reshape(xp.shape[1], x.shape[0], -1, n).transpose(perm), axis)
     return ParCGrads(
-        d_input=Tensor4(np.ascontiguousarray(d_input, dtype=x.dtype)),
-        d_kernel_n=dwn,
+        d_input=Tensor4(d_input),
+        d_kernel_n=d_kernel_n,
         d_pe_n=d_pe_n,
-        d_bias=g.sum(axis=(1, 2)),
-        d_meta_kernel=interp_linear_adjoint(dwn, p.k_meta),
+        d_bias=d_bias,
+        d_meta_kernel=interp_linear_adjoint(d_kernel_n, p.k_meta),
         d_meta_pe=interp_linear_adjoint(d_pe_n, p.meta_pe.shape[-1]),
     )

@@ -263,10 +263,36 @@ class TestChannelBlocks:
             parc_forward_via_concat(Tensor4(x), p)
             assert sizes == [b for b in want[name] for _ in range(9)] + [self.C], name
 
+    GRAD_FIELDS = ("d_input", "d_kernel_n", "d_pe_n", "d_bias", "d_meta_kernel", "d_meta_pe")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    @pytest.mark.parametrize("branch", ["circulant", "taps"])
+    def test_backward_gives_the_same_bits_at_every_budget(self, branch, orientation, dtype,
+                                                          monkeypatch):
+        """parc_backward runs per channel block inside the memory rule and
+        through the blocked tap loop outside it; neither mixes channels."""
+        rng = np.random.default_rng(37)
+        p = random_params(rng, self.C, orientation=orientation)
+        shape = self.SHAPES["concat" if branch == "circulant" else "modulo"][orientation]
+        assert takes_circulant(shape, p) == (branch == "circulant")
+        x = rng.standard_normal(shape).astype(dtype)
+        dy = Tensor4(rng.standard_normal(shape).astype(dtype))
+        lines = x.shape[0] * x.shape[2] * x.shape[3] * 8
+        want = None
+        for budget in (1 << 40, 1, 2 * lines, 3 * lines):
+            monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", budget)
+            g = parc_backward(Tensor4(x), p, dy)
+            got = [getattr(g, f) for f in self.GRAD_FIELDS]
+            got = [v.data if isinstance(v, Tensor4) else v for v in got]
+            want = want or [v.tobytes() for v in got]
+            assert [v.tobytes() for v in got] == want, budget
+
 
 class TestMemoryRule:
-    """parc_forward builds the (C, N, N) circulant stack only while it holds no
-    more elements than the (B, C, 2N-1, orth) extension of the tap loop."""
+    """parc_forward and parc_backward build (C, N, N) circulant stacks only
+    while one holds no more elements than the (B, C, 2N-1, orth) extension of
+    the tap loop."""
 
     @staticmethod
     def spy_circulant(monkeypatch):
@@ -323,6 +349,34 @@ class TestMemoryRule:
         got = parc_forward(x, p).data
         assert built == []
         assert got.tobytes() == parc_forward_via_concat(x, p).data.tobytes()
+
+    @pytest.mark.parametrize("mode, orientation", [("depthwise", "H"), ("depthwise", "V"),
+                                                   ("dense", "H")])
+    def test_thin_map_backward_builds_no_stack(self, mode, orientation, monkeypatch):
+        # (C, N, N) float64 stacks would take 64 MiB here; the input is 64 KiB
+        rng = np.random.default_rng(41)
+        n = 1024 if mode == "depthwise" else 256
+        p = random_params(rng, 8, orientation=orientation, mode=mode, kernel_scale=1.0 / n)
+        shape = (1, 8, n, 1) if orientation == "H" else (1, 8, 1, n)
+        x = Tensor4(rng.standard_normal(shape))
+        dy = Tensor4(rng.standard_normal(shape))
+        built = self.spy_circulant(monkeypatch)
+        peak = self.peak(lambda x, p: parc_backward(x, p, dy), x, p)
+        assert built == []
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    def test_blocked_backward_peak(self, orientation):
+        """The circulant backward holds one channel block's float64 lines,
+        Grams and circulants at a time: 8.4 (H) and 10.6 MiB (V) unblocked
+        against a 1 MiB input."""
+        rng = np.random.default_rng(42)
+        p = random_params(rng, 32, orientation=orientation)
+        x = Tensor4(rng.standard_normal((2, 32, 50, 83)).astype(np.float32))
+        dy = Tensor4(rng.standard_normal((2, 32, 50, 83)).astype(np.float32))
+        assert takes_circulant(x.shape, p)
+        peak = self.peak(lambda x, p: parc_backward(x, p, dy), x, p)
+        assert peak < 5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestShiftEquivariance:
@@ -418,13 +472,16 @@ class TestBackward:
         """
         rng = np.random.default_rng(65)
         tol = 1e-5 if dtype == np.float32 else 1e-12
-        for n in (1, 2, 13, 50, 83, 131, 224):
+        # thin maps from n = 13 on take the tap-loop adjoint, square ones the circulant
+        thin = [(2, 2, n, 3) for n in (1, 2, 13, 50, 83, 131, 224)]
+        for shape in thin + [(1, 2, n, n) for n in (50, 83)]:
             c_out = 2 if mode == "depthwise" else 3
             p = random_params(rng, 2, orientation=orientation, mode=mode, channels_out=c_out)
             axis = 2 if orientation == "H" else 3
-            shape = (2, 2, n, 3) if orientation == "H" else (2, 2, 3, n)
+            n = shape[2]
+            shape = shape if orientation == "H" else shape[:2] + shape[2:][::-1]
             x = Tensor4(rng.standard_normal(shape).astype(dtype))
-            dy = rng.standard_normal((2, c_out) + shape[2:]).astype(dtype)
+            dy = rng.standard_normal((shape[0], c_out) + shape[2:]).astype(dtype)
             g = parc_backward(x, p, Tensor4(dy))
 
             kernel_n, pe_n, bias = p.resolved(n, x.dtype_name)

@@ -10,14 +10,16 @@ share the depthwise tap loop, and the two blocks that run ``parc_forward``.
 Each output line names one result and the sha256 of its dtype, shape and
 C-order bytes, so two trees compute bitwise-identical results exactly when
 their outputs are equal.  Results are named by route: ``modulo`` is
-``parc_forward`` (depthwise, a circulant matmul on every map here but the
-thin 2x3x1x5 V sweep, which keeps the tap loop), ``concat`` is
-``parc_forward_via_concat`` (the tap loop) and ``freq`` is
-``fast_parc_forward``; ``metaformer`` and ``convnet_mixer`` run
-``parc_forward``.  Against a tree whose ``parc_forward`` ran the tap loop on
-every map, only depthwise ``modulo`` results on the matmul branch and block
-results may differ, within roundoff (36 of 472; the one-tap 2x3x1x5 H sweep
-rounds alike on both), and the thin 2x3x1x5 V results must not.
+``parc_forward``, ``concat`` is ``parc_forward_via_concat`` (the tap loop)
+and ``freq`` is ``fast_parc_forward``; ``metaformer`` and ``convnet_mixer``
+run ``parc_forward``; ``grad.*`` are the fields of ``parc_backward``.  Two
+sweeps here fall outside the memory rule of ``parc_forward`` and
+``parc_backward``, N^2 <= B * orth * (2N - 1): the 2x3x1x5 V sweep and the
+1x4x64x2 H sweep.  On them ``parc_forward`` keeps the tap loop and
+``parc_backward`` runs its tap-loop adjoint; on every other sweep both run
+circulant matmuls.  Against a tree whose ``parc_backward`` built circulants
+on every map, only the ``grad.*`` results of those two thin sweeps may
+differ, within roundoff; every other result must match bit for bit.
 
 Every route runs twice on the same inputs and params, and the digest is the
 first call's.  The second call is served from the params' plan caches, so a
@@ -39,9 +41,10 @@ import sys
 
 import numpy as np
 
-# (B, C, H, W) maps; the last two keep every extent small and odd
+# (B, C, H, W) maps; the fifth and sixth keep every extent small and odd, the
+# sixth and seventh are thin in V and in H
 MAPS = ((2, 32, 50, 83), (1, 48, 28, 28), (8, 32, 64, 64), (1, 8, 224, 224),
-        (2, 3, 7, 13), (2, 3, 1, 5))
+        (2, 3, 7, 13), (2, 3, 1, 5), (1, 4, 64, 2))
 
 
 def _digest(arr) -> str:
