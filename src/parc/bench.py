@@ -6,8 +6,10 @@ calls on a monotonic clock.
 Reported spread is the population standard deviation.  The circular ops time
 the composite used in real blocks, ``blocks.split_sweep``: the channel split,
 half the channels swept along H, half along V, and the concatenation of the
-two halves ("parc" runs the periodic-extension spatial route, "fastparc" the
-frequency route), so their mul_count matches the model in ``flops``.
+two halves ("parc" runs the periodic-extension spatial route, "circ" the
+depthwise circulant matmul of ``parc_forward``, "fastparc" the frequency
+route), so their mul_count matches the model in ``flops``; "circ" is charged
+the tap loop's count, as it does the same multiplications.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .blocks import random_convnet_mixer, split_sweep
 from .conv_baseline import ZeroPadConvParams, dwconv2d_zeropad
 from .fast_parc import fast_parc_forward
 from .flops import dw_taps, format_mega, op_mul_count
-from .parc_spatial import parc_forward_via_concat
+from .parc_spatial import parc_forward, parc_forward_via_concat
 from .tensor import Tensor4, dtype_from_name
 
 
@@ -89,7 +91,8 @@ def _make_runner(op: str, cfg: BenchConfig, resolution: int):
         p = ZeroPadConvParams(rng.uniform(-1, 1, (cfg.channels, k, k)) / (k * k),
                               pad=(k - 1) // 2, orientation="2D")
         return lambda: dwconv2d_zeropad(x, p)
-    route = {"parc": parc_forward_via_concat, "fastparc": fast_parc_forward}[op]
+    route = {"parc": parc_forward_via_concat, "circ": parc_forward,
+             "fastparc": fast_parc_forward}[op]
     mixer = random_convnet_mixer(rng, cfg.channels, kernel_scale=1.0 / n)
     return lambda: split_sweep(x, mixer.parc_h, mixer.parc_v, route)
 

@@ -184,8 +184,19 @@ def random_metaformer(rng: np.random.Generator, channels: int,
 
 
 def _token_mixer(x: Tensor4, p: MetaFormerBlockParams) -> np.ndarray:
-    mid = split_sweep(x, p.first_h, p.second_v, parc_forward)
-    return split_sweep(mid, p.first_v, p.second_h, parc_forward).data
+    """u = x + TokenMixer(x) as a new array.
+
+    Channels [0, C/2) run first_h then first_v, and [C/2, C) run second_v
+    then second_h, back to back, so the calls go H, V, V, H.  Each half adds
+    its input into its slice of one preallocated u; no intermediate map is
+    split or concatenated.  ``parc_forward`` is looked up at call time."""
+    half = x.shape[1] // 2
+    u = np.empty_like(x.data)
+    for sl, a, b in ((slice(None, half), p.first_h, p.first_v),
+                     (slice(half, None), p.second_v, p.second_h)):
+        xs = x.data[:, sl]
+        np.add(xs, parc_forward(parc_forward(Tensor4(xs), a), b).data, out=u[:, sl])
+    return u
 
 
 def metaformer_block_forward(x: Tensor4, p: MetaFormerBlockParams) -> Tensor4:
@@ -193,7 +204,6 @@ def metaformer_block_forward(x: Tensor4, p: MetaFormerBlockParams) -> Tensor4:
     if x.shape[1] != p.channels:
         raise ValueError(f"input carries {x.shape[1]} channels, block expects {p.channels}")
     u = _token_mixer(x, p)
-    u += x.data
     # pointwise layers as BLAS matmuls over (B, C, H*W), each bias and
     # activation applied in place; einsum would run a C loop
     cast = lambda a: a.astype(x.dtype)

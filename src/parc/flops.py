@@ -102,11 +102,12 @@ def op_mul_count(op: str, channels: int, resolution: int) -> int:
     """Multiplication count of a named op at a square resolution (odd K for dw<K>)."""
     if (k := dw_taps(op)) is not None and k % 2:
         return flops_dwconv2d(channels, resolution, resolution, k, k)
-    if op == "parc":
+    if op in ("parc", "circ"):  # the circulant matmul does the tap loop's multiplications
         return flops_parc(channels, resolution, resolution)
     if op == "fastparc":
         return flops_fast_parc(channels, resolution, resolution)
-    raise ValueError(f"unknown op {op!r}; expected dw<K> for odd K (e.g. dw3, dw7), parc or fastparc")
+    raise ValueError(f"unknown op {op!r}; expected dw<K> for odd K (e.g. dw3, dw7), "
+                     "parc, circ or fastparc")
 
 
 def complexity_curve(op: str, channels: int, resolutions) -> list[tuple[int, int]]:

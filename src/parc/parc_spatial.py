@@ -256,9 +256,14 @@ def _accumulate(xp, kernel_n, bias, mode, axis):
 def _circulant(k: np.ndarray) -> np.ndarray:
     """Circulant stack M[..., i, l] = k[..., (l - i) mod N] of kernel rows
     k (..., N): along one line the forward is y = M @ xp and the input
-    adjoint is dY @ M."""
+    adjoint is dY @ M.
+
+    The stack is C-contiguous, so every (N, N) slice has a unit-stride row
+    and ``matmul`` hands it to BLAS.  ``np.take`` along the last axis builds
+    it in that layout; the fancy index k[..., idx] would move the leading
+    axes fastest, and matmul would fall back to its own loop."""
     ramp = np.arange(k.shape[-1])
-    return k[..., (ramp[None, :] - ramp[:, None]) % k.shape[-1]]
+    return np.take(k, (ramp[None, :] - ramp[:, None]) % k.shape[-1], axis=-1)
 
 
 def _circulant_fits(n: int, lines: int) -> bool:
@@ -276,14 +281,15 @@ def parc_forward(x: Tensor4, p: ParCParams) -> Tensor4:
     additionally contracts over input channels.  Output shape matches the
     input except that dense mode replaces C with channels_out.
 
-    Depthwise, y = M @ xp with the (C, N, N) circulant stack M of
-    ``_circulant``, in the input's precision, over the (B, C, N, orth)
-    offset input, so BLAS runs batch, channels and lines at once.  The stack
-    is built only while it holds no more elements than the periodic
-    extension the tap loop would allocate, N^2 <= B * orth * (2N - 1), so
-    peak memory never exceeds the tap loop's, and kept as a plan of the
-    params.  Dense mode and thin maps run the tap loop of
-    ``parc_forward_via_concat``, bit for bit.
+    Depthwise, y = M @ xp with the C-contiguous (C, N, N) circulant stack M
+    of ``_circulant``, in the input's precision, over the C-contiguous
+    (B, C, N, orth) offset input: matmul loops over batch and channels and
+    hands each (N, N) @ (N, orth) product, every line of one channel, to
+    BLAS.  The stack is built only while it holds no more elements than the
+    periodic extension the tap loop would allocate,
+    N^2 <= B * orth * (2N - 1), so peak memory never exceeds the tap loop's,
+    and kept as a plan of the params.  Dense mode and thin maps run the tap
+    loop of ``parc_forward_via_concat``, bit for bit.
     """
     axis, n, kernel_n, bias, xp = _offset_input(x, p)
     b, _, _, orth = xp.shape

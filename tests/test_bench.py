@@ -6,6 +6,7 @@ tiny iteration counts and check structure, not speed.
 
 import pytest
 
+import parc.bench as bench_mod
 from parc.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -112,11 +113,27 @@ class TestTinyRun:
         with pytest.raises(ValueError, match="unknown op"):
             run_bench(cfg)
 
-    def test_odd_channels_rejected_for_circular_ops(self):
-        cfg = BenchConfig(channels=3, resolutions=(4,), ops=("parc",),
+    @pytest.mark.parametrize("op", ["parc", "circ", "fastparc"])
+    def test_odd_channels_rejected_for_circular_ops(self, op):
+        cfg = BenchConfig(channels=3, resolutions=(4,), ops=(op,),
                           warmup=1, iters=1)
         with pytest.raises(ValueError, match="even"):
             run_bench(cfg)
+
+    def test_circ_times_the_circulant_matmul_through_split_sweep(self, monkeypatch):
+        # "circ" must run parc_forward on both halves, and be charged the tap loop's count
+        seen = []
+        real = bench_mod.parc_forward
+
+        def spy(x, p):
+            seen.append(p.orientation)
+            return real(x, p)
+
+        monkeypatch.setattr(bench_mod, "parc_forward", spy)
+        cfg = BenchConfig(channels=4, resolutions=(8,), ops=("circ",), warmup=1, iters=2)
+        rec, = run_bench(cfg)
+        assert seen == ["H", "V"] * 3
+        assert (rec.op, rec.mul_count) == ("circ", op_mul_count("parc", 4, 8))
 
 
 class TestSerialization:

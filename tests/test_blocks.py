@@ -226,12 +226,23 @@ def halves(x):
             Tensor4(np.ascontiguousarray(x.data[:, half:])))
 
 
-def block_reference(x, p):
-    """metaformer_block_forward written out per half, without split_sweep."""
+def per_half_mixer(x, p):
+    """The token mixer written out per half, without split_sweep."""
     first, second = halves(x)
     first = parc_forward(parc_forward(first, p.first_h), p.first_v)
     second = parc_forward(parc_forward(second, p.second_v), p.second_h)
-    u = x.data + np.concatenate([first.data, second.data], axis=1)
+    return np.concatenate([first.data, second.data], axis=1)
+
+
+def split_sweep_mixer(x, p):
+    """The token mixer as two split_sweep rounds, each concatenating its halves."""
+    mid = split_sweep(x, p.first_h, p.second_v, parc_forward)
+    return split_sweep(mid, p.first_v, p.second_h, parc_forward).data
+
+
+def block_reference(x, p, mixer=per_half_mixer):
+    """metaformer_block_forward composed from a reference token mixer."""
+    u = mixer(x, p) + x.data
     cast = lambda a: a.astype(x.dtype)
     lines = u.reshape(x.shape[0], x.shape[1], -1)
     h = np.tanh(np.matmul(cast(p.mlp_w1), lines) + cast(p.mlp_b1)[:, None])
@@ -267,6 +278,21 @@ class TestSplitSweep:
         x = Tensor4(rng.standard_normal((2, 6, 5, 8)).astype(dtype))
         got = metaformer_block_forward(x, p).data
         assert got.tobytes() == block_reference(x, p).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("shape", [(1, 8, 7, 13), (2, 8, 7, 13), (1, 8, 50, 83),
+                                       (2, 8, 50, 83), (2, 8, 3, 40)])
+    def test_metaformer_block_matches_split_sweep_composition(self, shape, dtype):
+        # the halves of the mixer run back to back, each adding its input into
+        # one output; that must give the bits of two split_sweep rounds plus
+        # the residual, on the circulant branch and on the thin 3x40 map's tap loop
+        rng = np.random.default_rng(35)
+        p = random_metaformer(rng, shape[1], kernel_scale=1.0 / max(shape[2:]))
+        x = Tensor4(rng.standard_normal(shape).astype(dtype))
+        want = split_sweep_mixer(x, p) + x.data
+        assert blocks._token_mixer(x, p).tobytes() == want.tobytes()
+        got = metaformer_block_forward(x, p).data
+        assert got.tobytes() == block_reference(x, p, split_sweep_mixer).tobytes()
 
 
 class TestRouteLookup:

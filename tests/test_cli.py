@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 import parc.cli as cli_mod
 from parc.cli import main
-from parc.flops import op_mul_count
+from parc.flops import format_mega, op_mul_count
 from parc.tensor import Tensor4, read_fixture
 
 
@@ -91,6 +91,13 @@ class TestFlopsCmd:
         assert f"parc,4,16,{op_mul_count('parc', 4, 16)}" in lines
         assert len(lines) == 5
 
+    def test_circ_curve_is_the_tap_loops(self, runner):
+        result = runner.invoke(main, ["flops", "--ops", "parc,circ",
+                                      "--channels", "4", "--resolutions", "8"])
+        assert result.exit_code == 0, result.output
+        lines = result.output.strip().splitlines()
+        assert lines[1:] == [f"{op},4,8,{op_mul_count('parc', 4, 8)}" for op in ("parc", "circ")]
+
     def test_file_output(self, runner, tmp_path):
         out = tmp_path / "curves.csv"
         result = runner.invoke(main, ["flops", "--ops", "fastparc",
@@ -135,6 +142,25 @@ class TestBenchCmd:
                             "latency_ms_mean,latency_ms_std,iters,host")
         assert len(lines) == 5
         assert "crossover (frequency beats spatial):" in result.output
+
+    def test_circ_op_runs_and_keeps_the_crossover_to_parc(self, runner):
+        result = runner.invoke(main, [
+            "bench", "--channels", "2", "--resolutions", "4,8",
+            "--ops", "parc,circ,fastparc", "--warmup", "1", "--iters", "1", "--md",
+        ])
+        assert result.exit_code == 0, result.output
+        assert f"| circ | 8 | {format_mega(op_mul_count('parc', 2, 8))} |" in result.output
+        # the printed crossover compares fastparc against parc only
+        assert result.output.count("crossover (frequency beats spatial):") == 1
+
+    def test_circ_alone_prints_no_crossover(self, runner):
+        result = runner.invoke(main, [
+            "bench", "--channels", "2", "--resolutions", "4,8",
+            "--ops", "circ,fastparc", "--warmup", "1", "--iters", "1",
+        ])
+        assert result.exit_code == 0, result.output
+        assert "circ @8" in result.output
+        assert "crossover" not in result.output
 
     def test_markdown_flag(self, runner):
         result = runner.invoke(main, [

@@ -56,6 +56,12 @@ class TestFrozenCounts:
     def test_parc_is_half_chw_times_perimeter(self):
         assert flops_parc(2, 4, 6) == 2 * 4 * 6 * (4 + 6) // 2
 
+    @pytest.mark.parametrize("n", [28, 56, 112, 224])
+    def test_circ_is_charged_the_tap_loops_count(self, n):
+        # the circulant matmul does the tap loop's multiplications, in another order
+        assert op_mul_count("circ", 96, n) == op_mul_count("parc", 96, n) == \
+            REFERENCE_COUNTS[("parc", 96, n)]
+
     def test_fast_parc_formula(self):
         c, h, w = 4, 8, 8
         l = 3
@@ -69,6 +75,8 @@ class TestGuards:
             flops_parc(7, 4, 4)
         with pytest.raises(ValueError, match="even"):
             op_mul_count("parc", 7, 4)
+        with pytest.raises(ValueError, match="even"):
+            op_mul_count("circ", 7, 4)
 
     def test_positive_dims(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -79,8 +87,10 @@ class TestGuards:
     def test_unknown_op(self):
         with pytest.raises(ValueError, match="unknown op"):
             op_mul_count("conv9000", 96, 56)
-        with pytest.raises(ValueError, match="dw<K>"):
+        with pytest.raises(ValueError, match="dw<K>.*parc, circ or fastparc"):
             op_mul_count("dwx", 96, 56)
+        with pytest.raises(ValueError, match="unknown op 'circulant'"):
+            op_mul_count("circulant", 96, 56)
         # no same-size depthwise conv has an even K, so the harness cannot run one
         for op in ("dw0", "dw2", "dw4"):
             with pytest.raises(ValueError, match="unknown op .*odd K"):
@@ -89,7 +99,7 @@ class TestGuards:
 
 class TestScaling:
     def test_monotone_in_resolution(self):
-        for op in ("dw3", "dw7", "parc", "fastparc"):
+        for op in ("dw3", "dw7", "parc", "circ", "fastparc"):
             counts = [op_mul_count(op, 96, n) for n in (28, 56, 112, 224)]
             assert counts == sorted(counts) and len(set(counts)) == 4
 

@@ -671,6 +671,34 @@ class TestParamsContract:
             parc_forward(Tensor4.zeros((1, 2, 4, 4)), p)
 
 
+class TestCirculantLayout:
+    """``_circulant`` returns C-contiguous stacks, so every (N, N) slice has a
+    unit-stride row and the forward's and backward's matmuls run on BLAS."""
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 7), (3, 4, 7)], ids=["row", "depthwise", "dense"])
+    def test_stack_is_contiguous_and_circulant(self, shape):
+        k = np.random.default_rng(84).standard_normal(shape)
+        m = parc_spatial._circulant(k)
+        assert m.flags.c_contiguous
+        n = shape[-1]
+        want = np.empty(shape + (n,))
+        for i, l in np.ndindex(n, n):
+            want[..., i, l] = k[..., (l - i) % n]
+        assert np.array_equal(m, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    def test_cached_forward_plan_is_contiguous(self, dtype, orientation):
+        rng = np.random.default_rng(85)
+        p = random_params(rng, 6, orientation=orientation)
+        x = Tensor4(rng.standard_normal((2, 6, 12, 9)).astype(dtype))
+        parc_forward(x, p)
+        n = 12 if orientation == "H" else 9
+        stack, = p._plans[("circulant", n, x.dtype_name)]
+        assert stack.shape == (6, n, n) and stack.dtype == dtype
+        assert stack.flags.c_contiguous
+
+
 class TestPlanCache:
     """Resolved rows, weight spectra and circulant stacks are plans cached on
     the params as read-only arrays, at most ``_PLAN_CAP`` of them."""
