@@ -65,7 +65,7 @@ def _correlate_zeropad(x: np.ndarray, kernel: np.ndarray, pad: tuple) -> np.ndar
     by pad = (pad_h, pad_w), run by the shared channel-blocked tap loop."""
     xpad = np.pad(x, [(0, 0), (0, 0), (pad[0], pad[0]), (pad[1], pad[1])])
     _, k_h, k_w = kernel.shape
-    y = np.zeros(x.shape[:2] + (xpad.shape[2] - k_h + 1, xpad.shape[3] - k_w + 1), dtype=x.dtype)
+    y = np.empty(x.shape[:2] + (xpad.shape[2] - k_h + 1, xpad.shape[3] - k_w + 1), dtype=x.dtype)
     _correlate(xpad, kernel.astype(x.dtype), y)
     return y
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parc_spatial import ParCParams, _offset_input, _per_channel, _rows
+from .parc_spatial import ParCParams, _channel_blocks, _offset_input, _per_channel, _rows
 from .tensor import Tensor4, working_dtype
 
 _MAX_RADIX = 128
@@ -243,7 +243,11 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
 
     Adds the position embedding spatially, transforms every line along the
     swept axis, multiplies by the conjugated kernel spectrum bin-wise,
-    transforms back, and adds bias.  Depthwise mode only.  ``parallel`` is
+    transforms back, and adds bias.  Depthwise mode only.  Channels run in
+    ``parc_spatial._channel_blocks`` blocks, one transform pair per block,
+    sized so a block's spectra fit the tap loop's ``_BLOCK_BYTES``, and a
+    channel whose lines make one pair always alone; pairs never cross
+    channels, so the block size changes no bit.  ``parallel`` is
     accepted and ignored; perfbench's ``call_route`` still passes it.  The
     stage matmuls run on BLAS threads.
     """
@@ -253,13 +257,23 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
     plan = get_plan(n)
     wspec = weight_spectrum(p, n, x.dtype_name)
     batch, channels, _, orth = xp.shape
+    lines = batch * orth
     y = np.empty(x.shape, dtype=xp.dtype)
-    # (B, C, orth, N) line views of xp and of y, the latter written in place
-    lines_in, lines_out = np.swapaxes(xp, 2, 3), np.swapaxes(_rows(y, axis), 2, 3)
-    # one channel per transform: both lines of a pair must share one kernel
-    for c in range(channels):
-        spec = _rfft_lines(lines_in[:, c].reshape(-1, n), plan)
-        spec *= wspec[c]
-        lines_out[:, c] = _irfft_lines(spec, plan)[:batch * orth].reshape(batch, orth, n)
+    # (C, B, orth, N) line views of xp and of y, the latter written in place
+    lines_in = xp.transpose(1, 0, 3, 2)
+    lines_out = _rows(y, axis).transpose(1, 0, 3, 2)
+    # both lines of a pair share one channel's kernel, so a block transforms
+    # (cb, B * orth, N) lines, its spectra within the tap loop's byte budget;
+    # numpy runs a one-row product on gemv, which rounds unlike a row of gemm,
+    # so a channel of one pair is a block of its own at every budget
+    pairs = (lines + 1) // 2
+    length = plan.n if plan.inner is None else plan.inner.n
+    blocks = (_channel_blocks(channels, pairs * length * wspec.itemsize) if pairs > 1
+              else [slice(c, c + 1) for c in range(channels)])
+    for blk in blocks:
+        block = lines_in[blk]
+        spec = _rfft_lines(block.reshape(block.shape[0], lines, n), plan)
+        spec *= wspec[blk, None, :]
+        lines_out[blk] = _irfft_lines(spec, plan)[:, :lines].reshape(block.shape)
     y += _per_channel(bias)
     return Tensor4(y)

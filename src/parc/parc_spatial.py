@@ -17,14 +17,15 @@ the operator is also a product with the circulant M[i, l] = K[(l - i) mod N]
 stacked matmul, agreeing with the tap loop to roundoff.  Where that stack
 would outgrow the periodic extension (thin maps) and in dense mode,
 ``parc_forward`` runs the same tap loop, bit for bit.  In depthwise mode the
-tap loop is ``_correlate``, which runs all taps over one cache-sized channel
-block before the next; the zero-padded baselines in ``conv_baseline`` share
-it.  ``parc_backward`` computes the adjoint under the same memory rule: with
-circulants, one channel block at a time in depthwise mode, where they fit,
-and as a tap loop over periodic extensions on thin maps, so it never holds
-much more than the forward.  A frequency-domain route lives in
-``fast_parc``.  Resolved rows, weight spectra and forward circulant stacks
-are plans, cached by ``ParCParams.prepared``.
+tap loop is ``_correlate``, one einsum pass over a strided window view per
+cache-sized channel block, which stores no per-tap product; the zero-padded
+baselines in ``conv_baseline`` share it.  ``parc_backward`` computes the
+adjoint under the same memory rule: with circulants, one channel block at a
+time in depthwise mode, where they fit, and as a tap loop over periodic
+extensions on thin maps, so it never holds much more than the forward.  A
+frequency-domain route lives in ``fast_parc``.  Resolved rows, weight
+spectra and forward circulant stacks are plans, cached by
+``ParCParams.prepared``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ DEFAULT_META_LEN = 14
 # memory rule, so it is no larger than the extension its own call allocated.
 _PLAN_CAP = 16
 # Output bytes per channel block of the tap loop ``_correlate``: small enough that
-# a block's source window, product buffer and output stay in L2 over all taps.
+# a block's source window and output stay in L2 over all taps.  The frequency
+# route sizes its channel blocks of spectra by the same budget.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -208,22 +210,30 @@ def _channel_blocks(channels: int, channel_bytes: int) -> list:
 
 
 def _correlate(src, taps, y) -> None:
-    """Add sum_(r,s) taps[c, r, s] * src[:, c, r:r + h, s:s + w] into y[:, c]
+    """Write sum_(r,s) taps[c, r, s] * src[:, c, r:r + h, s:s + w] into y[:, c]
     for every channel c, (h, w) being y's last two extents.
 
-    Taps run in row-major order, each multiplied into one product buffer, one
-    ``_channel_blocks`` block of y's channels at a time: a block runs all its
-    taps before the next starts, so its source window, product buffer and
-    output stay in cache.  Channels never mix, so the block size changes no
-    output element's sequence of operations, or any bit.
+    Each ``_channel_blocks`` block of y's channels is one einsum pass over a
+    read-only strided view of its source, (B, cb, K_h, K_w, h, w), whose
+    element [b, c, r, s, i, j] is src[b, c, r + i, s + j]: all taps of a
+    block run before the next block starts, so its source window and output
+    stay in cache, and no product is stored.  einsum's C loop (no BLAS, no
+    fused multiply-add) then multiplies each tap and adds it into the output
+    element, tap after tap, as a multiply-then-add loop would, wherever the
+    taps are one column (K_w = 1), the output's last axis is longer than 1
+    and src and y are row-major, as every caller passes them.  Otherwise it
+    may sum the taps in its own order, within roundoff.  Channels never mix,
+    so the block size changes no output element's sequence of operations,
+    or any bit.
     """
     h, w = y.shape[2:]
+    sb, sc, sr, ss = src.strides
     for blk in _channel_blocks(y.shape[1], y[:, :1].nbytes):
-        dst = y[:, blk]
-        prod = np.empty_like(dst)
-        for r, s in np.ndindex(taps.shape[1:]):
-            np.multiply(_per_channel(taps[blk, r, s]), src[:, blk, r:r + h, s:s + w], out=prod)
-            dst += prod
+        part = src[:, blk]
+        win = np.lib.stride_tricks.as_strided(
+            part, part.shape[:2] + taps.shape[1:] + (h, w), (sb, sc, sr, ss, sr, ss),
+            writeable=False)
+        np.einsum("crs,bcrshw->bchw", taps[blk], win, out=y[:, blk])
 
 
 def _accumulate(xp, kernel_n, bias, mode, axis):
@@ -235,17 +245,20 @@ def _accumulate(xp, kernel_n, bias, mode, axis):
     tap-loop forward funnels through here so the accumulation order, and
     therefore every rounding, is identical; ``_tap_adjoint`` runs it over dY
     with the reversed kernel.  Depthwise, each ``_channel_blocks`` block
-    of the output builds its own slice of ext and runs ``_correlate`` on it
-    through ``run_sliced``, so no extension of the whole tensor is held.
+    of the output builds its own slice of ext, and ``_correlate``, through
+    ``run_sliced``, writes the block's output in one pass over its taps, so
+    no extension of the whole tensor and no per-tap product is held.
     """
     n = kernel_n.shape[-1]
-    y = np.zeros((xp.shape[0], kernel_n.shape[0], n, xp.shape[3]), dtype=xp.dtype)
+    shape = (xp.shape[0], kernel_n.shape[0], n, xp.shape[3])
     if mode == "depthwise":
+        y = np.empty(shape, dtype=xp.dtype)
         for blk in _channel_blocks(y.shape[1], y[:, :1].nbytes):
             part = xp[:, blk]
             run_sliced(_correlate, np.concatenate([part, part[:, :, :n - 1]], axis=2),
                        kernel_n[blk, :, None], y[:, blk])
     else:
+        y = np.zeros(shape, dtype=xp.dtype)
         ext = np.concatenate([xp, xp[:, :, :n - 1]], axis=2)
         for k in range(n):
             y += np.einsum("oi,bihw->bohw", kernel_n[:, :, k], ext[:, :, k:k + n])

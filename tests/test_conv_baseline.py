@@ -169,15 +169,9 @@ class TestChannelBlocks:
                               orientation=orientation)
         op = dwconv2d_zeropad if orientation == "2D" else conv1d_zeropad
         x = rng.standard_normal((2, self.C, 6, 9)).astype(dtype)
-        sizes, per_channel = [], parc_spatial._per_channel
-
-        def spy(vec):
-            sizes.append(vec.shape[0])
-            return per_channel(vec)
-
-        monkeypatch.setattr(parc_spatial, "_per_channel", spy)
+        sizes = test_parc_spatial.spy_block_passes(monkeypatch)
         # same-size outputs, so a block holds as many channels as the budget
-        # allows input channels; per block one size for each tap
+        # allows input channels; one einsum pass per block
         want = {"one_channel": [1] * 7, "ragged": [3, 3, 1], "one_block": [7]}
         got = {}
         for name, budget in test_parc_spatial.TestChannelBlocks.budgets(x).items():
@@ -185,7 +179,7 @@ class TestChannelBlocks:
             sizes.clear()
             got[name] = op(Tensor4(x), p).data
             assert got[name].dtype == dtype
-            assert sizes == [b for b in want[name] for _ in range(p.kernel[0].size)], name
+            assert sizes == want[name], name
         assert got["one_channel"].tobytes() == got["one_block"].tobytes()
         assert got["ragged"].tobytes() == got["one_block"].tobytes()
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parc
-from parc import fast_parc
+from parc import fast_parc, parc_spatial
 from parc.fast_parc import (
     _MAX_RADIX,
     FftPlan,
@@ -417,6 +417,58 @@ class TestRealPairs:
         spectral = fast_parc_forward(x, p).data
         assert spectral.dtype == dtype
         assert np.abs(spectral - spatial).max() / max(1.0, np.abs(spatial).max()) <= tol
+
+
+class TestChannelBlocks:
+    """fast_parc_forward transforms one ``_channel_blocks`` block of channels
+    per ``_rfft_lines`` call.  Both lines of a pair belong to one channel, so
+    every budget gives the bits of one channel per call.  A channel whose
+    lines make one pair keeps its own call at every budget: numpy runs a
+    one-row product on gemv, whose rounding differs from a row of gemm."""
+
+    C = 5
+
+    @staticmethod
+    def spy_rfft_calls(monkeypatch):
+        """Channel count of every ``_rfft_lines`` call, as a list."""
+        calls, rfft = [], fast_parc._rfft_lines
+        monkeypatch.setattr(fast_parc, "_rfft_lines",
+                            lambda lines, plan: calls.append(lines.shape[0]) or rfft(lines, plan))
+        return calls
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("orientation,shape", [
+        ("H", (2, C, 50, 83)), ("V", (2, C, 50, 83)), ("H", (1, C, 131, 3)),
+        ("V", (3, C, 7, 16)), ("H", (1, C, 64, 2)), ("V", (2, C, 1, 5)), ("H", (1, C, 9, 1))],
+        ids=["50x83-H", "50x83-V", "bluestein-131", "odd-lines", "one-pair", "one-pair-V",
+             "one-line"])
+    def test_every_budget_gives_one_channel_bits(self, orientation, shape, dtype, monkeypatch):
+        rng = np.random.default_rng(19)
+        p = random_params(rng, self.C, orientation=orientation)
+        x = Tensor4(rng.standard_normal(shape).astype(dtype))
+        fast_parc_forward(x, p)  # builds the weight spectrum outside the spy
+        calls = self.spy_rfft_calls(monkeypatch)
+        want = None
+        for budget in (1, 3000, 256 * 1024, 1 << 40):
+            monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", budget)
+            calls.clear()
+            got = fast_parc_forward(x, p).data
+            assert got.dtype == dtype
+            want = want or got.tobytes()
+            assert got.tobytes() == want, budget
+        one_pair = shape[0] * shape[5 - parc_spatial.sweep_axis(orientation)] <= 2
+        assert calls == ([1] * self.C if one_pair else [self.C])
+
+    def test_224_keeps_one_channel_per_call(self, monkeypatch):
+        # one channel's 112 complex64 spectra of 224 bins take 196 KiB of the
+        # 256 KiB default budget
+        rng = np.random.default_rng(20)
+        p = random_params(rng, 3, orientation="H")
+        x = Tensor4(rng.standard_normal((1, 3, 224, 224)).astype(np.float32))
+        fast_parc_forward(x, p)
+        calls = self.spy_rfft_calls(monkeypatch)
+        fast_parc_forward(x, p)
+        assert calls == [1, 1, 1]
 
 
 def _source_lines(pattern: str) -> list:

@@ -210,6 +210,19 @@ def unblocked_forward(x, p):
     return np.swapaxes(y, 2, axis)
 
 
+def spy_block_passes(monkeypatch):
+    """Patch np.einsum to record the leading extent of its first operand,
+    the channel count of one ``_correlate`` block pass; returns the list."""
+    sizes, einsum = [], np.einsum
+
+    def spy(subscripts, *operands, **kw):
+        sizes.append(operands[0].shape[0])
+        return einsum(subscripts, *operands, **kw)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return sizes
+
+
 class TestChannelBlocks:
     """The depthwise tap loop runs per channel block; maps this small fit in
     one block at the default budget, so the budget is patched down to force
@@ -247,21 +260,14 @@ class TestChannelBlocks:
         rng = np.random.default_rng(36)
         p = random_params(rng, self.C, orientation="V")
         x = rng.standard_normal((2, self.C, 6, 9)).astype(np.float32)
-        sizes = []
-        per_channel = parc_spatial._per_channel
-
-        def spy(vec):
-            sizes.append(vec.shape[0])
-            return per_channel(vec)
-
-        monkeypatch.setattr(parc_spatial, "_per_channel", spy)
-        # per block one size for each of the 9 taps; the last entry is the bias
+        sizes = spy_block_passes(monkeypatch)
+        # one einsum pass per block, sized by the block's channel count
         want = {"one_channel": [1] * 7, "ragged": [3, 3, 1], "one_block": [7]}
         for name, budget in self.budgets(x).items():
             monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", budget)
             sizes.clear()
             parc_forward_via_concat(Tensor4(x), p)
-            assert sizes == [b for b in want[name] for _ in range(9)] + [self.C], name
+            assert sizes == want[name], name
 
     GRAD_FIELDS = ("d_input", "d_kernel_n", "d_pe_n", "d_bias", "d_meta_kernel", "d_meta_pe")
 
@@ -287,6 +293,79 @@ class TestChannelBlocks:
             got = [v.data if isinstance(v, Tensor4) else v for v in got]
             want = want or [v.tobytes() for v in got]
             assert [v.tobytes() for v in got] == want, budget
+
+
+def multiply_then_add(src, taps, y):
+    """The tap loop before the fused pass: y = 0, then for each tap in
+    row-major order one product into a buffer and one add into y."""
+    h, w = y.shape[2:]
+    y[...] = 0
+    prod = np.empty_like(y)
+    for r, s in np.ndindex(taps.shape[1:]):
+        np.multiply(taps[:, r, s].reshape(1, -1, 1, 1), src[:, :, r:r + h, s:s + w], out=prod)
+        y += prod
+
+
+class TestFusedTapLoop:
+    """``_correlate`` runs each channel block as one einsum pass.  Per output
+    element that is the old loop's multiply, then add, tap by tap, wherever
+    the taps are one column and the output's last axis is longer than 1;
+    there it must match ``multiply_then_add`` bit for bit, so a fused
+    multiply-add or a reordered tap sequence fails.  With one column of
+    output, or KxK taps, einsum may sum in its own order: within 1e-6 (f32)
+    or 1e-13 (f64) of sum |k| |x| per element.  Five channels at a budget
+    of two per block leave a ragged last block."""
+
+    C = 5
+
+    @staticmethod
+    def case(rng, dtype, orientation, taps_shape, out_hw):
+        """Source, taps and output as ``_correlate``'s callers pass them:
+        row-major, swept axis at 2.  A V map is drawn as (B, C, orth, N) and
+        reaches that layout through a transposing copy, as in ``_offset_input``."""
+        b, c, (h, w) = 2, TestFusedTapLoop.C, out_hw
+        src_hw = (h + taps_shape[1] - 1, w + taps_shape[2] - 1)
+        if orientation == "V":
+            src = np.swapaxes(rng.standard_normal((b, c) + src_hw[::-1]), 2, 3)
+        else:
+            src = rng.standard_normal((b, c) + src_hw)
+        taps = rng.uniform(-1, 1, taps_shape).astype(dtype)
+        return np.ascontiguousarray(src, dtype), taps, np.empty((b, c, h, w), dtype)
+
+    def run(self, monkeypatch, src, taps, y):
+        monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", 2 * y[:, :1].nbytes)
+        want = np.empty_like(y)
+        multiply_then_add(src, taps, want)
+        parc_spatial._correlate(src, taps, y)
+        return want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 83, 131])
+    def test_column_taps_match_multiply_then_add_bitwise(self, n, orientation, dtype,
+                                                         monkeypatch):
+        rng = np.random.default_rng(n)
+        for orth in (2, 3, 16):
+            src, taps, y = self.case(rng, dtype, orientation, (self.C, n, 1), (n, orth))
+            want = self.run(monkeypatch, src, taps, y)
+            assert y.tobytes() == want.tobytes(), orth
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    @pytest.mark.parametrize("taps_shape, out_hw", [
+        ((C, 7, 1), (7, 1)), ((C, 83, 1), (83, 1)), ((C, 131, 1), (131, 1)),
+        ((C, 3, 3), (6, 9)), ((C, 7, 7), (50, 83)), ((C, 3, 5), (9, 6))],
+        ids=["orth1-n7", "orth1-n83", "orth1-n131", "k3", "k7", "k3x5"])
+    def test_other_taps_match_to_roundoff(self, taps_shape, out_hw, orientation, dtype,
+                                          monkeypatch):
+        rng = np.random.default_rng(taps_shape[1] * 10 + taps_shape[2])
+        src, taps, y = self.case(rng, dtype, orientation, taps_shape, out_hw)
+        want = self.run(monkeypatch, src, taps, y)
+        scale = np.empty(y.shape)
+        multiply_then_add(np.abs(src.astype(np.float64)), np.abs(taps.astype(np.float64)), scale)
+        tol = 1e-6 if dtype == np.float32 else 1e-13
+        assert y.dtype == dtype
+        assert (np.abs(y.astype(np.float64) - want) <= tol * scale).all()
 
 
 class TestMemoryRule:

@@ -20,6 +20,12 @@ sweeps here fall outside the memory rule of ``parc_forward`` and
 circulant matmuls.  Against a tree whose ``parc_backward`` built circulants
 on every map, only the ``grad.*`` results of those two thin sweeps may
 differ, within roundoff; every other result must match bit for bit.
+Against a tree whose depthwise tap loop multiplied each tap into a product
+buffer before adding it, rather than running one einsum pass per channel
+block, only tap-loop results whose taps einsum may sum in its own order may
+differ, within roundoff: the ``dwconv2d.*`` results (KxK taps) and, on
+sweeps whose orthogonal axis has length 1, such as the 2x3x1x5 V sweep,
+``conv1d`` and the tap-loop ``concat``, ``modulo`` and ``grad.*`` results.
 
 Every route runs twice on the same inputs and params, and the digest is the
 first call's.  The second call is served from the params' plan caches, so a
