@@ -6,8 +6,12 @@ the transforms needed to exploit that.  Every transform is a short chain of
 one stage kind: a batched matmul with a DFT matrix of radix <= _MAX_RADIX, a
 twiddle multiply and an axis swap (Bailey's four-step FFT).  A length with a
 prime factor above _MAX_RADIX runs a Bluestein chirp convolution on such a
-chain, so every N >= 1 works.  The real path packs two real lines into one
-complex line and never splits its spectrum.
+chain, so every N >= 1 works.  Real lines take one of two paths, chosen
+by the plan's stage count.  At a one-stage length (N <= _MAX_RADIX) each
+line is multiplied by a real (N, 2h) cos/sin table into its h = N//2 + 1
+half-spectrum bins, and a matching real table maps the bins back.  At a
+multi-stage or Bluestein length two real lines ride one complex line, a +
+i*b, whose full spectrum is never split.
 
 ``fast_parc_forward`` is the operator-level entry point and matches the
 spatial routes in ``parc_spatial`` to roundoff.
@@ -70,12 +74,40 @@ def _dft_stages(radices, cdt) -> list:
     return stages
 
 
+def _real_stage(n: int, rdt) -> tuple:
+    """The one-stage real DFT of length n in real dtype rdt, as ([stage],
+    inverse).  The stage (n, 1, None, table) holds the (n, 2h) table whose
+    columns 2k and 2k + 1 are cos and -sin of 2*pi*j*k/n, h = n//2 + 1 and
+    angles reduced mod n, so a real line times it gives its bins k < h as
+    interleaved real and imaginary parts.  The (2h, n) inverse is the table
+    transposed and scaled by 1/n for DC and Nyquist, 2/n for every other bin;
+    the imaginary columns of those two bins are zero, so their imaginary
+    parts are ignored both ways."""
+    h = n // 2 + 1
+    angle = (2 * np.pi / n) * (np.outer(np.arange(n), np.arange(h)) % n)
+    table = np.stack((np.cos(angle), -np.sin(angle)), axis=-1)
+    table[:, 0, 1] = 0.0
+    weight = np.full(h, 2.0 / n)
+    weight[0] = 1.0 / n
+    if n % 2 == 0:
+        table[:, -1, 1] = 0.0
+        weight[-1] = 1.0 / n
+    inverse = (table * weight[:, None]).reshape(n, 2 * h).T
+    return ([(n, 1, None, table.reshape(n, 2 * h).astype(rdt))],
+            np.ascontiguousarray(inverse, dtype=rdt))
+
+
 def _fft_rec(x: np.ndarray, stages, depth: int) -> np.ndarray:
     """DFT along the last axis of a complex array, one four-step stage per
     call, returned as (lines, n).  With n = f*m, input j1*m + j2 and output
     k1 + f*k2: a length-f DFT over j1, twiddles w_n^(k1*j2), a length-m
-    transform of the tail over j2, then the (k1, k2) axes swap."""
+    transform of the tail over j2, then the (k1, k2) axes swap.  The real
+    stage of ``_real_stage`` (no twiddles) is a leaf of its own: a real
+    (..., n) array times its table, (..., 2h) interleaved bins, where matmul
+    hands each (L, n) line matrix to BLAS whatever its strides."""
     f, m, tw, dmat = stages[depth]
+    if tw is None:
+        return np.matmul(x, dmat)
     if m == 1:
         return x.reshape(-1, f) @ dmat
     y = (dmat @ x.reshape(-1, f, m)) * tw
@@ -93,7 +125,10 @@ class FftPlan:
     _MAX_RADIX: such a plan has no radices of its own and reaches its length
     through a chirp convolution whose transforms run on ``inner``, the cached
     plan of a power-of-two length m >= 2n - 1; every other plan has ``inner``
-    None.  Tables are built per precision on first use.
+    None.  Tables are built per precision on first use.  A one-stage plan
+    (n <= _MAX_RADIX) has ``half_spectrum`` True: its real lines take the
+    real stage of ``_real_stage``, built per real dtype, and keep h = n//2 +
+    1 bins each.  Every other plan pairs real lines into complex ones.
     """
 
     def __init__(self, n: int):
@@ -102,16 +137,20 @@ class FftPlan:
         self.n = n
         self.radices = _radices(n)
         self.strategy = "mixed-radix" if self.radices else "bluestein"
+        self.half_spectrum = len(self.radices) == 1
         self.inner = None if self.radices else get_plan(1 << (2 * n - 1).bit_length())
         self._cache = {}
 
-    def _tables(self, cdt: np.dtype):
-        """Stage list, or Bluestein (chirp, transformed filter), in dtype cdt."""
-        tables = self._cache.get(cdt)
+    def _tables(self, dt: np.dtype):
+        """Stage list, or Bluestein (chirp, transformed filter), in complex
+        dtype dt; ``_real_stage``'s tables for a real dtype dt."""
+        tables = self._cache.get(dt)
         if tables is None:
             n = self.n
-            if self.inner is None:
-                tables = _dft_stages(self.radices, cdt)
+            if dt.kind == "f":
+                tables = _real_stage(n, dt)
+            elif self.inner is None:
+                tables = _dft_stages(self.radices, dt)
             else:
                 m = self.inner.n
                 idx = np.arange(n, dtype=np.int64)
@@ -120,8 +159,8 @@ class FftPlan:
                 b = np.zeros(m, dtype=np.complex128)
                 b[:n] = np.conj(chirp)
                 b[m - n + 1:] = np.conj(chirp)[1:][::-1]
-                tables = (chirp.astype(cdt), _fft_array(b, self.inner).astype(cdt))
-            self._cache[cdt] = tables
+                tables = (chirp.astype(dt), _fft_array(b, self.inner).astype(dt))
+            self._cache[dt] = tables
         return tables
 
 
@@ -136,8 +175,12 @@ def get_plan(n: int) -> FftPlan:
 
 
 def _fft_array(x: np.ndarray, plan: FftPlan) -> np.ndarray:
-    """Forward DFT along the last axis of a complex array of length plan.n."""
+    """Forward DFT along the last axis of a complex array of length plan.n.
+    A real float array, on a ``half_spectrum`` plan only, gets its
+    (..., n//2 + 1) half spectra from the real stage, any strides allowed."""
     tables = plan._tables(x.dtype)
+    if x.dtype.kind == "f":
+        return _fft_rec(x, tables[0], 0).view(np.result_type(x.dtype, np.complex64))
     if plan.inner is None:
         return _fft_rec(x, tables, 0).reshape(x.shape)
     chirp, bfft = tables
@@ -153,15 +196,23 @@ def _ifft_array(x: np.ndarray, plan: FftPlan) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Real-input path.  Two real lines ride one complex transform: correlation
-# with a real kernel is linear over C, so corr(a + i*b, k) = corr(a, k) +
-# i*corr(b, k) and the pair comes back as the real and imaginary parts.
+# Real-input path.  On a one-stage plan each real line keeps its half
+# spectrum.  On any other plan two real lines ride one complex transform:
+# correlation with a real kernel is linear over C, so corr(a + i*b, k) =
+# corr(a, k) + i*corr(b, k) and the pair comes back as the real and
+# imaginary parts.
 # ---------------------------------------------------------------------------
 
 
 def _rfft_lines(lines: np.ndarray, plan: FftPlan) -> np.ndarray:
-    """(..., L, n) real -> (..., ceil(L/2), n) full spectra of lines[2j] +
+    """Spectra of real lines along the last axis.
+
+    On a ``half_spectrum`` plan (n <= _MAX_RADIX): (..., L, n) -> (..., L,
+    n//2 + 1) half spectra, line by line, read through lines' own strides.
+    Otherwise (..., L, n) -> (..., ceil(L/2), n) full spectra of lines[2j] +
     i*lines[2j+1], paired along axis -2; an odd last line pairs with zeros."""
+    if plan.half_spectrum:
+        return _fft_array(lines, plan)
     count = lines.shape[-2]
     z = np.zeros(lines.shape[:-2] + ((count + 1) // 2, plan.n),
                  dtype=np.result_type(lines.dtype, np.complex64))
@@ -170,9 +221,14 @@ def _rfft_lines(lines: np.ndarray, plan: FftPlan) -> np.ndarray:
     return _fft_array(z, plan)
 
 
-def _irfft_lines(spec: np.ndarray, plan: FftPlan) -> np.ndarray:
-    """(..., P, n) complex -> (..., 2P, n) real, the inverse's real and
-    imaginary parts interleaved; undoes ``_rfft_lines``."""
+def _irfft_lines(spec: np.ndarray, plan: FftPlan, out=None) -> np.ndarray:
+    """Undoes ``_rfft_lines``.  On a ``half_spectrum`` plan: (..., L, n//2 +
+    1) complex -> (..., L, n) real lines, written into out when given, any
+    strides allowed.  Otherwise (..., P, n) complex -> (..., 2P, n) real, the
+    inverse's real and imaginary parts interleaved, and out must be None."""
+    if plan.half_spectrum:
+        rdt = spec.real.dtype
+        return np.matmul(spec.view(rdt), plan._tables(rdt)[1], out=out)
     w = _ifft_array(spec, plan)
     return np.stack((w.real, w.imag), axis=-2).reshape(w.shape[:-2] + (-1, plan.n))
 
@@ -231,9 +287,10 @@ def ifft(spec: Spectrum) -> np.ndarray:
 
 
 def weight_spectrum(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
-    """Conjugated full spectra (C, n) of the kernel lines, each with a zero
-    partner: the "spectrum" plan of the params, read-only; an unknown
-    dtype_name raises ValueError."""
+    """Conjugated spectra of the kernel lines: the "spectrum" plan of the
+    params, read-only; an unknown dtype_name raises ValueError.  (C, n//2 +
+    1) half spectra on a one-stage length, else (C, n) full spectra of each
+    line with a zero partner."""
     return p.prepared("spectrum", n, dtype_name, lambda: (np.conj(
         _rfft_lines(p.resolved(n, dtype_name)[0][:, None], get_plan(n))[:, 0]),))[0]
 
@@ -245,11 +302,17 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
     swept axis, multiplies by the conjugated kernel spectrum bin-wise,
     transforms back, and adds bias.  Depthwise mode only.  Channels run in
     ``parc_spatial._channel_blocks`` blocks, one transform pair per block,
-    sized so a block's spectra fit the tap loop's ``_BLOCK_BYTES``, and a
-    channel whose lines make one pair always alone; pairs never cross
-    channels, so the block size changes no bit.  ``parallel`` is
-    accepted and ignored; perfbench's ``call_route`` still passes it.  The
-    stage matmuls run on BLAS threads.
+    sized so a block's spectra fit the tap loop's ``_BLOCK_BYTES``.  Each
+    block's result overwrites its lines of the offset input, and the bias
+    add that allocates the output also undoes ``_offset_input``'s transpose,
+    so H and V sweeps run the same products.  At a one-stage length (n <=
+    _MAX_RADIX) the half-spectrum stage reads and writes the (C, B, orth, N)
+    line view of the offset input, one BLAS call per (channel, batch) line
+    matrix, with no gather or scatter copy.  At any other length the block's
+    lines are gathered and paired, and a channel whose lines make one pair is
+    always a block alone.  Lines never mix across channels, so the block
+    size changes no bit.  ``parallel`` is accepted and ignored; perfbench's
+    ``call_route`` still passes it.  The stage matmuls run on BLAS threads.
     """
     if p.mode != "depthwise":
         raise ValueError("the frequency route implements the depthwise operator only")
@@ -257,23 +320,27 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
     plan = get_plan(n)
     wspec = weight_spectrum(p, n, x.dtype_name)
     batch, channels, _, orth = xp.shape
-    lines = batch * orth
-    y = np.empty(x.shape, dtype=xp.dtype)
-    # (C, B, orth, N) line views of xp and of y, the latter written in place
-    lines_in = xp.transpose(1, 0, 3, 2)
-    lines_out = _rows(y, axis).transpose(1, 0, 3, 2)
-    # both lines of a pair share one channel's kernel, so a block transforms
-    # (cb, B * orth, N) lines, its spectra within the tap loop's byte budget;
-    # numpy runs a one-row product on gemv, which rounds unlike a row of gemm,
-    # so a channel of one pair is a block of its own at every budget
-    pairs = (lines + 1) // 2
-    length = plan.n if plan.inner is None else plan.inner.n
-    blocks = (_channel_blocks(channels, pairs * length * wspec.itemsize) if pairs > 1
-              else [slice(c, c + 1) for c in range(channels)])
-    for blk in blocks:
-        block = lines_in[blk]
-        spec = _rfft_lines(block.reshape(block.shape[0], lines, n), plan)
-        spec *= wspec[blk, None, :]
-        lines_out[blk] = _irfft_lines(spec, plan)[:, :lines].reshape(block.shape)
-    y += _per_channel(bias)
-    return Tensor4(y)
+    count = batch * orth
+    # (C, B, orth, N) line view of xp, overwritten block by block
+    lines = xp.transpose(1, 0, 3, 2)
+    if plan.half_spectrum:
+        # every (c, b) line matrix is its own BLAS call at any block size
+        for blk in _channel_blocks(channels, count * wspec[0].nbytes):
+            spec = _rfft_lines(lines[blk], plan)
+            spec *= wspec[blk, None, None, :]
+            _irfft_lines(spec, plan, out=lines[blk])
+    else:
+        # both lines of a pair share one channel's kernel, so a block transforms
+        # (cb, B * orth, N) lines, its spectra within the tap loop's byte budget;
+        # numpy runs a one-row product on gemv, which rounds unlike a row of
+        # gemm, so a channel of one pair is a block of its own at every budget
+        pairs = (count + 1) // 2
+        length = plan.n if plan.inner is None else plan.inner.n
+        blocks = (_channel_blocks(channels, pairs * length * wspec.itemsize) if pairs > 1
+                  else [slice(c, c + 1) for c in range(channels)])
+        for blk in blocks:
+            block = lines[blk]
+            spec = _rfft_lines(block.reshape(block.shape[0], count, n), plan)
+            spec *= wspec[blk, None, :]
+            block[...] = _irfft_lines(spec, plan)[:, :count].reshape(block.shape)
+    return Tensor4(np.add(_rows(xp, axis), _per_channel(bias), order="C"))

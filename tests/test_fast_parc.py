@@ -29,6 +29,10 @@ from parc.parc_spatial import ParCParams, parc_forward, parc_forward_via_concat,
 from parc.tensor import Tensor4
 
 
+def _rel(got, want):
+    return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+
 class TestNaiveReference:
     def test_unit_impulse_is_flat(self):
         got = dft_naive(np.array([1.0, 0, 0, 0]))
@@ -97,7 +101,8 @@ class TestPlans:
         plan = FftPlan(12)
         assert plan._cache == {}
         plan._tables(np.dtype(np.complex64))
-        assert list(plan._cache) == [np.dtype(np.complex64)]
+        plan._tables(np.dtype(np.float32))
+        assert list(plan._cache) == [np.dtype(np.complex64), np.dtype(np.float32)]
 
     def test_rank_guard(self):
         with pytest.raises(ValueError, match="vector"):
@@ -179,6 +184,15 @@ class TestF32ErrorGrowth:
         assert rel(fft(z).bins, dft_naive(z).bins) <= 1e-6
         assert rel(ifft(fft(x)), x) <= 1e-6
         assert rel(ifft(fft(z)), z) <= 1e-6
+
+    def test_half_spectrum_stage_at_every_one_stage_length(self):
+        rng = np.random.default_rng(301)
+        for n in range(1, _MAX_RADIX + 1):
+            lines = rng.standard_normal((2, n)).astype(np.float32)
+            plan = get_plan(n)
+            want = np.stack([dft_naive(line).bins[:n // 2 + 1] for line in lines])
+            assert _rel(_rfft_lines(lines, plan), want) <= 1e-6, n
+            assert _rel(_irfft_lines(_rfft_lines(lines, plan), plan), lines) <= 1e-6, n
 
 
 class TestBluesteinLong:
@@ -326,16 +340,18 @@ class TestSpectralCorrelation:
         with pytest.raises(ValueError, match="depthwise"):
             fast_parc_forward(Tensor4.zeros((1, 2, 4, 4)), p)
 
-    def test_weight_spectrum_cached(self):
+    @pytest.mark.parametrize("n,bins", [(16, 9), (224, 224)], ids=["half", "paired"])
+    def test_weight_spectrum_cached(self, n, bins):
+        """Half spectra at a one-stage length, full spectra where lines pair."""
         rng = np.random.default_rng(16)
         p = random_params(rng, 3)
-        a = weight_spectrum(p, 16, "f64")
-        b = weight_spectrum(p, 16, "f64")
+        a = weight_spectrum(p, n, "f64")
+        b = weight_spectrum(p, n, "f64")
         assert a is b
-        assert a.shape == (3, 16)
-        kernel_n, _, _ = p.resolved(16, "f64")
+        assert a.shape == (3, bins)
+        kernel_n, _, _ = p.resolved(n, "f64")
         for c in range(3):
-            want = np.conj(dft_naive(kernel_n[c]).bins)
+            want = np.conj(dft_naive(kernel_n[c]).bins[:bins])
             assert np.abs(a[c] - want).max() / max(1.0, np.abs(want).max()) <= 1e-12
 
     def test_weight_spectrum_miss_runs_one_rfft_and_a_hit_none(self, monkeypatch):
@@ -373,20 +389,83 @@ class TestSpectralCorrelation:
         assert started == []
 
 
-class TestRealPairs:
-    """Two real lines per complex transform; an odd last line pairs with zeros."""
+class TestHalfSpectrumLines:
+    """At one-stage lengths every real line keeps its own n//2 + 1 bins."""
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
-    @pytest.mark.parametrize("count", [1, 2, 3, 5])
-    @pytest.mark.parametrize("n", [1, 2, 7, 16, 37, 50, 83, 97, 224])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 37, 50, 83, 97, 128])
     def test_lines_against_naive_and_round_trip(self, n, count, dtype, tol):
         rng = np.random.default_rng(1000 * n + count)
         lines = rng.standard_normal((count, n)).astype(dtype)
         plan = get_plan(n)
+        assert plan.half_spectrum
+        h = n // 2 + 1
+        want = np.stack([dft_naive(line).bins[:h] for line in lines])
+        spec = _rfft_lines(lines, plan)
+        assert spec.shape == (count, h)
+        assert spec.dtype == np.result_type(dtype, np.complex64)
+        assert _rel(spec, want) <= tol
+        back = _irfft_lines(spec, plan)
+        assert back.shape == (count, n) and back.dtype == dtype
+        assert _rel(back, lines) <= tol
+        # leading-axis form (C, 1, n), as in weight_spectrum
+        lone = _rfft_lines(lines[:, None], plan)
+        assert lone.shape == (count, 1, h)
+        assert _rel(lone[:, 0], want) <= tol
+        assert _rel(_irfft_lines(lone, plan)[:, 0], lines) <= tol
 
-        def rel(got, want):
-            return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("n", [7, 50, 64])
+    def test_strided_lines_in_and_out(self, n, dtype):
+        """Transposed (L, n) line views go in and come out through their own
+        strides, as fast_parc_forward passes them."""
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((2, 3, n, 5)).astype(dtype)  # (B, C, N, orth)
+        view = rows.transpose(1, 0, 3, 2)  # (C, B, orth, N)
+        plan = get_plan(n)
+        spec = _rfft_lines(view, plan)
+        assert spec.shape == (3, 2, 5, n // 2 + 1)
+        assert _rel(spec, _rfft_lines(np.ascontiguousarray(view), plan)) <= tol
+        out = np.empty_like(rows)
+        got = _irfft_lines(spec, plan, out=out.transpose(1, 0, 3, 2))
+        assert np.shares_memory(got, out)
+        assert _rel(out, rows) <= tol
 
+    def test_dc_and_nyquist_imaginary_parts_are_ignored(self):
+        plan = get_plan(8)
+        spec = _rfft_lines(np.arange(8.0)[None], plan)
+        assert spec[0, 0].imag == 0 and spec[0, 4].imag == 0
+        bent = spec.copy()
+        bent[0, 0] += 3j
+        bent[0, 4] -= 2j
+        assert _irfft_lines(bent, plan).tobytes() == _irfft_lines(spec, plan).tobytes()
+
+    def test_runs_inside_fft_array_and_fft_rec(self, monkeypatch):
+        # perfbench's trace spans on _fft_array and _fft_rec must fire at
+        # lengths where every line takes the half-spectrum stage
+        seen = []
+        for name in ("_fft_array", "_fft_rec"):
+            fn = getattr(fast_parc, name)
+            monkeypatch.setattr(fast_parc, name,
+                                lambda *a, fn=fn, name=name: seen.append(name) or fn(*a))
+        _rfft_lines(np.ones((3, 50)), get_plan(50))
+        assert seen == ["_fft_array", "_fft_rec"]
+
+
+class TestRealPairs:
+    """Past one stage, two real lines ride one complex transform; an odd last
+    line pairs with zeros."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [129, 224, 131])
+    def test_lines_against_naive_and_round_trip(self, n, count, dtype, tol):
+        rng = np.random.default_rng(1000 * n + count)
+        lines = rng.standard_normal((count, n)).astype(dtype)
+        plan = get_plan(n)
+        assert not plan.half_spectrum
         pairs = (count + 1) // 2
         spec = _rfft_lines(lines, plan)
         assert spec.shape == (pairs, n)
@@ -394,21 +473,22 @@ class TestRealPairs:
         padded = np.vstack((lines, np.zeros((2 * pairs - count, n), dtype=dtype)))
         want = np.stack([dft_naive(padded[2 * j] + 1j * padded[2 * j + 1]).bins
                          for j in range(pairs)])
-        assert rel(spec, want) <= tol
+        assert _rel(spec, want) <= tol
         back = _irfft_lines(spec, plan)
         assert back.shape == (2 * pairs, n) and back.dtype == dtype
-        assert rel(back[:count], lines) <= tol
+        assert _rel(back[:count], lines) <= tol
         # leading-axis form (C, 1, n): each line pairs with zeros, as in weight_spectrum
         lone = _rfft_lines(lines[:, None], plan)
         assert lone.shape == (count, 1, n)
-        assert rel(lone[:, 0], np.stack([dft_naive(line).bins for line in lines])) <= tol
+        assert _rel(lone[:, 0], np.stack([dft_naive(line).bins for line in lines])) <= tol
         back = _irfft_lines(lone, plan)
         assert back.shape == (count, 2, n)
-        assert rel(back[:, 0], lines) <= tol
+        assert _rel(back[:, 0], lines) <= tol
         assert np.abs(back[:, 1]).max() <= tol * max(1.0, np.abs(lines).max())
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
-    @pytest.mark.parametrize("orientation,shape", [("H", (1, 3, 37, 5)), ("V", (3, 3, 7, 16))])
+    @pytest.mark.parametrize("orientation,shape", [("H", (1, 3, 37, 5)), ("V", (3, 3, 7, 16)),
+                                                   ("H", (1, 3, 131, 5)), ("V", (3, 3, 7, 224))])
     def test_odd_channels_and_lines_match_spatial_route(self, orientation, shape, dtype, tol):
         rng = np.random.default_rng(18)
         p = random_params(rng, 3, orientation=orientation)
@@ -416,13 +496,15 @@ class TestRealPairs:
         spatial = parc_forward(x, p).data
         spectral = fast_parc_forward(x, p).data
         assert spectral.dtype == dtype
-        assert np.abs(spectral - spatial).max() / max(1.0, np.abs(spatial).max()) <= tol
+        assert _rel(spectral, spatial) <= tol
 
 
 class TestChannelBlocks:
     """fast_parc_forward transforms one ``_channel_blocks`` block of channels
-    per ``_rfft_lines`` call.  Both lines of a pair belong to one channel, so
-    every budget gives the bits of one channel per call.  A channel whose
+    per ``_rfft_lines`` call, and lines never mix across channels.  On the
+    half-spectrum stage every (channel, batch) line matrix is its own BLAS
+    call at every budget, so every budget gives the same bits.  Where lines
+    pair, both lines of a pair belong to one channel, and a channel whose
     lines make one pair keeps its own call at every budget: numpy runs a
     one-row product on gemv, whose rounding differs from a row of gemm."""
 
@@ -439,9 +521,10 @@ class TestChannelBlocks:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("orientation,shape", [
         ("H", (2, C, 50, 83)), ("V", (2, C, 50, 83)), ("H", (1, C, 131, 3)),
-        ("V", (3, C, 7, 16)), ("H", (1, C, 64, 2)), ("V", (2, C, 1, 5)), ("H", (1, C, 9, 1))],
-        ids=["50x83-H", "50x83-V", "bluestein-131", "odd-lines", "one-pair", "one-pair-V",
-             "one-line"])
+        ("V", (3, C, 7, 16)), ("H", (1, C, 64, 2)), ("V", (2, C, 1, 5)), ("H", (1, C, 9, 1)),
+        ("H", (1, C, 131, 2)), ("V", (1, C, 1, 224))],
+        ids=["50x83-H", "50x83-V", "bluestein-131", "odd-lines", "two-lines", "two-lines-V",
+             "one-line", "one-pair", "one-pair-V"])
     def test_every_budget_gives_one_channel_bits(self, orientation, shape, dtype, monkeypatch):
         rng = np.random.default_rng(19)
         p = random_params(rng, self.C, orientation=orientation)
@@ -456,7 +539,9 @@ class TestChannelBlocks:
             assert got.dtype == dtype
             want = want or got.tobytes()
             assert got.tobytes() == want, budget
-        one_pair = shape[0] * shape[5 - parc_spatial.sweep_axis(orientation)] <= 2
+        axis = parc_spatial.sweep_axis(orientation)
+        one_pair = (not get_plan(shape[axis]).half_spectrum
+                    and shape[0] * shape[5 - axis] <= 2)
         assert calls == ([1] * self.C if one_pair else [self.C])
 
     def test_224_keeps_one_channel_per_call(self, monkeypatch):
@@ -469,6 +554,23 @@ class TestChannelBlocks:
         calls = self.spy_rfft_calls(monkeypatch)
         fast_parc_forward(x, p)
         assert calls == [1, 1, 1]
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)],
+                             ids=["f32", "f64"])
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    @pytest.mark.parametrize("n", [128, 129])
+    def test_tap_loop_agrees_across_the_path_boundary(self, n, orientation, dtype, tol):
+        """128 is the longest half-spectrum length, 129 (3 x 43) the
+        shortest that pairs; both agree with the tap loop, odd orth 5."""
+        assert get_plan(n).half_spectrum == (n <= _MAX_RADIX)
+        rng = np.random.default_rng(n)
+        p = random_params(rng, 3, orientation=orientation)
+        shape = (2, 3, n, 5) if orientation == "H" else (2, 3, 5, n)
+        x = Tensor4(rng.standard_normal(shape).astype(dtype))
+        want = parc_forward_via_concat(x, p).data
+        got = fast_parc_forward(x, p).data
+        assert got.dtype == dtype
+        assert _rel(got, want) <= tol
 
 
 def _source_lines(pattern: str) -> list:

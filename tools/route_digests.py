@@ -26,6 +26,11 @@ block, only tap-loop results whose taps einsum may sum in its own order may
 differ, within roundoff: the ``dwconv2d.*`` results (KxK taps) and, on
 sweeps whose orthogonal axis has length 1, such as the 2x3x1x5 V sweep,
 ``conv1d`` and the tap-loop ``concat``, ``modulo`` and ``grad.*`` results.
+Against a tree whose frequency route paired real lines at every length,
+rather than giving each line its half spectrum at lengths up to 128, only
+the ``freq`` results of sweeps whose swept length is at most 128 may
+differ, within roundoff; the ``freq`` results of the 224x224 sweeps and
+every other result must match bit for bit.
 
 Every route runs twice on the same inputs and params, and the digest is the
 first call's.  The second call is served from the params' plan caches, so a
