@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parc_spatial import _correlate, _rows, sweep_axis
-from .tensor import Tensor4, finite_field
+from .tensor import Tensor4, check_count, finite_field
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,7 @@ class ZeroPadConvParams:
             raise ValueError(f"orientation {self.orientation} needs a rank-{want} kernel")
         if k.ndim == 3 and k.shape[1] != k.shape[2]:
             raise ValueError("2D kernels must be square")
-        if not isinstance(self.pad, (int, np.integer)):
-            raise ValueError(f"pad must be an integer, got {self.pad!r}")
-        if self.pad < 0:
-            raise ValueError("pad must be >= 0")
+        check_count("pad", self.pad, 0)
 
     @property
     def channels(self) -> int:

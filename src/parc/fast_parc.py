@@ -6,12 +6,13 @@ the transforms needed to exploit that.  Every transform is a short chain of
 one stage kind: a batched matmul with a DFT matrix of radix <= _MAX_RADIX, a
 twiddle multiply and an axis swap (Bailey's four-step FFT).  A length with a
 prime factor above _MAX_RADIX runs a Bluestein chirp convolution on such a
-chain, so every N >= 1 works.  Real lines take one of two paths, chosen
-by the plan's stage count.  At a one-stage length (N <= _MAX_RADIX) each
-line is multiplied by a real (N, 2h) cos/sin table into its h = N//2 + 1
-half-spectrum bins, and a matching real table maps the bins back.  At a
-multi-stage or Bluestein length two real lines ride one complex line, a +
-i*b, whose full spectrum is never split.
+chain, so every N >= 1 works.  ``_rfft_lines`` and ``_irfft_lines`` take
+real lines to spectra and back, and only they know the spectrum's format,
+which the plan's stage count picks.  At a one-stage length (N <=
+_MAX_RADIX) each line is multiplied by a real (N, 2h) cos/sin table into
+its h = N//2 + 1 half-spectrum bins, and a matching real table maps the
+bins back.  At a multi-stage or Bluestein length two neighbouring real
+lines ride one complex line, a + i*b, whose full spectrum is never split.
 
 ``fast_parc_forward`` is the operator-level entry point and matches the
 spatial routes in ``parc_spatial`` to roundoff.
@@ -196,21 +197,22 @@ def _ifft_array(x: np.ndarray, plan: FftPlan) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Real-input path.  On a one-stage plan each real line keeps its half
-# spectrum.  On any other plan two real lines ride one complex transform:
-# correlation with a real kernel is linear over C, so corr(a + i*b, k) =
-# corr(a, k) + i*corr(b, k) and the pair comes back as the real and
-# imaginary parts.
+# Real-input path, the only code that knows a real line's spectrum format.
+# On a one-stage plan each real line keeps its half spectrum.  On any other
+# plan lines 2j and 2j + 1 ride one complex transform: correlation with a
+# real kernel is linear over C, so corr(a + i*b, k) = corr(a, k) +
+# i*corr(b, k) and the pair comes back as the real and imaginary parts.
 # ---------------------------------------------------------------------------
 
 
 def _rfft_lines(lines: np.ndarray, plan: FftPlan) -> np.ndarray:
-    """Spectra of real lines along the last axis.
+    """Spectra of real (..., L, n) lines along the last axis, read through
+    the lines' own strides.
 
-    On a ``half_spectrum`` plan (n <= _MAX_RADIX): (..., L, n) -> (..., L,
-    n//2 + 1) half spectra, line by line, read through lines' own strides.
-    Otherwise (..., L, n) -> (..., ceil(L/2), n) full spectra of lines[2j] +
-    i*lines[2j+1], paired along axis -2; an odd last line pairs with zeros."""
+    On a ``half_spectrum`` plan (n <= _MAX_RADIX): (..., L, n//2 + 1) half
+    spectra, line by line.  Otherwise (..., ceil(L/2), n) full spectra of
+    lines[2j] + i*lines[2j+1], paired along axis -2 of the view given; an
+    odd last line pairs with zeros."""
     if plan.half_spectrum:
         return _fft_array(lines, plan)
     count = lines.shape[-2]
@@ -222,15 +224,20 @@ def _rfft_lines(lines: np.ndarray, plan: FftPlan) -> np.ndarray:
 
 
 def _irfft_lines(spec: np.ndarray, plan: FftPlan, out=None) -> np.ndarray:
-    """Undoes ``_rfft_lines``.  On a ``half_spectrum`` plan: (..., L, n//2 +
-    1) complex -> (..., L, n) real lines, written into out when given, any
-    strides allowed.  Otherwise (..., P, n) complex -> (..., 2P, n) real, the
-    inverse's real and imaginary parts interleaved, and out must be None."""
+    """Undoes ``_rfft_lines``: (..., L, n) real lines from its spectra,
+    written into out when given, any strides allowed.  On a paired plan the
+    real and imaginary parts of each inverse go straight to lines 2j and
+    2j + 1 of out, the zero partner of an odd L dropped; without out, all
+    2P lines of P pairs come back."""
     if plan.half_spectrum:
         rdt = spec.real.dtype
         return np.matmul(spec.view(rdt), plan._tables(rdt)[1], out=out)
     w = _ifft_array(spec, plan)
-    return np.stack((w.real, w.imag), axis=-2).reshape(w.shape[:-2] + (-1, plan.n))
+    if out is None:
+        out = np.empty(w.shape[:-2] + (2 * w.shape[-2], plan.n), dtype=w.real.dtype)
+    out[..., 0::2, :] = w.real
+    out[..., 1::2, :] = w.imag[..., :out.shape[-2] // 2, :]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +295,10 @@ def ifft(spec: Spectrum) -> np.ndarray:
 
 def weight_spectrum(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
     """Conjugated spectra of the kernel lines: the "spectrum" plan of the
-    params, read-only; an unknown dtype_name raises ValueError.  (C, n//2 +
-    1) half spectra on a one-stage length, else (C, n) full spectra of each
-    line with a zero partner."""
+    params, read-only; an unknown dtype_name raises ValueError.  Row c is
+    ``_rfft_lines`` of kernel line c alone, (C, n//2 + 1) half spectra on a
+    one-stage length, else (C, n) full spectra of each line with a zero
+    partner, so it multiplies any spectra of channel c's lines."""
     return p.prepared("spectrum", n, dtype_name, lambda: (np.conj(
         _rfft_lines(p.resolved(n, dtype_name)[0][:, None], get_plan(n))[:, 0]),))[0]
 
@@ -302,17 +310,15 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
     swept axis, multiplies by the conjugated kernel spectrum bin-wise,
     transforms back, and adds bias.  Depthwise mode only.  Channels run in
     ``parc_spatial._channel_blocks`` blocks, one transform pair per block,
-    sized so a block's spectra fit the tap loop's ``_BLOCK_BYTES``.  Each
-    block's result overwrites its lines of the offset input, and the bias
-    add that allocates the output also undoes ``_offset_input``'s transpose,
-    so H and V sweeps run the same products.  At a one-stage length (n <=
-    _MAX_RADIX) the half-spectrum stage reads and writes the (C, B, orth, N)
-    line view of the offset input, one BLAS call per (channel, batch) line
-    matrix, with no gather or scatter copy.  At any other length the block's
-    lines are gathered and paired, and a channel whose lines make one pair is
-    always a block alone.  Lines never mix across channels, so the block
-    size changes no bit.  ``parallel`` is accepted and ignored; perfbench's
-    ``call_route`` still passes it.  The stage matmuls run on BLAS threads.
+    each channel charged B*orth rows of ``weight_spectrum`` (rows of the
+    inner length at a Bluestein length) against the tap loop's
+    ``_BLOCK_BYTES``.  The transforms read and write the block through the
+    (C, B, orth, N) line view of the offset input, with no gather or scatter
+    copy, and the bias add that allocates the output also undoes
+    ``_offset_input``'s transpose, so H and V sweeps run the same products.
+    Lines never mix across channels, so the block size changes no bit.
+    ``parallel`` is accepted and ignored; perfbench's ``call_route`` still
+    passes it.  The stage matmuls run on BLAS threads.
     """
     if p.mode != "depthwise":
         raise ValueError("the frequency route implements the depthwise operator only")
@@ -320,27 +326,12 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
     plan = get_plan(n)
     wspec = weight_spectrum(p, n, x.dtype_name)
     batch, channels, _, orth = xp.shape
-    count = batch * orth
     # (C, B, orth, N) line view of xp, overwritten block by block
     lines = xp.transpose(1, 0, 3, 2)
-    if plan.half_spectrum:
-        # every (c, b) line matrix is its own BLAS call at any block size
-        for blk in _channel_blocks(channels, count * wspec[0].nbytes):
-            spec = _rfft_lines(lines[blk], plan)
-            spec *= wspec[blk, None, None, :]
-            _irfft_lines(spec, plan, out=lines[blk])
-    else:
-        # both lines of a pair share one channel's kernel, so a block transforms
-        # (cb, B * orth, N) lines, its spectra within the tap loop's byte budget;
-        # numpy runs a one-row product on gemv, which rounds unlike a row of
-        # gemm, so a channel of one pair is a block of its own at every budget
-        pairs = (count + 1) // 2
-        length = plan.n if plan.inner is None else plan.inner.n
-        blocks = (_channel_blocks(channels, pairs * length * wspec.itemsize) if pairs > 1
-                  else [slice(c, c + 1) for c in range(channels)])
-        for blk in blocks:
-            block = lines[blk]
-            spec = _rfft_lines(block.reshape(block.shape[0], count, n), plan)
-            spec *= wspec[blk, None, :]
-            block[...] = _irfft_lines(spec, plan)[:, :count].reshape(block.shape)
+    # a Bluestein transform works on lines of its inner length, m >= 2n - 1
+    length = n if plan.inner is None else plan.inner.n
+    for blk in _channel_blocks(channels, batch * orth * wspec[0].nbytes * length // n):
+        spec = _rfft_lines(lines[blk], plan)
+        spec *= wspec[blk, None, None, :]
+        _irfft_lines(spec, plan, out=lines[blk])
     return Tensor4(np.add(_rows(xp, axis), _per_channel(bias), order="C"))

@@ -13,6 +13,8 @@ import contextlib
 import csv
 from dataclasses import dataclass
 
+from .tensor import check_count
+
 
 @dataclass(frozen=True)
 class FlopsReport:
@@ -24,8 +26,7 @@ class FlopsReport:
 
 def _positive(**dims):
     for name, v in dims.items():
-        if v < 1:
-            raise ValueError(f"{name} must be >= 1, got {v}")
+        check_count(name, v, 1)
 
 
 def _even_channels(c: int):

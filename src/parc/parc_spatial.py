@@ -430,7 +430,9 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     if not _circulant_fits(n, b * orth):
         dxp, d_kernel_n = _tap_adjoint(xr, gr, k64, pe_n, p.mode)
         d_rows[...] = dxp
-        d_pe_n, d_bias = dxp.sum(axis=(0, 3)), gr.sum(axis=(0, 2, 3), dtype=np.float64)
+        # summed in the swept-axis layout, so a V sweep sums as its H sweep does
+        d_pe_n = dxp.sum(axis=(0, 3))
+        d_bias = np.ascontiguousarray(gr).sum(axis=(0, 2, 3), dtype=np.float64)
     else:
         d_kernel_n, d_pe_n = np.empty(k64.shape), np.empty((c, n))
         d_bias = np.empty(p.channels_out)

@@ -114,6 +114,13 @@ def finite_field(obj, name: str) -> np.ndarray:
     return arr
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer >= least: a Python int or
+    a numpy integer, never a bool, as ``read_fixture`` reads shape entries."""
+    if not (type(value) is int or isinstance(value, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Linear resampling of 1D parameter vectors.
 #
@@ -144,9 +151,9 @@ def interp_linear(v: np.ndarray, n: int) -> np.ndarray:
 
     Args:
         v: source vector, shape (K,), K >= 1, of real values.
-        n: target length, an integer >= 1; a float such as 2.5 or 2.0
-            raises ValueError, as does a v that is not a non-empty vector
-            or that is complex.
+        n: target length, an integer >= 1; a bool or a float such as 2.5
+            or 2.0 raises ValueError, as does a v that is not a non-empty
+            vector or that is complex.
 
     Returns:
         Resampled vector of shape (n,) in ``working_dtype(v.dtype)``: float32
@@ -156,8 +163,7 @@ def interp_linear(v: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError("interp_linear expects a 1D vector with at least one entry")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"target length must be an integer >= 1, got {n!r}")
+    check_count("target length", n, 1)
     return interp_rows(v, n)
 
 
@@ -173,7 +179,7 @@ def interp_linear_adjoint(g: np.ndarray, k: int) -> np.ndarray:
     Args:
         g: cotangents of resampled vectors, shape (n,) or stacked (..., n).
         k: source length the gradient is scattered back to, an integer
-            >= 1; a float such as 2.0 raises ValueError.
+            >= 1; a bool or a float such as 2.0 raises ValueError.
 
     Returns:
         Accumulated gradient of shape (..., k), float64.
@@ -181,8 +187,7 @@ def interp_linear_adjoint(g: np.ndarray, k: int) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     if g.ndim < 1 or g.shape[-1] < 1:
         raise ValueError("interp_linear_adjoint expects cotangent rows of length >= 1")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"source length must be an integer >= 1, got {k!r}")
+    check_count("source length", k, 1)
     n = g.shape[-1]
     i0, i1, frac = _interp_taps(k, n)
     rows = np.arange(n)

@@ -144,8 +144,10 @@ class TestParamsValidation:
             ZeroPadConvParams(np.array([[np.nan, 1.0]]), pad=0, orientation="H")
         with pytest.raises(ValueError):
             ZeroPadConvParams(np.ones((1, 3)), pad=-1, orientation="H")
-        with pytest.raises(ValueError, match="integer"):
-            ZeroPadConvParams(np.ones((1, 3, 3)), pad=1.5, orientation="2D")
+        for pad in (1.5, 2.5, True, np.True_):
+            with pytest.raises(ValueError, match="pad must be an integer"):
+                ZeroPadConvParams(np.ones((1, 3, 3)), pad=pad, orientation="2D")
+        assert ZeroPadConvParams(np.ones((1, 3, 3)), pad=np.int64(1), orientation="2D").pad == 1
 
     def test_conv1d_rejects_2d_params(self):
         p = ZeroPadConvParams(np.ones((1, 3, 3)), pad=1, orientation="2D")

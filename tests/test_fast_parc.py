@@ -455,8 +455,8 @@ class TestHalfSpectrumLines:
 
 
 class TestRealPairs:
-    """Past one stage, two real lines ride one complex transform; an odd last
-    line pairs with zeros."""
+    """Past one stage, lines 2j and 2j + 1 ride one complex transform; an
+    odd last line pairs with zeros, and the inverse writes (..., L, n)."""
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("count", [1, 2, 3, 5])
@@ -477,6 +477,9 @@ class TestRealPairs:
         back = _irfft_lines(spec, plan)
         assert back.shape == (2 * pairs, n) and back.dtype == dtype
         assert _rel(back[:count], lines) <= tol
+        out = np.full_like(lines, np.nan)
+        assert _irfft_lines(spec, plan, out=out) is out
+        assert out.tobytes() == back[:count].tobytes()
         # leading-axis form (C, 1, n): each line pairs with zeros, as in weight_spectrum
         lone = _rfft_lines(lines[:, None], plan)
         assert lone.shape == (count, 1, n)
@@ -485,6 +488,25 @@ class TestRealPairs:
         assert back.shape == (count, 2, n)
         assert _rel(back[:, 0], lines) <= tol
         assert np.abs(back[:, 1]).max() <= tol * max(1.0, np.abs(lines).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("orth", [3, 4])
+    @pytest.mark.parametrize("n", [129, 131, 224])
+    def test_strided_lines_in_and_out(self, n, orth, dtype):
+        """Transposed (L, n) line views pair along their own axis -2 and come
+        back through out's strides, as fast_parc_forward passes them."""
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        rng = np.random.default_rng(n + orth)
+        rows = rng.standard_normal((2, 3, n, orth)).astype(dtype)  # (B, C, N, orth)
+        view = rows.transpose(1, 0, 3, 2)  # (C, B, orth, N)
+        plan = get_plan(n)
+        spec = _rfft_lines(view, plan)
+        assert spec.shape == (3, 2, (orth + 1) // 2, n)
+        assert spec.tobytes() == _rfft_lines(np.ascontiguousarray(view), plan).tobytes()
+        out = np.full_like(rows, np.nan)
+        got = _irfft_lines(spec, plan, out=out.transpose(1, 0, 3, 2))
+        assert np.shares_memory(got, out)
+        assert _rel(out, rows) <= tol
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("orientation,shape", [("H", (1, 3, 37, 5)), ("V", (3, 3, 7, 16)),
@@ -501,12 +523,9 @@ class TestRealPairs:
 
 class TestChannelBlocks:
     """fast_parc_forward transforms one ``_channel_blocks`` block of channels
-    per ``_rfft_lines`` call, and lines never mix across channels.  On the
-    half-spectrum stage every (channel, batch) line matrix is its own BLAS
-    call at every budget, so every budget gives the same bits.  Where lines
-    pair, both lines of a pair belong to one channel, and a channel whose
-    lines make one pair keeps its own call at every budget: numpy runs a
-    one-row product on gemv, whose rounding differs from a row of gemm."""
+    per ``_rfft_lines`` call, and lines never mix across channels: both
+    lines of a pair belong to one (channel, batch) line matrix.  So every
+    budget gives the same bits, on maps whose lines make one pair too."""
 
     C = 5
 
@@ -522,9 +541,10 @@ class TestChannelBlocks:
     @pytest.mark.parametrize("orientation,shape", [
         ("H", (2, C, 50, 83)), ("V", (2, C, 50, 83)), ("H", (1, C, 131, 3)),
         ("V", (3, C, 7, 16)), ("H", (1, C, 64, 2)), ("V", (2, C, 1, 5)), ("H", (1, C, 9, 1)),
-        ("H", (1, C, 131, 2)), ("V", (1, C, 1, 224))],
+        ("H", (1, C, 131, 2)), ("V", (1, C, 1, 224)), ("H", (2, C, 131, 3)),
+        ("V", (3, C, 5, 224))],
         ids=["50x83-H", "50x83-V", "bluestein-131", "odd-lines", "two-lines", "two-lines-V",
-             "one-line", "one-pair", "one-pair-V"])
+             "one-line", "one-pair", "one-pair-V", "odd-pairs", "odd-pairs-V"])
     def test_every_budget_gives_one_channel_bits(self, orientation, shape, dtype, monkeypatch):
         rng = np.random.default_rng(19)
         p = random_params(rng, self.C, orientation=orientation)
@@ -539,14 +559,11 @@ class TestChannelBlocks:
             assert got.dtype == dtype
             want = want or got.tobytes()
             assert got.tobytes() == want, budget
-        axis = parc_spatial.sweep_axis(orientation)
-        one_pair = (not get_plan(shape[axis]).half_spectrum
-                    and shape[0] * shape[5 - axis] <= 2)
-        assert calls == ([1] * self.C if one_pair else [self.C])
+        assert calls == [self.C]
 
     def test_224_keeps_one_channel_per_call(self, monkeypatch):
-        # one channel's 112 complex64 spectra of 224 bins take 196 KiB of the
-        # 256 KiB default budget
+        # one channel's 224 lines are charged 224 complex64 bins each, 392 KiB
+        # against the 256 KiB default budget
         rng = np.random.default_rng(20)
         p = random_params(rng, 3, orientation="H")
         x = Tensor4(rng.standard_normal((1, 3, 224, 224)).astype(np.float32))
@@ -554,6 +571,19 @@ class TestChannelBlocks:
         calls = self.spy_rfft_calls(monkeypatch)
         fast_parc_forward(x, p)
         assert calls == [1, 1, 1]
+
+    def test_bluestein_blocks_charge_the_inner_length(self, monkeypatch):
+        # 131 runs on inner length 512: one channel's 8 lines are charged 512
+        # complex64 bins each, 32 KiB, so a 64 KiB budget takes two channels
+        assert get_plan(131).inner.n == 512
+        rng = np.random.default_rng(21)
+        p = random_params(rng, self.C, orientation="H")
+        x = Tensor4(rng.standard_normal((2, self.C, 131, 4)).astype(np.float32))
+        fast_parc_forward(x, p)
+        calls = self.spy_rfft_calls(monkeypatch)
+        monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", 64 * 1024)
+        fast_parc_forward(x, p)
+        assert calls == [2, 2, 1]
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)],
                              ids=["f32", "f64"])

@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from parc.flops import (
@@ -83,6 +84,13 @@ class TestGuards:
             flops_dwconv2d(0, 4, 4, 3, 3)
         with pytest.raises(ValueError, match=">= 1"):
             flops_fast_parc(4, -1, 4)
+        # counts are exact integers: no bool or float dimension is accepted
+        for bad in (True, np.True_, 2.5):
+            with pytest.raises(ValueError, match="c must be an integer >= 1"):
+                flops_dwconv2d(bad, 3, 3, 3, 3)
+            with pytest.raises(ValueError, match="w must be an integer >= 1"):
+                flops_fast_parc(4, 4, bad)
+        assert flops_dwconv2d(np.int64(2), 3, 3, 3, 3) == 162
 
     def test_unknown_op(self):
         with pytest.raises(ValueError, match="unknown op"):

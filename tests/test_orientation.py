@@ -20,7 +20,8 @@ from parc.parc_spatial import (
 )
 from parc.tensor import Tensor4
 
-EXTENTS = [(1, 5), (7, 13), (50, 83)]
+# 3x131 sweeps a V map along Bluestein 131, whose lines pair, with orth 3
+EXTENTS = [(1, 5), (7, 13), (50, 83), (3, 131)]
 DTYPES = [np.float32, np.float64]
 # (route, keywords, mode); the frequency route is depthwise only.  The two
 # routes that still accept parallel=True (and ignore it) run with it too.

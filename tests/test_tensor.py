@@ -171,7 +171,7 @@ class TestInterp:
             interp_linear_adjoint(np.zeros(3), 0)
         with pytest.raises(ValueError):
             interp_linear_adjoint(np.float64(1.0), 2)
-        for length in (2.5, 2.0, "3", None):
+        for length in (2.5, 2.0, "3", None, True, np.True_):
             with pytest.raises(ValueError, match="must be an integer"):
                 interp_linear(np.ones(3), length)
             with pytest.raises(ValueError, match="must be an integer"):

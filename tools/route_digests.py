@@ -30,7 +30,11 @@ Against a tree whose frequency route paired real lines at every length,
 rather than giving each line its half spectrum at lengths up to 128, only
 the ``freq`` results of sweeps whose swept length is at most 128 may
 differ, within roundoff; the ``freq`` results of the 224x224 sweeps and
-every other result must match bit for bit.
+every other result must match bit for bit.  Against a tree that paired the
+B * orth lines of a channel across the batch, rather than the orth lines of
+each (channel, batch) line matrix, only the ``freq`` results of paired
+sweeps with B > 1 and odd orth (the 2x4x131x3 H sweep) may differ, within
+roundoff; every other result must match bit for bit.
 
 Every route runs twice on the same inputs and params, and the digest is the
 first call's.  The second call is served from the params' plan caches, so a
@@ -53,9 +57,10 @@ import sys
 import numpy as np
 
 # (B, C, H, W) maps; the fifth and sixth keep every extent small and odd, the
-# sixth and seventh are thin in V and in H
+# sixth and seventh are thin in V and in H, and the eighth's H sweep pairs
+# Bluestein-131 lines with B = 2 and an odd orth of 3
 MAPS = ((2, 32, 50, 83), (1, 48, 28, 28), (8, 32, 64, 64), (1, 8, 224, 224),
-        (2, 3, 7, 13), (2, 3, 1, 5), (1, 4, 64, 2))
+        (2, 3, 7, 13), (2, 3, 1, 5), (1, 4, 64, 2), (2, 4, 131, 3))
 
 
 def _digest(arr) -> str:
