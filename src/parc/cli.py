@@ -2,7 +2,7 @@
 block demos, and fixture generation.
 
 Exit codes: 0 on success, 1 when a verification (equiv) fails, 2 on usage
-errors.
+errors, 3 when an --out file cannot be written.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ from .tensor import DTYPE_NAMES, Tensor4, dtype_from_name, write_fixture
 # parc bench and parc flops take their defaults from the benchmark protocol.
 _PROTOCOL = bench_mod.BenchConfig
 _OPS, _RESOLUTIONS = ",".join(_PROTOCOL.ops), ",".join(map(str, _PROTOCOL.resolutions))
+
+
+class _OutputError(click.ClickException):
+    """An --out file that cannot be written: one line on stderr, exit code 3."""
+    exit_code = 3
 
 
 def _split(text: str, label: str) -> list[str]:
@@ -153,6 +158,8 @@ def flops_cmd(ops, channels, resolutions, out):
         write_curves_csv(out or sys.stdout, _split(ops, "--ops"), channels, res_list)
     except ValueError as e:
         raise click.UsageError(str(e))
+    except OSError as e:
+        raise _OutputError(f"cannot write {out or 'stdout'}: {e}")
     if out:
         click.echo(f"wrote {out}")
 
@@ -187,7 +194,10 @@ def bench_cmd(channels, batch, resolutions, ops, warmup, iters, precision, seed,
     except ValueError as e:
         raise click.UsageError(str(e))
     if out is not None:
-        bench_mod.write_csv(table, out)
+        try:
+            bench_mod.write_csv(table, out)
+        except OSError as e:
+            raise _OutputError(f"cannot write {out}: {e}")
         click.echo(f"wrote {out}")
     if md:
         click.echo(bench_mod.to_markdown(table))
@@ -272,7 +282,7 @@ def gen_fixture(shape, seed, precision, out):
     try:
         write_fixture(out, t)
     except OSError as e:
-        raise click.ClickException(f"cannot write {out}: {e}")
+        raise _OutputError(f"cannot write {out}: {e}")
     click.echo(f"wrote {out} ({t.dtype_name}, shape {t.shape})")
 
 

@@ -19,13 +19,13 @@ would outgrow the periodic extension (thin maps) and in dense mode,
 ``parc_forward`` runs the same tap loop, bit for bit.  In depthwise mode the
 tap loop is ``_correlate``, one einsum pass over a strided window view per
 cache-sized channel block, which stores no per-tap product; the zero-padded
-baselines in ``conv_baseline`` share it.  ``parc_backward`` computes the
-adjoint under the same memory rule: with circulants, one channel block at a
-time in depthwise mode, where they fit, and as a tap loop over periodic
-extensions on thin maps, so it never holds much more than the forward.  A
-frequency-domain route lives in ``fast_parc``.  Resolved rows, weight
-spectra and forward circulant stacks are plans, cached by
-``ParCParams.prepared``.
+baselines in ``conv_baseline`` share it.  ``parc_backward`` runs the
+operator again per channel block of lines, dX correlating dY with the
+reversed kernel and dK the offset input with dY: as circulant matmuls under
+the memory rule and as ``_correlate`` passes on thin maps, so it never holds
+much more than the forward.  A frequency-domain route lives in ``fast_parc``.
+Resolved rows, weight spectra and forward circulant stacks are plans, cached
+by ``ParCParams.prepared``.
 """
 
 from __future__ import annotations
@@ -221,10 +221,10 @@ def _correlate(src, taps, y) -> None:
     fused multiply-add) then multiplies each tap and adds it into the output
     element, tap after tap, as a multiply-then-add loop would, wherever the
     taps are one column (K_w = 1), the output's last axis is longer than 1
-    and src and y are row-major, as every caller passes them.  Otherwise it
-    may sum the taps in its own order, within roundoff.  Channels never mix,
-    so the block size changes no output element's sequence of operations,
-    or any bit.
+    and src and y are row-major, as the forward passes them.  Otherwise, as
+    on the backward's row taps, it may sum them in its own order, within
+    roundoff.  Channels never mix, so the block size changes no output
+    element's sequence of operations, or any bit.
     """
     h, w = y.shape[2:]
     sb, sc, sr, ss = src.strides
@@ -243,11 +243,10 @@ def _accumulate(xp, kernel_n, bias, mode, axis):
     which is (x + pe)[(i + k) mod N].  The output is accumulated with the
     swept axis at 2, as ext has it, and returned through ``_rows``.  Every
     tap-loop forward funnels through here so the accumulation order, and
-    therefore every rounding, is identical; ``_tap_adjoint`` runs it over dY
-    with the reversed kernel.  Depthwise, each ``_channel_blocks`` block
-    of the output builds its own slice of ext, and ``_correlate``, through
-    ``run_sliced``, writes the block's output in one pass over its taps, so
-    no extension of the whole tensor and no per-tap product is held.
+    therefore every rounding, is identical.  Depthwise, each block of
+    ``_channel_blocks`` builds its own slice of ext, and ``_correlate``,
+    through ``run_sliced``, writes the block's output in one pass over its
+    taps, so no extension of the whole tensor and no per-tap product is held.
     """
     n = kernel_n.shape[-1]
     shape = (xp.shape[0], kernel_n.shape[0], n, xp.shape[3])
@@ -375,25 +374,27 @@ def _wrapped_diagonals(gram: np.ndarray) -> np.ndarray:
     return view.sum(axis=-2)
 
 
-def _tap_adjoint(xr, gr, k64, pe_n, mode):
-    """dxp (B, C_in, N, orth) and dK of the tap loop, in float64, from the
-    (B, C, N, orth) views xr of the input and gr of dY.  The input adjoint is
-    the forward tap loop ``_accumulate`` over dY with the reversed kernel
-    K'[..., j] = K[..., (-j) mod N], its channel axes swapped in dense mode;
-    dK[..., k] is one reduction of dY against window k of xp's extension."""
-    n = k64.shape[-1]
-    g = gr.astype(np.float64)
-    flip = k64[..., -np.arange(n) % n]
-    if mode == "dense":
-        flip = np.swapaxes(flip, 0, 1)
-    dxp = _accumulate(g, flip, np.zeros(1), mode, 2).data
-    xp = np.add(xr, pe_n[None, :, :, None], out=np.empty(xr.shape), dtype=xr.dtype)
-    ext = np.concatenate([xp, xp[:, :, :n - 1]], axis=2)
-    dk = np.empty(k64.shape)
-    spec = "bchw,bchw->c" if mode == "depthwise" else "bohw,bihw->oi"
-    for k in range(n):
-        dk[..., k] = np.einsum(spec, g, ext[:, :, k:k + n])
-    return dxp, dk
+def _adjoint(xl, g, k, fits: bool):
+    """dK (C, N) and dxl (C, lines, N) of a depthwise sweep, from float64
+    offset lines xl (C, lines, N), kernel rows k (C, N) and dY lines g,
+    (C, lines, N) or one (lines, N) that every channel shares.  Under the
+    memory rule (``fits``) they are the Grams' wrapped diagonals and g @ M.
+    Outside it two ``_correlate`` passes build no (N, N) array: dxl
+    correlates g's periodic extension with the taps K[(-j) mod N], and dK
+    xl's extension with each line's own g, summed over the lines."""
+    if fits:
+        return _wrapped_diagonals(np.swapaxes(g, -1, -2) @ xl), g @ _circulant(k)
+    c, lines, n = xl.shape
+    dxl = np.empty(xl.shape)
+    # np.take keeps the taps C-contiguous whatever the layout of k; a shared
+    # dY line is extended once and read by every channel through a broadcast
+    flip = np.take(k, -np.arange(n) % n, axis=-1)
+    _correlate(np.broadcast_to(np.concatenate([g, g[..., :n - 1]], axis=-1),
+                               (c, lines, 2 * n - 1))[None], flip[:, None], dxl[None])
+    x_ext = np.concatenate([xl, xl[..., :n - 1]], axis=-1).reshape(1, c * lines, 1, -1)
+    dk = np.empty((1, c * lines, 1, n))
+    _correlate(x_ext, np.broadcast_to(g, xl.shape).reshape(c * lines, 1, n), dk)
+    return dk.reshape(c, lines, n).sum(axis=1), dxl
 
 
 def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
@@ -402,20 +403,16 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     dY has the forward output's shape.  Every gradient is computed in
     float64 from the offset input xp formed at the input precision.  Along
     one line the forward pass is y = xp @ M.T with the circulant
-    M[i, l] = K[(l - i) mod N], so under the forward's memory rule,
-    N^2 <= B * orth * (2N - 1), the adjoint is two batched matmuls over
-    lines-last (C, lines, N) arrays: dxp = dY @ M, and dK[k] =
+    M[i, l] = K[(l - i) mod N], so dxp = dY @ M and dK[k] =
     sum_i G[i, (i + k) mod N] sums the wrapped diagonals of the Gram matrix
-    G = dY.T @ xp.  Depthwise mode runs them one ``_channel_blocks`` block
-    of channels at a time, each block building its own float64 lines, Gram
-    and circulant slice and writing its share of every gradient in place, so
-    no temporary spans all channels.  Dense mode loops over output channels
-    o, each with a (C_in, N, N) stack and Gram, adding its share to dxp, so
-    no (C_out*N, C_in*N) matrix is ever formed.  Outside the memory rule
-    (thin maps), in either mode, the tap-loop adjoint ``_tap_adjoint`` runs
-    instead and no (N, N) array is built; its results agree with the
-    circulant adjoint to roundoff.  Meta-length gradients are pulled back
-    through ``interp_linear_adjoint``.
+    G = dY.T @ xp.  ``_adjoint`` forms both, as matmuls under the forward's
+    memory rule N^2 <= B * orth * (2N - 1) and as tap loops outside it, on
+    one ``_channel_blocks`` block of float64 lines-last (C, lines, N) arrays
+    at a time; each block writes its share of every gradient in place.
+    Dense mode is one block that calls ``_adjoint`` per output channel o,
+    dY[o] shared by every input channel, and adds up the dxp shares, so no
+    (C_out*N, C_in*N) matrix is ever formed.  Meta-length gradients are
+    pulled back through ``interp_linear_adjoint``.
     """
     axis, n, kernel_n, pe_n, _ = _resolve(x, p)
     expect = (x.shape[0], p.channels_out) + x.shape[2:]
@@ -425,33 +422,25 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     b, c, _, orth = xr.shape
     k64 = kernel_n.astype(np.float64)
     d_input = np.empty(x.shape, dtype=x.dtype)
-    d_rows = _rows(d_input, axis)
-
-    if not _circulant_fits(n, b * orth):
-        dxp, d_kernel_n = _tap_adjoint(xr, gr, k64, pe_n, p.mode)
-        d_rows[...] = dxp
-        # summed in the swept-axis layout, so a V sweep sums as its H sweep does
-        d_pe_n = dxp.sum(axis=(0, 3))
-        d_bias = np.ascontiguousarray(gr).sum(axis=(0, 2, 3), dtype=np.float64)
-    else:
-        d_kernel_n, d_pe_n = np.empty(k64.shape), np.empty((c, n))
-        d_bias = np.empty(p.channels_out)
-        # d_input as lines-last (C, B, orth, N), the layout of _lines
-        d_lines = d_rows.transpose(1, 0, 3, 2)
-        depthwise = p.mode == "depthwise"
-        for blk in _channel_blocks(c, b * orth * n * 8) if depthwise else [slice(None)]:
-            xl, g = _lines(xr, blk, pe_n), _lines(gr, blk)
-            if depthwise:
-                d_kernel_n[blk] = _wrapped_diagonals(np.swapaxes(g, 1, 2) @ xl)
-                dxl = g @ _circulant(k64[blk])
-            else:
-                dxl = np.zeros(xl.shape)
-                for o in range(p.channels_out):
-                    d_kernel_n[o] = _wrapped_diagonals(g[o].T @ xl)
-                    dxl += g[o] @ _circulant(k64[o])
-            d_bias[blk] = g.sum(axis=(1, 2))
-            d_pe_n[blk] = dxl.sum(axis=1)
-            d_lines[blk] = dxl.reshape(d_lines[blk].shape)
+    # d_input as lines-last (C, B, orth, N), the layout of _lines
+    d_lines = _rows(d_input, axis).transpose(1, 0, 3, 2)
+    d_kernel_n, d_pe_n = np.empty(k64.shape), np.empty((c, n))
+    d_bias = np.empty(p.channels_out)
+    fits = _circulant_fits(n, b * orth)
+    depthwise = p.mode == "depthwise"
+    for blk in _channel_blocks(c, b * orth * n * 8) if depthwise else [slice(None)]:
+        xl, g = _lines(xr, blk, pe_n), _lines(gr, blk)
+        if depthwise:
+            d_kernel_n[blk], dxl = _adjoint(xl, g, k64[blk], fits)
+        else:
+            dxl = np.zeros(xl.shape)
+            for o in range(p.channels_out):
+                d_kernel_n[o], share = _adjoint(xl, g[o], k64[o], fits)
+                dxl += share
+                del share  # before the next output channel builds its own
+        d_bias[blk] = g.sum(axis=(1, 2))
+        d_pe_n[blk] = dxl.sum(axis=1)
+        d_lines[blk] = dxl.reshape(d_lines[blk].shape)
 
     return ParCGrads(
         d_input=Tensor4(d_input),

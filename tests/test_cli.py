@@ -264,3 +264,25 @@ class TestGenFixture:
         assert raw.startswith(b"PARC1")
         header_len = int.from_bytes(raw[5:9], "little")
         assert len(raw) == 5 + 4 + header_len + 4 * 8
+
+
+class TestUnwritableOutput:
+    """Every --out that cannot be written ends in one error line and exit code
+    3, never a traceback, and never 1, which means a failed equiv."""
+
+    ARGS = {
+        "flops": ["flops", "--ops", "parc", "--channels", "4", "--resolutions", "8"],
+        "bench": ["bench", "--channels", "2", "--resolutions", "4", "--ops", "parc",
+                  "--warmup", "1", "--iters", "1"],
+        "gen-fixture": ["gen-fixture", "--shape", "1,1,4,1"],
+    }
+
+    @pytest.mark.parametrize("command", list(ARGS))
+    def test_missing_directory(self, runner, tmp_path, command):
+        out = tmp_path / "missing" / "out.csv"
+        result = runner.invoke(main, self.ARGS[command] + ["--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: cannot write {out}" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()

@@ -270,17 +270,21 @@ class TestChannelBlocks:
             assert sizes == want[name], name
 
     GRAD_FIELDS = ("d_input", "d_kernel_n", "d_pe_n", "d_bias", "d_meta_kernel", "d_meta_pe")
+    # thin maps with B = 2 (169 > 2 * 25): the dK pass's channel x line axis
+    # then spans both batch items
+    BACKWARD_SHAPES = {"circulant": SHAPES["concat"], "taps": SHAPES["modulo"],
+                       "batched_taps": {"H": (2, C, 13, 1), "V": (2, C, 1, 13)}}
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("orientation", ["H", "V"])
-    @pytest.mark.parametrize("branch", ["circulant", "taps"])
+    @pytest.mark.parametrize("branch", ["circulant", "taps", "batched_taps"])
     def test_backward_gives_the_same_bits_at_every_budget(self, branch, orientation, dtype,
                                                           monkeypatch):
         """parc_backward runs per channel block inside the memory rule and
         through the blocked tap loop outside it; neither mixes channels."""
         rng = np.random.default_rng(37)
         p = random_params(rng, self.C, orientation=orientation)
-        shape = self.SHAPES["concat" if branch == "circulant" else "modulo"][orientation]
+        shape = self.BACKWARD_SHAPES[branch][orientation]
         assert takes_circulant(shape, p) == (branch == "circulant")
         x = rng.standard_normal(shape).astype(dtype)
         dy = Tensor4(rng.standard_normal(shape).astype(dtype))
@@ -456,6 +460,20 @@ class TestMemoryRule:
         assert takes_circulant(x.shape, p)
         peak = self.peak(lambda x, p: parc_backward(x, p, dy), x, p)
         assert peak < 5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    def test_blocked_thin_backward_peak(self, orientation):
+        """Outside the memory rule the backward also holds one channel block's
+        float64 lines and extensions at a time; the float64 d_kernel_n and
+        d_pe_n it returns take 4 MiB of the bound, the f32 d_input 1 MiB."""
+        rng = np.random.default_rng(43)
+        p = random_params(rng, 256, orientation=orientation, kernel_scale=1.0 / 1024)
+        shape = (1, 256, 1024, 1) if orientation == "H" else (1, 256, 1, 1024)
+        x = Tensor4(rng.standard_normal(shape).astype(np.float32))
+        dy = Tensor4(rng.standard_normal(shape).astype(np.float32))
+        assert not takes_circulant(shape, p)
+        peak = self.peak(lambda x, p: parc_backward(x, p, dy), x, p)
+        assert peak < 12 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestShiftEquivariance:

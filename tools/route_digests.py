@@ -12,29 +12,17 @@ C-order bytes, so two trees compute bitwise-identical results exactly when
 their outputs are equal.  Results are named by route: ``modulo`` is
 ``parc_forward``, ``concat`` is ``parc_forward_via_concat`` (the tap loop)
 and ``freq`` is ``fast_parc_forward``; ``metaformer`` and ``convnet_mixer``
-run ``parc_forward``; ``grad.*`` are the fields of ``parc_backward``.  Two
+run ``parc_forward``; ``grad.*`` are the fields of ``parc_backward``.  Three
 sweeps here fall outside the memory rule of ``parc_forward`` and
-``parc_backward``, N^2 <= B * orth * (2N - 1): the 2x3x1x5 V sweep and the
-1x4x64x2 H sweep.  On them ``parc_forward`` keeps the tap loop and
-``parc_backward`` runs its tap-loop adjoint; on every other sweep both run
-circulant matmuls.  Against a tree whose ``parc_backward`` built circulants
-on every map, only the ``grad.*`` results of those two thin sweeps may
-differ, within roundoff; every other result must match bit for bit.
-Against a tree whose depthwise tap loop multiplied each tap into a product
-buffer before adding it, rather than running one einsum pass per channel
-block, only tap-loop results whose taps einsum may sum in its own order may
-differ, within roundoff: the ``dwconv2d.*`` results (KxK taps) and, on
-sweeps whose orthogonal axis has length 1, such as the 2x3x1x5 V sweep,
-``conv1d`` and the tap-loop ``concat``, ``modulo`` and ``grad.*`` results.
-Against a tree whose frequency route paired real lines at every length,
-rather than giving each line its half spectrum at lengths up to 128, only
-the ``freq`` results of sweeps whose swept length is at most 128 may
-differ, within roundoff; the ``freq`` results of the 224x224 sweeps and
-every other result must match bit for bit.  Against a tree that paired the
-B * orth lines of a channel across the batch, rather than the orth lines of
-each (channel, batch) line matrix, only the ``freq`` results of paired
-sweeps with B > 1 and odd orth (the 2x4x131x3 H sweep) may differ, within
-roundoff; every other result must match bit for bit.
+``parc_backward``, N^2 <= B * orth * (2N - 1): the 2x3x1x5 V sweep, the
+1x4x64x2 H sweep and the 2x4x131x3 H sweep.  On them ``parc_forward`` keeps
+the tap loop and ``parc_backward`` runs its adjoint as tap loops; on every
+other sweep both run circulant matmuls.  Against a tree whose
+``parc_backward`` ran a separate tap-loop adjoint on the (B, C, N, orth)
+layout, rather than the one channel-block loop over lines-last arrays, only
+the ``grad.*`` results of those three sweeps may differ, within roundoff;
+every other result must match bit for bit.  CHANGES.md records, for each
+change, which results moved against the tree before it and by how much.
 
 Every route runs twice on the same inputs and params, and the digest is the
 first call's.  The second call is served from the params' plan caches, so a
