@@ -8,11 +8,12 @@ twiddle multiply and an axis swap (Bailey's four-step FFT).  A length with a
 prime factor above _MAX_RADIX runs a Bluestein chirp convolution on such a
 chain, so every N >= 1 works.  ``_rfft_lines`` and ``_irfft_lines`` take
 real lines to spectra and back, and only they know the spectrum's format,
-which the plan's stage count picks.  At a one-stage length (N <=
-_MAX_RADIX) each line is multiplied by a real (N, 2h) cos/sin table into
-its h = N//2 + 1 half-spectrum bins, and a matching real table maps the
-bins back.  At a multi-stage or Bluestein length two neighbouring real
-lines ride one complex line, a + i*b, whose full spectrum is never split.
+which the plan's length picks.  Up to N = 2*_MAX_RADIX = 256, one-stage,
+multi-stage (224) and Bluestein (131-251) lengths alike, each line is
+multiplied by a real (N, 2h) cos/sin table into its h = N//2 + 1
+half-spectrum bins, and a matching real table maps the bins back.  Past
+256 two neighbouring real lines ride one complex line, a + i*b, whose full
+spectrum is never split.
 
 ``fast_parc_forward`` is the operator-level entry point and matches the
 spatial routes in ``parc_spatial`` to roundoff.
@@ -25,10 +26,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parc_spatial import ParCParams, _channel_blocks, _offset_input, _per_channel, _rows
+# _offset_input is no longer called here, but perfbench's tracer test looks it
+# up on this module
+from .parc_spatial import (ParCParams, _channel_blocks, _lines, _offset_input,  # noqa: F401
+                           _per_channel, _resolve, _rows)
 from .tensor import Tensor4, working_dtype
 
 _MAX_RADIX = 128
+# Fewest lines, and fewest line elements (lines * N), per table GEMM of
+# fast_parc_forward, which groups whole channels until a group holds both.
+# Counts, never a byte budget: a GEMM row's bits depend on the call's row
+# count, so the groups must not move with _BLOCK_BYTES.  Measured on a 2-vCPU
+# host with 2 OpenBLAS threads: at 224^2 groups of >= 1024 lines ran 1.6-1.8x
+# faster than the paired four-step; below N = 64 the element floor makes fewer
+# threaded GEMM calls, 7-10% faster at 32^2 (B=8) and 4-10% at 28^2 than the
+# line floor alone (interleaved in-process medians).  Larger groups cost memory:
+# perfbench's train_det peak RSS rose 1.6% over one channel per GEMM at 1024
+# lines and 2.9% at 2048, as a threaded GEMM touches workspace that grows with
+# its rows.
+_GROUP_LINES = 1024
+_GROUP_ELEMENTS = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -126,10 +143,14 @@ class FftPlan:
     _MAX_RADIX: such a plan has no radices of its own and reaches its length
     through a chirp convolution whose transforms run on ``inner``, the cached
     plan of a power-of-two length m >= 2n - 1; every other plan has ``inner``
-    None.  Tables are built per precision on first use.  A one-stage plan
-    (n <= _MAX_RADIX) has ``half_spectrum`` True: its real lines take the
-    real stage of ``_real_stage``, built per real dtype, and keep h = n//2 +
-    1 bins each.  Every other plan pairs real lines into complex ones.
+    None.  Tables are built per precision on first use.  Every plan of
+    length n <= 2*_MAX_RADIX = 256 has ``half_spectrum`` True, whatever its
+    radices: its real lines take the real stage of ``_real_stage``, built
+    per real dtype, and keep h = n//2 + 1 bins each.  That table's
+    2*n*(n + 2) multiplications per line round trip run as large BLAS GEMMs
+    and beat pairing at every length tried up to 256 (224 and Bluestein 131
+    included), not at 384 or 512.  Longer plans pair real lines into
+    complex ones.
     """
 
     def __init__(self, n: int):
@@ -138,7 +159,7 @@ class FftPlan:
         self.n = n
         self.radices = _radices(n)
         self.strategy = "mixed-radix" if self.radices else "bluestein"
-        self.half_spectrum = len(self.radices) == 1
+        self.half_spectrum = n <= 2 * _MAX_RADIX
         self.inner = None if self.radices else get_plan(1 << (2 * n - 1).bit_length())
         self._cache = {}
 
@@ -198,9 +219,9 @@ def _ifft_array(x: np.ndarray, plan: FftPlan) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Real-input path, the only code that knows a real line's spectrum format.
-# On a one-stage plan each real line keeps its half spectrum.  On any other
-# plan lines 2j and 2j + 1 ride one complex transform: correlation with a
-# real kernel is linear over C, so corr(a + i*b, k) = corr(a, k) +
+# On a ``half_spectrum`` plan each real line keeps its half spectrum.  On any
+# other plan lines 2j and 2j + 1 ride one complex transform: correlation with
+# a real kernel is linear over C, so corr(a + i*b, k) = corr(a, k) +
 # i*corr(b, k) and the pair comes back as the real and imaginary parts.
 # ---------------------------------------------------------------------------
 
@@ -209,7 +230,7 @@ def _rfft_lines(lines: np.ndarray, plan: FftPlan) -> np.ndarray:
     """Spectra of real (..., L, n) lines along the last axis, read through
     the lines' own strides.
 
-    On a ``half_spectrum`` plan (n <= _MAX_RADIX): (..., L, n//2 + 1) half
+    On a ``half_spectrum`` plan (n <= 2*_MAX_RADIX): (..., L, n//2 + 1) half
     spectra, line by line.  Otherwise (..., ceil(L/2), n) full spectra of
     lines[2j] + i*lines[2j+1], paired along axis -2 of the view given; an
     odd last line pairs with zeros."""
@@ -297,7 +318,7 @@ def weight_spectrum(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
     """Conjugated spectra of the kernel lines: the "spectrum" plan of the
     params, read-only; an unknown dtype_name raises ValueError.  Row c is
     ``_rfft_lines`` of kernel line c alone, (C, n//2 + 1) half spectra on a
-    one-stage length, else (C, n) full spectra of each line with a zero
+    ``half_spectrum`` length, else (C, n) full spectra of each line with a zero
     partner, so it multiplies any spectra of channel c's lines."""
     return p.prepared("spectrum", n, dtype_name, lambda: (np.conj(
         _rfft_lines(p.resolved(n, dtype_name)[0][:, None], get_plan(n))[:, 0]),))[0]
@@ -308,30 +329,48 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
 
     Adds the position embedding spatially, transforms every line along the
     swept axis, multiplies by the conjugated kernel spectrum bin-wise,
-    transforms back, and adds bias.  Depthwise mode only.  Channels run in
-    ``parc_spatial._channel_blocks`` blocks, one transform pair per block,
-    each channel charged B*orth rows of ``weight_spectrum`` (rows of the
-    inner length at a Bluestein length) against the tap loop's
-    ``_BLOCK_BYTES``.  The transforms read and write the block through the
-    (C, B, orth, N) line view of the offset input, with no gather or scatter
-    copy, and the bias add that allocates the output also undoes
-    ``_offset_input``'s transpose, so H and V sweeps run the same products.
-    Lines never mix across channels, so the block size changes no bit.
-    ``parallel`` is accepted and ignored; perfbench's ``call_route`` still
-    passes it.  The stage matmuls run on BLAS threads.
+    transforms back, and adds bias.  Depthwise mode only.
+
+    The offset input is one C-contiguous lines-last (C, B*orth, N) array
+    from ``parc_spatial._lines``, whose add does the transpose an H sweep
+    needs (a V sweep needs none); the transforms overwrite it in place, and
+    the bias add that allocates the output restores (B, C, H, W).  H and V
+    sweeps thus run the same products on the same array, bit for bit.  On a
+    ``half_spectrum`` plan (N <= 2*_MAX_RADIX) each group of whole channels
+    holding at least ``_GROUP_LINES`` lines and ``_GROUP_ELEMENTS`` line
+    elements is one (rows, N) @ (N, 2h) table GEMM and one inverse GEMM
+    written back into its lines.  Past that, lines pair along each
+    channel's B*orth lines in ``_channel_blocks`` blocks, each channel
+    charged B*orth rows of ``weight_spectrum`` (rows of the inner length at
+    a Bluestein length) against the tap loop's ``_BLOCK_BYTES``.  No bit
+    depends on ``_BLOCK_BYTES``: groups ignore it, and blocks never mix
+    lines of two channels.  ``parallel`` is accepted and ignored;
+    perfbench's ``call_route`` still passes it.  The matmuls run on BLAS
+    threads.
     """
     if p.mode != "depthwise":
         raise ValueError("the frequency route implements the depthwise operator only")
-    axis, n, _, bias, xp = _offset_input(x, p)
+    axis, n, _, pe_n, bias = _resolve(x, p)
     plan = get_plan(n)
     wspec = weight_spectrum(p, n, x.dtype_name)
-    batch, channels, _, orth = xp.shape
-    # (C, B, orth, N) line view of xp, overwritten block by block
-    lines = xp.transpose(1, 0, 3, 2)
-    # a Bluestein transform works on lines of its inner length, m >= 2n - 1
-    length = n if plan.inner is None else plan.inner.n
-    for blk in _channel_blocks(channels, batch * orth * wspec[0].nbytes * length // n):
-        spec = _rfft_lines(lines[blk], plan)
-        spec *= wspec[blk, None, None, :]
-        _irfft_lines(spec, plan, out=lines[blk])
-    return Tensor4(np.add(_rows(xp, axis), _per_channel(bias), order="C"))
+    rows = _rows(x.data, axis)
+    batch, channels, _, orth = rows.shape
+    lines = _lines(rows, slice(None), pe_n, x.dtype)
+    count = lines.shape[1]
+    if plan.half_spectrum:
+        step = -(-max(_GROUP_LINES, _GROUP_ELEMENTS // n) // count)
+        blocks = [slice(start, start + step) for start in range(0, channels, step)]
+    else:
+        # a Bluestein transform works on lines of its inner length, m >= 2n - 1
+        length = n if plan.inner is None else plan.inner.n
+        blocks = _channel_blocks(channels, count * wspec[0].nbytes * length // n)
+    for blk in blocks:
+        group = lines[blk]
+        part = group.reshape(-1, n) if plan.half_spectrum else group
+        spec = _rfft_lines(part, plan)
+        bins = spec.reshape(group.shape[0], -1, spec.shape[-1])
+        bins *= wspec[blk, None, :]
+        _irfft_lines(spec, plan, out=part)
+        del spec, bins  # before the next group allocates its spectrum
+    out = lines.reshape(channels, batch, orth, n).transpose(1, 0, 3, 2)
+    return Tensor4(np.add(_rows(out, axis), _per_channel(bias), order="C"))

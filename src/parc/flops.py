@@ -66,14 +66,16 @@ def flops_fast_parc(c: int, h: int, w: int) -> int:
     2*C*H*W*(L_H + L_W) + C*H*L_H + C*W*L_W + 4*C*H*W with L_N = ceil(log2 N).
 
     The model charges ceil(log2 N) radix-2 stages whatever plan the engine
-    runs: a length up to 128 runs the real half-spectrum stage, about
+    runs: a length up to 256 runs the real half-spectrum table, about
     2*N*(N + 2) multiplications per line for the forward and inverse
-    together; a longer length runs complex four-step stages on pairs of
-    lines, and a Bluestein length two power-of-two transforms of length
-    m >= 2N - 1 (m=512 at N=131).  On a 50x83 map it predicts 0.454x the
-    spatial multiplications; the measured forward time on a 2-vCPU host is
-    0.28-0.32x the tap loop's time (two traced perfbench ``train_det`` runs;
-    0.50x in one run with lines paired at every length).
+    together, about twice the N^2 of the circulant matmul, and wins on BLAS
+    efficiency, as a few large GEMMs; a longer length runs complex
+    four-step stages on pairs of lines, and a Bluestein length two
+    power-of-two transforms of length m >= 2N - 1 (m=1024 at N=257).  On a
+    50x83 map it predicts 0.454x the spatial multiplications; the measured
+    forward time on a 2-vCPU host is 0.28-0.32x the tap loop's time (two
+    traced perfbench ``train_det`` runs; 0.50x in one run with lines paired
+    at every length).
     """
     _positive(c=c, h=h, w=w)
     _even_channels(c)

@@ -7,8 +7,12 @@ length and stretched to the runtime extent by linear interpolation, so one
 parameter set serves any input size.
 
 An H sweep and a V sweep are one operator on transposed maps, so every route
-works on the (B, C, N, orth) layout of ``_offset_input``, swept axis at 2,
-and ``_rows`` maps results back to (B, C, H, W), bit for bit.
+works on one layout whatever the orientation: the forward spatial routes on
+the (B, C, N, orth) offset input of ``_offset_input``, swept axis at 2, and
+``parc_backward`` and the frequency route on C-contiguous lines-last
+(C, B * orth, N) arrays of ``_lines``.  Each array is made by the add that
+forms it, which also does the transpose, and ``_rows`` maps results back to
+(B, C, H, W), bit for bit.
 
 ``parc_forward_via_concat`` is the paper's tap loop: one valid correlation
 over the (2N-1)-long periodic extension of the offset input.  Along one line
@@ -45,7 +49,8 @@ DEFAULT_META_LEN = 14
 _PLAN_CAP = 16
 # Output bytes per channel block of the tap loop ``_correlate``: small enough that
 # a block's source window and output stay in L2 over all taps.  The frequency
-# route sizes its channel blocks of spectra by the same budget.
+# route sizes its channel blocks of paired spectra (lengths past 256) by the
+# same budget.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -351,16 +356,20 @@ class ParCGrads:
     d_meta_pe: np.ndarray
 
 
-def _lines(rows: np.ndarray, blk: slice, pe_n: np.ndarray | None = None) -> np.ndarray:
-    """Channels blk of a (B, C, N, orth) array as C-contiguous float64 lines,
+def _lines(rows: np.ndarray, blk: slice, pe_n: np.ndarray | None = None,
+           dtype=np.float64) -> np.ndarray:
+    """Channels blk of a (B, C, N, orth) array as C-contiguous lines of dtype,
     (C_blk, B * orth, N); given pe_n, of rows + pe_n added at the precision of
-    rows, as ``_offset_input`` adds it, and widened by the same pass."""
+    rows, as ``_offset_input`` adds it, and cast by the same pass.  Resolved
+    rows are F-ordered, so pe_n's rows are copied to unit stride first: read
+    through their own strides they made the add 1.5x slower at 224^2."""
     view = rows[:, blk].transpose(1, 0, 3, 2)
-    out = np.empty(view.shape)
+    out = np.empty(view.shape, dtype=dtype)
     if pe_n is None:
         out[...] = view
     else:
-        np.add(view, pe_n[blk, None, None, :], out=out, dtype=rows.dtype)
+        pe = np.ascontiguousarray(pe_n[blk])
+        np.add(view, pe[:, None, None, :], out=out, dtype=rows.dtype)
     return out.reshape(out.shape[0], -1, out.shape[-1])
 
 

@@ -185,9 +185,9 @@ class TestF32ErrorGrowth:
         assert rel(ifft(fft(x)), x) <= 1e-6
         assert rel(ifft(fft(z)), z) <= 1e-6
 
-    def test_half_spectrum_stage_at_every_one_stage_length(self):
+    def test_half_spectrum_stage_at_every_table_length(self):
         rng = np.random.default_rng(301)
-        for n in range(1, _MAX_RADIX + 1):
+        for n in range(1, 2 * _MAX_RADIX + 1):
             lines = rng.standard_normal((2, n)).astype(np.float32)
             plan = get_plan(n)
             want = np.stack([dft_naive(line).bins[:n // 2 + 1] for line in lines])
@@ -340,9 +340,10 @@ class TestSpectralCorrelation:
         with pytest.raises(ValueError, match="depthwise"):
             fast_parc_forward(Tensor4.zeros((1, 2, 4, 4)), p)
 
-    @pytest.mark.parametrize("n,bins", [(16, 9), (224, 224)], ids=["half", "paired"])
+    @pytest.mark.parametrize("n,bins", [(16, 9), (224, 113), (260, 260)],
+                             ids=["half", "half-224", "paired"])
     def test_weight_spectrum_cached(self, n, bins):
-        """Half spectra at a one-stage length, full spectra where lines pair."""
+        """Half spectra up to 2 * _MAX_RADIX, full spectra where lines pair."""
         rng = np.random.default_rng(16)
         p = random_params(rng, 3)
         a = weight_spectrum(p, n, "f64")
@@ -390,11 +391,12 @@ class TestSpectralCorrelation:
 
 
 class TestHalfSpectrumLines:
-    """At one-stage lengths every real line keeps its own n//2 + 1 bins."""
+    """Up to 2 * _MAX_RADIX (one-stage, multi-stage 224 and Bluestein 131
+    alike) every real line keeps its own n//2 + 1 bins."""
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("n", [1, 2, 7, 16, 37, 50, 83, 97, 128])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 37, 50, 83, 97, 128, 131, 224, 256])
     def test_lines_against_naive_and_round_trip(self, n, count, dtype, tol):
         rng = np.random.default_rng(1000 * n + count)
         lines = rng.standard_normal((count, n)).astype(dtype)
@@ -416,10 +418,10 @@ class TestHalfSpectrumLines:
         assert _rel(_irfft_lines(lone, plan)[:, 0], lines) <= tol
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-    @pytest.mark.parametrize("n", [7, 50, 64])
+    @pytest.mark.parametrize("n", [7, 50, 64, 224])
     def test_strided_lines_in_and_out(self, n, dtype):
         """Transposed (L, n) line views go in and come out through their own
-        strides, as fast_parc_forward passes them."""
+        strides."""
         tol = 1e-5 if dtype == np.float32 else 1e-12
         rng = np.random.default_rng(n)
         rows = rng.standard_normal((2, 3, n, 5)).astype(dtype)  # (B, C, N, orth)
@@ -455,12 +457,13 @@ class TestHalfSpectrumLines:
 
 
 class TestRealPairs:
-    """Past one stage, lines 2j and 2j + 1 ride one complex transform; an
-    odd last line pairs with zeros, and the inverse writes (..., L, n)."""
+    """Past 2 * _MAX_RADIX, lines 2j and 2j + 1 ride one complex transform;
+    an odd last line pairs with zeros, and the inverse writes (..., L, n).
+    257 is a Bluestein length, 260 (13 x 20) and 448 (16 x 28) multi-stage."""
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("count", [1, 2, 3, 5])
-    @pytest.mark.parametrize("n", [129, 224, 131])
+    @pytest.mark.parametrize("n", [257, 260, 448])
     def test_lines_against_naive_and_round_trip(self, n, count, dtype, tol):
         rng = np.random.default_rng(1000 * n + count)
         lines = rng.standard_normal((count, n)).astype(dtype)
@@ -491,10 +494,10 @@ class TestRealPairs:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("orth", [3, 4])
-    @pytest.mark.parametrize("n", [129, 131, 224])
+    @pytest.mark.parametrize("n", [257, 260, 448])
     def test_strided_lines_in_and_out(self, n, orth, dtype):
         """Transposed (L, n) line views pair along their own axis -2 and come
-        back through out's strides, as fast_parc_forward passes them."""
+        back through out's strides."""
         tol = 1e-5 if dtype == np.float32 else 1e-12
         rng = np.random.default_rng(n + orth)
         rows = rng.standard_normal((2, 3, n, orth)).astype(dtype)  # (B, C, N, orth)
@@ -510,7 +513,7 @@ class TestRealPairs:
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("orientation,shape", [("H", (1, 3, 37, 5)), ("V", (3, 3, 7, 16)),
-                                                   ("H", (1, 3, 131, 5)), ("V", (3, 3, 7, 224))])
+                                                   ("H", (1, 3, 257, 5)), ("V", (3, 3, 7, 260))])
     def test_odd_channels_and_lines_match_spatial_route(self, orientation, shape, dtype, tol):
         rng = np.random.default_rng(18)
         p = random_params(rng, 3, orientation=orientation)
@@ -521,17 +524,46 @@ class TestRealPairs:
         assert _rel(spectral, spatial) <= tol
 
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)],
+                             ids=["f32", "f64"])
+    def test_lines_pair_across_batch_items(self, dtype, tol, monkeypatch):
+        """Pairs run along each channel's B * orth lines, so B = 2 and orth 3
+        make ceil(6 / 2) = 3 complex lines per channel, none of them with a
+        zero partner; the V sweep of the transposed map pairs the same lines
+        and gives the same bits."""
+        rng = np.random.default_rng(53)
+        p_h = random_params(rng, 4, orientation="H", kernel_scale=1.0 / 1031)
+        p_v = ParCParams("depthwise", "V", p_h.meta_kernel, p_h.meta_pe, p_h.bias)
+        x = rng.standard_normal((2, 4, 1031, 3)).astype(dtype)
+        x_t = Tensor4(np.ascontiguousarray(np.swapaxes(x, 2, 3)))
+        fast_parc_forward(Tensor4(x), p_h)  # builds the weight spectra outside the spy
+        fast_parc_forward(x_t, p_v)
+        shapes, fft_array = [], fast_parc._fft_array
+        monkeypatch.setattr(fast_parc, "_fft_array",
+                            lambda z, plan: shapes.append(z.shape) or fft_array(z, plan))
+        y_h = fast_parc_forward(Tensor4(x), p_h).data
+        assert shapes and {s[-2] for s in shapes} == {3}
+        shapes.clear()
+        y_v = fast_parc_forward(x_t, p_v).data
+        assert shapes and {s[-2] for s in shapes} == {3}
+        assert y_v.tobytes() == np.ascontiguousarray(np.swapaxes(y_h, 2, 3)).tobytes()
+        assert _rel(y_h, parc_forward(Tensor4(x), p_h).data) <= tol
+
+
 class TestChannelBlocks:
-    """fast_parc_forward transforms one ``_channel_blocks`` block of channels
-    per ``_rfft_lines`` call, and lines never mix across channels: both
-    lines of a pair belong to one (channel, batch) line matrix.  So every
-    budget gives the same bits, on maps whose lines make one pair too."""
+    """Up to 2 * _MAX_RADIX, fast_parc_forward runs one table GEMM per group
+    of whole channels holding at least ``_GROUP_LINES`` lines, whatever
+    ``_BLOCK_BYTES`` says.  Past it, one ``_rfft_lines`` call per
+    ``_channel_blocks`` block of channels, and both lines of a pair belong to
+    one channel.  So every budget gives the same bits, on maps whose lines
+    make one pair too."""
 
     C = 5
 
     @staticmethod
     def spy_rfft_calls(monkeypatch):
-        """Channel count of every ``_rfft_lines`` call, as a list."""
+        """lines.shape[0] of every ``_rfft_lines`` call: the GEMM's rows on
+        the table path, the block's channels where lines pair."""
         calls, rfft = [], fast_parc._rfft_lines
         monkeypatch.setattr(fast_parc, "_rfft_lines",
                             lambda lines, plan: calls.append(lines.shape[0]) or rfft(lines, plan))
@@ -539,12 +571,13 @@ class TestChannelBlocks:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("orientation,shape", [
-        ("H", (2, C, 50, 83)), ("V", (2, C, 50, 83)), ("H", (1, C, 131, 3)),
+        ("H", (2, C, 50, 83)), ("V", (2, C, 50, 83)), ("H", (1, C, 257, 3)),
         ("V", (3, C, 7, 16)), ("H", (1, C, 64, 2)), ("V", (2, C, 1, 5)), ("H", (1, C, 9, 1)),
-        ("H", (1, C, 131, 2)), ("V", (1, C, 1, 224)), ("H", (2, C, 131, 3)),
-        ("V", (3, C, 5, 224))],
-        ids=["50x83-H", "50x83-V", "bluestein-131", "odd-lines", "two-lines", "two-lines-V",
-             "one-line", "one-pair", "one-pair-V", "odd-pairs", "odd-pairs-V"])
+        ("H", (1, C, 257, 2)), ("V", (1, C, 1, 260)), ("H", (2, C, 257, 3)),
+        ("V", (3, C, 5, 260)), ("H", (1, C, 131, 3)), ("V", (3, C, 5, 224))],
+        ids=["50x83-H", "50x83-V", "bluestein-257", "odd-lines", "two-lines", "two-lines-V",
+             "one-line", "one-pair", "one-pair-V", "odd-pairs", "odd-pairs-V",
+             "table-bluestein-131", "table-224-V"])
     def test_every_budget_gives_one_channel_bits(self, orientation, shape, dtype, monkeypatch):
         rng = np.random.default_rng(19)
         p = random_params(rng, self.C, orientation=orientation)
@@ -559,40 +592,56 @@ class TestChannelBlocks:
             assert got.dtype == dtype
             want = want or got.tobytes()
             assert got.tobytes() == want, budget
-        assert calls == [self.C]
+        n, orth = shape[2:] if orientation == "H" else shape[:1:-1]
+        assert calls == ([self.C * shape[0] * orth] if n <= 2 * _MAX_RADIX else [self.C])
 
-    def test_224_keeps_one_channel_per_call(self, monkeypatch):
-        # one channel's 224 lines are charged 224 complex64 bins each, 392 KiB
-        # against the 256 KiB default budget
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)],
+                             ids=["f32", "f64"])
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    @pytest.mark.parametrize("shape,rows", [
+        # 224 lines per channel: the 1024-line floor makes groups of 5 channels
+        ((1, 12, 224, 224), [1120, 1120, 448]),
+        # 256 lines of 32: the 65536-element floor, 2048 lines, makes groups of 8
+        ((8, 12, 32, 32), [2048, 1024])], ids=["224", "32-b8"])
+    def test_channels_span_several_table_groups(self, shape, rows, orientation, dtype, tol,
+                                                monkeypatch):
+        assert (fast_parc._GROUP_LINES, fast_parc._GROUP_ELEMENTS) == (1024, 65536)
         rng = np.random.default_rng(20)
-        p = random_params(rng, 3, orientation="H")
-        x = Tensor4(rng.standard_normal((1, 3, 224, 224)).astype(np.float32))
+        p = random_params(rng, 12, orientation=orientation, kernel_scale=1.0 / shape[2])
+        x = Tensor4(rng.standard_normal(shape).astype(dtype))
         fast_parc_forward(x, p)
         calls = self.spy_rfft_calls(monkeypatch)
-        fast_parc_forward(x, p)
-        assert calls == [1, 1, 1]
+        want = None
+        for budget in (1, 256 * 1024, 1 << 40):
+            monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", budget)
+            calls.clear()
+            got = fast_parc_forward(x, p).data
+            want = want or got.tobytes()
+            assert got.tobytes() == want, budget
+            assert calls == rows
+        assert _rel(got, parc_forward(x, p).data) <= tol
 
     def test_bluestein_blocks_charge_the_inner_length(self, monkeypatch):
-        # 131 runs on inner length 512: one channel's 8 lines are charged 512
-        # complex64 bins each, 32 KiB, so a 64 KiB budget takes two channels
-        assert get_plan(131).inner.n == 512
+        # 257 runs on inner length 1024: one channel's 8 lines are charged
+        # 1024 complex64 bins each, 64 KiB, so a 128 KiB budget takes two
+        assert get_plan(257).inner.n == 1024
         rng = np.random.default_rng(21)
         p = random_params(rng, self.C, orientation="H")
-        x = Tensor4(rng.standard_normal((2, self.C, 131, 4)).astype(np.float32))
+        x = Tensor4(rng.standard_normal((2, self.C, 257, 4)).astype(np.float32))
         fast_parc_forward(x, p)
         calls = self.spy_rfft_calls(monkeypatch)
-        monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", 64 * 1024)
+        monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", 128 * 1024)
         fast_parc_forward(x, p)
         assert calls == [2, 2, 1]
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)],
                              ids=["f32", "f64"])
     @pytest.mark.parametrize("orientation", ["H", "V"])
-    @pytest.mark.parametrize("n", [128, 129])
+    @pytest.mark.parametrize("n", [256, 257])
     def test_tap_loop_agrees_across_the_path_boundary(self, n, orientation, dtype, tol):
-        """128 is the longest half-spectrum length, 129 (3 x 43) the
+        """256 is the longest half-spectrum length, 257 (Bluestein) the
         shortest that pairs; both agree with the tap loop, odd orth 5."""
-        assert get_plan(n).half_spectrum == (n <= _MAX_RADIX)
+        assert get_plan(n).half_spectrum == (n <= 2 * _MAX_RADIX)
         rng = np.random.default_rng(n)
         p = random_params(rng, 3, orientation=orientation)
         shape = (2, 3, n, 5) if orientation == "H" else (2, 3, 5, n)

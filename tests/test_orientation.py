@@ -20,8 +20,9 @@ from parc.parc_spatial import (
 )
 from parc.tensor import Tensor4
 
-# 3x131 sweeps a V map along Bluestein 131, whose lines pair, with orth 3
-EXTENTS = [(1, 5), (7, 13), (50, 83), (3, 131)]
+# 3x131 sweeps a V map along Bluestein 131, which runs the real table, and
+# 3x263 along Bluestein 263, whose lines pair across batch items with orth 3
+EXTENTS = [(1, 5), (7, 13), (50, 83), (3, 131), (3, 263)]
 DTYPES = [np.float32, np.float64]
 # (route, keywords, mode); the frequency route is depthwise only.  The two
 # routes that still accept parallel=True (and ignore it) run with it too.

@@ -12,16 +12,16 @@ C-order bytes, so two trees compute bitwise-identical results exactly when
 their outputs are equal.  Results are named by route: ``modulo`` is
 ``parc_forward``, ``concat`` is ``parc_forward_via_concat`` (the tap loop)
 and ``freq`` is ``fast_parc_forward``; ``metaformer`` and ``convnet_mixer``
-run ``parc_forward``; ``grad.*`` are the fields of ``parc_backward``.  Three
+run ``parc_forward``; ``grad.*`` are the fields of ``parc_backward``.  Four
 sweeps here fall outside the memory rule of ``parc_forward`` and
 ``parc_backward``, N^2 <= B * orth * (2N - 1): the 2x3x1x5 V sweep, the
-1x4x64x2 H sweep and the 2x4x131x3 H sweep.  On them ``parc_forward`` keeps
-the tap loop and ``parc_backward`` runs its adjoint as tap loops; on every
-other sweep both run circulant matmuls.  Against a tree whose
-``parc_backward`` ran a separate tap-loop adjoint on the (B, C, N, orth)
-layout, rather than the one channel-block loop over lines-last arrays, only
-the ``grad.*`` results of those three sweeps may differ, within roundoff;
-every other result must match bit for bit.  CHANGES.md records, for each
+1x4x64x2 H sweep and the 2x4x131x3 and 2x4x263x3 H sweeps.  On them
+``parc_forward`` keeps the tap loop and ``parc_backward`` runs its adjoint
+as tap loops; on every other sweep both run circulant matmuls.  Against a
+tree whose ``parc_backward`` ran a separate tap-loop adjoint on the
+(B, C, N, orth) layout, rather than the one channel-block loop over
+lines-last arrays, only the ``grad.*`` results of the first three may
+differ, within roundoff; every other result must match bit for bit.  CHANGES.md records, for each
 change, which results moved against the tree before it and by how much.
 
 Every route runs twice on the same inputs and params, and the digest is the
@@ -45,10 +45,11 @@ import sys
 import numpy as np
 
 # (B, C, H, W) maps; the fifth and sixth keep every extent small and odd, the
-# sixth and seventh are thin in V and in H, and the eighth's H sweep pairs
-# Bluestein-131 lines with B = 2 and an odd orth of 3
+# sixth and seventh are thin in V and in H, the eighth's H sweep runs
+# Bluestein-131 lines through the real table, and the ninth's H sweep pairs
+# Bluestein-263 lines across its B = 2 batch items, orth being an odd 3
 MAPS = ((2, 32, 50, 83), (1, 48, 28, 28), (8, 32, 64, 64), (1, 8, 224, 224),
-        (2, 3, 7, 13), (2, 3, 1, 5), (1, 4, 64, 2), (2, 4, 131, 3))
+        (2, 3, 7, 13), (2, 3, 1, 5), (1, 4, 64, 2), (2, 4, 131, 3), (2, 4, 263, 3))
 
 
 def _digest(arr) -> str:
