@@ -28,8 +28,8 @@ import numpy as np
 
 # _offset_input is no longer called here, but perfbench's tracer test looks it
 # up on this module
-from .parc_spatial import (ParCParams, _channel_blocks, _lines, _offset_input,  # noqa: F401
-                           _per_channel, _resolve, _rows)
+from .parc_spatial import (ParCParams, _channel_blocks, _finish, _lines,  # noqa: F401
+                           _offset_input, _resolve, _rows)
 from .tensor import Tensor4, working_dtype
 
 _MAX_RADIX = 128
@@ -334,8 +334,9 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
     The offset input is one C-contiguous lines-last (C, B*orth, N) array
     from ``parc_spatial._lines``, whose add does the transpose an H sweep
     needs (a V sweep needs none); the transforms overwrite it in place, and
-    the bias add that allocates the output restores (B, C, H, W).  H and V
-    sweeps thus run the same products on the same array, bit for bit.  On a
+    ``_finish`` adds the bias in place on its (B, C, N, orth) view, so a V
+    sweep with B = 1 allocates no output.  H and V sweeps thus run the same
+    products on the same array, bit for bit.  On a
     ``half_spectrum`` plan (N <= 2*_MAX_RADIX) each group of whole channels
     holding at least ``_GROUP_LINES`` lines and ``_GROUP_ELEMENTS`` line
     elements is one (rows, N) @ (N, 2h) table GEMM and one inverse GEMM
@@ -372,5 +373,4 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
         bins *= wspec[blk, None, :]
         _irfft_lines(spec, plan, out=part)
         del spec, bins  # before the next group allocates its spectrum
-    out = lines.reshape(channels, batch, orth, n).transpose(1, 0, 3, 2)
-    return Tensor4(np.add(_rows(out, axis), _per_channel(bias), order="C"))
+    return _finish(lines.reshape(channels, batch, orth, n).transpose(1, 0, 3, 2), bias, axis)

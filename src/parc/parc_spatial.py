@@ -21,13 +21,14 @@ the operator is also a product with the circulant M[i, l] = K[(l - i) mod N]
 stacked matmul, agreeing with the tap loop to roundoff.  Where that stack
 would outgrow the periodic extension (thin maps) and in dense mode,
 ``parc_forward`` runs the same tap loop, bit for bit.  In depthwise mode the
-tap loop is ``_correlate``, one einsum pass over a strided window view per
-cache-sized channel block, which stores no per-tap product; the zero-padded
-baselines in ``conv_baseline`` share it.  ``parc_backward`` runs the
-operator again per channel block of lines, dX correlating dY with the
-reversed kernel and dK the offset input with dY: as circulant matmuls under
-the memory rule and as ``_correlate`` passes on thin maps, so it never holds
-much more than the forward.  A frequency-domain route lives in ``fast_parc``.
+tap loop is ``_correlate``, which reads its source circularly, one einsum
+pass over a strided window view per cache-sized channel block, storing no
+per-tap product; the zero-padded baselines in ``conv_baseline`` share it.
+``parc_backward`` runs the operator again per channel block of lines, dX
+correlating dY with the reversed kernel and dK the offset input with dY: as
+circulant matmuls under the memory rule and as ``_correlate`` passes on thin
+maps, so it never holds much more than the forward.  Every forward route,
+``fast_parc``'s frequency route too, ends in ``_finish``.
 Resolved rows, weight spectra and forward circulant stacks are plans, cached
 by ``ParCParams.prepared``.
 """
@@ -178,14 +179,16 @@ def random_params(
 # ---------------------------------------------------------------------------
 
 
-def _per_channel(vec: np.ndarray) -> np.ndarray:
-    return vec.reshape(1, -1, 1, 1)
-
-
 def _rows(arr: np.ndarray, axis: int) -> np.ndarray:
     """View of a (B, C, H, W) array with the swept axis at position 2, or
     back: a no-op for H, a swap of H and W for V, and its own inverse."""
     return np.swapaxes(arr, 2, axis)
+
+
+def _finish(y: np.ndarray, bias: np.ndarray, axis: int) -> Tensor4:
+    """End of every forward route: y += bias in place, any strides, as (B, C, H, W)."""
+    y += bias.reshape(1, -1, 1, 1)
+    return Tensor4(_rows(y, axis))
 
 
 def _resolve(x: Tensor4, p: ParCParams):
@@ -215,26 +218,35 @@ def _channel_blocks(channels: int, channel_bytes: int) -> list:
 
 
 def _correlate(src, taps, y) -> None:
-    """Write sum_(r,s) taps[c, r, s] * src[:, c, r:r + h, s:s + w] into y[:, c]
-    for every channel c, (h, w) being y's last two extents.
+    """Write sum_(r,s) taps[c, r, s] * src[:, c, (r + i) mod H, (s + j) mod W]
+    into y[:, c, i, j] for every channel c, (h, w) being y's last two extents
+    and (H, W) src's, whose windows may wrap at most once.
 
-    Each ``_channel_blocks`` block of y's channels is one einsum pass over a
-    read-only strided view of its source, (B, cb, K_h, K_w, h, w), whose
-    element [b, c, r, s, i, j] is src[b, c, r + i, s + j]: all taps of a
-    block run before the next block starts, so its source window and output
-    stay in cache, and no product is stored.  einsum's C loop (no BLAS, no
-    fused multiply-add) then multiplies each tap and adds it into the output
-    element, tap after tap, as a multiply-then-add loop would, wherever the
-    taps are one column (K_w = 1), the output's last axis is longer than 1
-    and src and y are row-major, as the forward passes them.  Otherwise, as
-    on the backward's row taps, it may sum them in its own order, within
-    roundoff.  Channels never mix, so the block size changes no output
-    element's sequence of operations, or any bit.
+    Each ``_channel_blocks`` block of y's channels appends to its slice of
+    src the leading rows and columns its windows wrap onto; a source that
+    needs no wrap, such as a zero-padded one, is read as it is.  The block is
+    then one einsum pass over a read-only strided view, (B, cb, K_h, K_w, h,
+    w), whose element [b, c, r, s, i, j] is src[b, c, r + i, s + j]: all taps
+    of a block run before the next block starts, so its source window and
+    output stay in cache, and no product is stored.  einsum's C loop (no
+    BLAS, no fused multiply-add) then multiplies each tap and adds it into
+    the output element, tap after tap, as a multiply-then-add loop would,
+    wherever the taps are one column (K_w = 1), the output's last axis is
+    longer than 1 and src and y are row-major, as the forward passes them.
+    Otherwise, as on the backward's row taps, it may sum them in its own
+    order, within roundoff.  Channels never mix, so the block size changes
+    no output element's sequence of operations, or any bit.
     """
-    h, w = y.shape[2:]
-    sb, sc, sr, ss = src.strides
+    (h, w), (h0, w0) = y.shape[2:], src.shape[2:]
+    rows, cols = h + taps.shape[1] - 1, w + taps.shape[2] - 1
     for blk in _channel_blocks(y.shape[1], y[:, :1].nbytes):
         part = src[:, blk]
+        # C order: concatenate lays a channel-broadcast dY out channel-fastest
+        if h0 < rows:
+            part = np.ascontiguousarray(np.concatenate([part, part[:, :, :rows - h0]], 2))
+        if w0 < cols:
+            part = np.ascontiguousarray(np.concatenate([part, part[..., :cols - w0]], 3))
+        sb, sc, sr, ss = part.strides
         win = np.lib.stride_tricks.as_strided(
             part, part.shape[:2] + taps.shape[1:] + (h, w), (sb, sc, sr, ss, sr, ss),
             writeable=False)
@@ -242,32 +254,25 @@ def _correlate(src, taps, y) -> None:
 
 
 def _accumulate(xp, kernel_n, bias, mode, axis):
-    """Shared tap loop over ext, (B, C, 2N-1, orth): the offset input xp and
-    its first N-1 positions, its periodic extension.  Tap k reads the window
-    ext[..., k:k + N, :], so output position i takes kernel[k] * ext[i + k],
-    which is (x + pe)[(i + k) mod N].  The output is accumulated with the
-    swept axis at 2, as ext has it, and returned through ``_rows``.  Every
-    tap-loop forward funnels through here so the accumulation order, and
-    therefore every rounding, is identical.  Depthwise, each block of
-    ``_channel_blocks`` builds its own slice of ext, and ``_correlate``,
-    through ``run_sliced``, writes the block's output in one pass over its
-    taps, so no extension of the whole tensor and no per-tap product is held.
+    """Shared tap loop over the offset input xp, (B, C, N, orth), read as its
+    periodic extension: output position i takes kernel[k] * (x + pe)[(i + k)
+    mod N].  Every tap-loop forward funnels through here so the accumulation
+    order, and therefore every rounding, is identical.  Depthwise, one
+    ``_correlate`` call extends each channel block by itself, so no extension
+    of the whole tensor and no per-tap product is held; dense mode extends
+    the whole tensor and runs one einsum per tap.
     """
     n = kernel_n.shape[-1]
     shape = (xp.shape[0], kernel_n.shape[0], n, xp.shape[3])
     if mode == "depthwise":
         y = np.empty(shape, dtype=xp.dtype)
-        for blk in _channel_blocks(y.shape[1], y[:, :1].nbytes):
-            part = xp[:, blk]
-            run_sliced(_correlate, np.concatenate([part, part[:, :, :n - 1]], axis=2),
-                       kernel_n[blk, :, None], y[:, blk])
+        run_sliced(_correlate, xp, kernel_n[:, :, None], y)
     else:
         y = np.zeros(shape, dtype=xp.dtype)
         ext = np.concatenate([xp, xp[:, :, :n - 1]], axis=2)
         for k in range(n):
             y += np.einsum("oi,bihw->bohw", kernel_n[:, :, k], ext[:, :, k:k + n])
-    y += _per_channel(bias)
-    return Tensor4(_rows(y, axis))
+    return _finish(y, bias, axis)
 
 
 def _circulant(k: np.ndarray) -> np.ndarray:
@@ -312,8 +317,7 @@ def parc_forward(x: Tensor4, p: ParCParams) -> Tensor4:
     b, _, _, orth = xp.shape
     if p.mode == "depthwise" and _circulant_fits(n, b * orth):
         y = p.prepared("circulant", n, x.dtype_name, lambda: (_circulant(kernel_n),))[0] @ xp
-        y += _per_channel(bias)
-        return Tensor4(_rows(y, axis))
+        return _finish(y, bias, axis)
     return _accumulate(xp, kernel_n, bias, p.mode, axis)
 
 
@@ -360,16 +364,13 @@ def _lines(rows: np.ndarray, blk: slice, pe_n: np.ndarray | None = None,
            dtype=np.float64) -> np.ndarray:
     """Channels blk of a (B, C, N, orth) array as C-contiguous lines of dtype,
     (C_blk, B * orth, N); given pe_n, of rows + pe_n added at the precision of
-    rows, as ``_offset_input`` adds it, and cast by the same pass.  Resolved
-    rows are F-ordered, so pe_n's rows are copied to unit stride first: read
-    through their own strides they made the add 1.5x slower at 224^2."""
+    rows, as ``_offset_input`` adds it, and cast by the same pass."""
     view = rows[:, blk].transpose(1, 0, 3, 2)
     out = np.empty(view.shape, dtype=dtype)
     if pe_n is None:
         out[...] = view
     else:
-        pe = np.ascontiguousarray(pe_n[blk])
-        np.add(view, pe[:, None, None, :], out=out, dtype=rows.dtype)
+        np.add(view, pe_n[blk, None, None, :], out=out, dtype=rows.dtype)
     return out.reshape(out.shape[0], -1, out.shape[-1])
 
 
@@ -388,21 +389,18 @@ def _adjoint(xl, g, k, fits: bool):
     offset lines xl (C, lines, N), kernel rows k (C, N) and dY lines g,
     (C, lines, N) or one (lines, N) that every channel shares.  Under the
     memory rule (``fits``) they are the Grams' wrapped diagonals and g @ M.
-    Outside it two ``_correlate`` passes build no (N, N) array: dxl
-    correlates g's periodic extension with the taps K[(-j) mod N], and dK
-    xl's extension with each line's own g, summed over the lines."""
+    Outside it two ``_correlate`` passes, reading their sources circularly,
+    build no (N, N) array: dxl correlates g with the taps K[(-j) mod N], and
+    dK xl with each line's own g, summed over the lines."""
     if fits:
         return _wrapped_diagonals(np.swapaxes(g, -1, -2) @ xl), g @ _circulant(k)
     c, lines, n = xl.shape
+    g = np.broadcast_to(g, xl.shape)
     dxl = np.empty(xl.shape)
-    # np.take keeps the taps C-contiguous whatever the layout of k; a shared
-    # dY line is extended once and read by every channel through a broadcast
-    flip = np.take(k, -np.arange(n) % n, axis=-1)
-    _correlate(np.broadcast_to(np.concatenate([g, g[..., :n - 1]], axis=-1),
-                               (c, lines, 2 * n - 1))[None], flip[:, None], dxl[None])
-    x_ext = np.concatenate([xl, xl[..., :n - 1]], axis=-1).reshape(1, c * lines, 1, -1)
+    # np.take keeps the taps C-contiguous whatever the layout of k
+    _correlate(g[None], np.take(k, -np.arange(n) % n, axis=-1)[:, None], dxl[None])
     dk = np.empty((1, c * lines, 1, n))
-    _correlate(x_ext, np.broadcast_to(g, xl.shape).reshape(c * lines, 1, n), dk)
+    _correlate(xl.reshape(1, c * lines, 1, n), g.reshape(c * lines, 1, n), dk)
     return dk.reshape(c, lines, n).sum(axis=1), dxl
 
 

@@ -199,7 +199,7 @@ def interp_linear_adjoint(g: np.ndarray, k: int) -> np.ndarray:
 
 def interp_rows(m: np.ndarray, n: int) -> np.ndarray:
     """``interp_linear`` along the last axis of a vector or stacked rows, in
-    the rows' ``working_dtype``."""
+    the rows' ``working_dtype``, returned C-contiguous."""
     m = np.asarray(m)
     if np.iscomplexobj(m):
         raise ValueError("interpolation takes real values, got complex input")
@@ -211,7 +211,8 @@ def interp_rows(m: np.ndarray, n: int) -> np.ndarray:
         return np.broadcast_to(m, m.shape[:-1] + (n,)).copy()
     i0, i1, frac = _interp_taps(k, n)
     frac = frac.astype(m.dtype)
-    return m[..., i0] + frac * (m[..., i1] - m[..., i0])
+    lo = np.take(m, i0, axis=-1)
+    return lo + frac * (np.take(m, i1, axis=-1) - lo)
 
 
 # ---------------------------------------------------------------------------

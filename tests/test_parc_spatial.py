@@ -275,19 +275,26 @@ class TestChannelBlocks:
     BACKWARD_SHAPES = {"circulant": SHAPES["concat"], "taps": SHAPES["modulo"],
                        "batched_taps": {"H": (2, C, 13, 1), "V": (2, C, 1, 13)}}
 
+    @pytest.mark.parametrize("mode", ["depthwise", "dense"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("orientation", ["H", "V"])
     @pytest.mark.parametrize("branch", ["circulant", "taps", "batched_taps"])
     def test_backward_gives_the_same_bits_at_every_budget(self, branch, orientation, dtype,
-                                                          monkeypatch):
+                                                          mode, monkeypatch):
         """parc_backward runs per channel block inside the memory rule and
-        through the blocked tap loop outside it; neither mixes channels."""
+        through the blocked tap loop outside it; neither mixes channels.
+        Dense mode is one block, but outside the rule each ``_correlate``
+        block extends its own copy of the dY line every channel shares."""
         rng = np.random.default_rng(37)
         p = random_params(rng, self.C, orientation=orientation)
         shape = self.BACKWARD_SHAPES[branch][orientation]
+        # the memory rule picks the backward's branch in either mode
         assert takes_circulant(shape, p) == (branch == "circulant")
+        if mode == "dense":
+            p = random_params(rng, self.C, orientation=orientation, mode="dense",
+                              channels_out=self.C - 2)
         x = rng.standard_normal(shape).astype(dtype)
-        dy = Tensor4(rng.standard_normal(shape).astype(dtype))
+        dy = Tensor4(rng.standard_normal((shape[0], p.channels_out) + shape[2:]).astype(dtype))
         lines = x.shape[0] * x.shape[2] * x.shape[3] * 8
         want = None
         for budget in (1 << 40, 1, 2 * lines, 3 * lines):
@@ -317,8 +324,10 @@ class TestFusedTapLoop:
     there it must match ``multiply_then_add`` bit for bit, so a fused
     multiply-add or a reordered tap sequence fails.  With one column of
     output, or KxK taps, einsum may sum in its own order: within 1e-6 (f32)
-    or 1e-13 (f64) of sum |k| |x| per element.  Five channels at a budget
-    of two per block leave a ragged last block."""
+    or 1e-13 (f64) of sum |k| |x| per element.  A source shorter than the
+    windows is read circularly, with the bits of the call given its periodic
+    extension.  Five channels at a budget of two per block leave a ragged
+    last block."""
 
     C = 5
 
@@ -370,6 +379,48 @@ class TestFusedTapLoop:
         tol = 1e-6 if dtype == np.float32 else 1e-13
         assert y.dtype == dtype
         assert (np.abs(y.astype(np.float64) - want) <= tol * scale).all()
+
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["own", "shared"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("taps_shape, out_hw", [
+        ((C, 9, 1), (9, 4)), ((C, 1, 9), (4, 9)), ((C, 3, 3), (6, 9))],
+        ids=["columns-wrap-axis2", "rows-wrap-axis3", "k3-wraps-both"])
+    def test_unextended_source_is_read_circularly(self, taps_shape, out_hw, dtype, broadcast,
+                                                  monkeypatch):
+        """An (h, w) source gives the bits of the call given its periodic
+        extension, built here by np.pad; so does a source broadcast over the
+        channels, as dense mode's backward shares one dY line."""
+        rng = np.random.default_rng(taps_shape[1] * 10 + taps_shape[2])
+        b, c, hw = 2, self.C, out_hw
+        src = rng.standard_normal((b, 1 if broadcast else c) + hw).astype(dtype)
+        src = np.broadcast_to(src, (b, c) + hw)
+        taps = rng.uniform(-1, 1, taps_shape).astype(dtype)
+        ext = np.pad(src, [(0, 0), (0, 0), (0, taps_shape[1] - 1), (0, taps_shape[2] - 1)],
+                     mode="wrap")
+        monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", 2 * b * hw[0] * hw[1] * src.itemsize)
+        want, got = np.empty((b, c) + hw, dtype), np.empty((b, c) + hw, dtype)
+        parc_spatial._correlate(np.ascontiguousarray(ext), taps, want)
+        parc_spatial._correlate(src, taps, got)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    def test_zero_padded_source_is_read_as_it_is(self, orientation, monkeypatch):
+        """A source as long as the windows, as the zero-padded baselines pass
+        it, is windowed in place, with no copy and no wrap, and keeps the
+        multiply-then-add bits."""
+        rng = np.random.default_rng(12)
+        src, taps, y = self.case(rng, np.float32, orientation, (self.C, 5, 1), (9, 4))
+        src[:, :, :2] = src[:, :, -2:] = 0
+        in_place, einsum = [], np.einsum
+
+        def spy(subscripts, *operands, **kw):
+            in_place.append(np.may_share_memory(operands[1], src))
+            return einsum(subscripts, *operands, **kw)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        want = self.run(monkeypatch, src, taps, y)
+        assert in_place == [True] * 3  # blocks of 2, 2 and 1 channels
+        assert y.tobytes() == want.tobytes()
 
 
 class TestMemoryRule:

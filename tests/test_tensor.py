@@ -138,6 +138,7 @@ class TestInterp:
         rng = np.random.default_rng(5)
         m = rng.standard_normal((4, 6))
         out = interp_rows(m, 11)
+        assert out.flags.c_contiguous
         for r in range(4):
             assert np.array_equal(out[r], interp_linear(m[r], 11))
 

@@ -17,12 +17,9 @@ sweeps here fall outside the memory rule of ``parc_forward`` and
 ``parc_backward``, N^2 <= B * orth * (2N - 1): the 2x3x1x5 V sweep, the
 1x4x64x2 H sweep and the 2x4x131x3 and 2x4x263x3 H sweeps.  On them
 ``parc_forward`` keeps the tap loop and ``parc_backward`` runs its adjoint
-as tap loops; on every other sweep both run circulant matmuls.  Against a
-tree whose ``parc_backward`` ran a separate tap-loop adjoint on the
-(B, C, N, orth) layout, rather than the one channel-block loop over
-lines-last arrays, only the ``grad.*`` results of the first three may
-differ, within roundoff; every other result must match bit for bit.  CHANGES.md records, for each
-change, which results moved against the tree before it and by how much.
+as tap loops; on every other sweep both run circulant matmuls.  CHANGES.md
+records, for each change, which results moved against the tree before it
+and by how much.
 
 Every route runs twice on the same inputs and params, and the digest is the
 first call's.  The second call is served from the params' plan caches, so a
