@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parc_spatial import _correlate, _rows, sweep_axis
+from .parc_spatial import _correlate, sweep_axis
 from .tensor import Tensor4, check_count, finite_field
 
 
@@ -82,8 +82,9 @@ def conv1d_zeropad(x: Tensor4, p: ZeroPadConvParams) -> Tensor4:
     k, pad, n = p.taps, p.pad, x.shape[axis]
     if n - k + 2 * pad + 1 < 1:
         raise ValueError(f"kernel of {k} taps with pad {pad} leaves no output on extent {n}")
-    y = _correlate_zeropad(_rows(x.data, axis), p.kernel[:, :, None], (pad, 0))
-    return Tensor4(_rows(y, axis))
+    # the swept axis at position 2, where the taps are one column
+    y = _correlate_zeropad(np.swapaxes(x.data, 2, axis), p.kernel[:, :, None], (pad, 0))
+    return Tensor4(np.swapaxes(y, 2, axis))
 
 
 def dwconv2d_zeropad(x: Tensor4, p: ZeroPadConvParams) -> Tensor4:

@@ -26,10 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# _offset_input is no longer called here, but perfbench's tracer test looks it
-# up on this module
-from .parc_spatial import (ParCParams, _channel_blocks, _finish, _lines,  # noqa: F401
-                           _offset_input, _resolve, _rows)
+from .parc_spatial import ParCParams, _channel_blocks, _finish, _offset_input
 from .tensor import Tensor4, working_dtype
 
 _MAX_RADIX = 128
@@ -331,33 +328,28 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
     swept axis, multiplies by the conjugated kernel spectrum bin-wise,
     transforms back, and adds bias.  Depthwise mode only.
 
-    The offset input is one C-contiguous lines-last (C, B*orth, N) array
-    from ``parc_spatial._lines``, whose add does the transpose an H sweep
-    needs (a V sweep needs none); the transforms overwrite it in place, and
-    ``_finish`` adds the bias in place on its (B, C, N, orth) view, so a V
-    sweep with B = 1 allocates no output.  H and V sweeps thus run the same
-    products on the same array, bit for bit.  On a
-    ``half_spectrum`` plan (N <= 2*_MAX_RADIX) each group of whole channels
-    holding at least ``_GROUP_LINES`` lines and ``_GROUP_ELEMENTS`` line
-    elements is one (rows, N) @ (N, 2h) table GEMM and one inverse GEMM
-    written back into its lines.  Past that, lines pair along each
-    channel's B*orth lines in ``_channel_blocks`` blocks, each channel
-    charged B*orth rows of ``weight_spectrum`` (rows of the inner length at
-    a Bluestein length) against the tap loop's ``_BLOCK_BYTES``.  No bit
-    depends on ``_BLOCK_BYTES``: groups ignore it, and blocks never mix
-    lines of two channels.  ``parallel`` is accepted and ignored;
-    perfbench's ``call_route`` still passes it.  The matmuls run on BLAS
-    threads.
+    The offset input is the C-contiguous lines-last (C, B*orth, N) array of
+    ``parc_spatial._offset_input``, as on every forward route; the
+    transforms overwrite it in place, and ``_finish`` adds the bias in place
+    on it and maps it back, so a V sweep with B = 1 allocates no output.  H
+    and V sweeps thus run the same products on the same array, bit for bit.
+    On a ``half_spectrum`` plan (N <= 2*_MAX_RADIX) each group of whole
+    channels holding at least ``_GROUP_LINES`` lines and ``_GROUP_ELEMENTS``
+    line elements is one (rows, N) @ (N, 2h) table GEMM and one inverse GEMM
+    written back into its lines.  Past that, lines pair along each channel's
+    B*orth lines in ``_channel_blocks`` blocks, each channel charged B*orth
+    rows of ``weight_spectrum`` (rows of the inner length at a Bluestein
+    length) against the tap loop's ``_BLOCK_BYTES``.  No bit depends on
+    ``_BLOCK_BYTES``: groups ignore it, and blocks never mix lines of two
+    channels.  ``parallel`` is accepted and ignored; perfbench's
+    ``call_route`` still passes it.  The matmuls run on BLAS threads.
     """
     if p.mode != "depthwise":
         raise ValueError("the frequency route implements the depthwise operator only")
-    axis, n, _, pe_n, bias = _resolve(x, p)
+    axis, n, _, bias, lines = _offset_input(x, p)
     plan = get_plan(n)
     wspec = weight_spectrum(p, n, x.dtype_name)
-    rows = _rows(x.data, axis)
-    batch, channels, _, orth = rows.shape
-    lines = _lines(rows, slice(None), pe_n, x.dtype)
-    count = lines.shape[1]
+    channels, count, _ = lines.shape
     if plan.half_spectrum:
         step = -(-max(_GROUP_LINES, _GROUP_ELEMENTS // n) // count)
         blocks = [slice(start, start + step) for start in range(0, channels, step)]
@@ -373,4 +365,4 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
         bins *= wspec[blk, None, :]
         _irfft_lines(spec, plan, out=part)
         del spec, bins  # before the next group allocates its spectrum
-    return _finish(lines.reshape(channels, batch, orth, n).transpose(1, 0, 3, 2), bias, axis)
+    return _finish(lines, bias, axis, x.shape[0])

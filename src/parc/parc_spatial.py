@@ -6,16 +6,16 @@ embedding to the input.  Kernel and embedding are stored at a fixed meta
 length and stretched to the runtime extent by linear interpolation, so one
 parameter set serves any input size.
 
-An H sweep and a V sweep are one operator on transposed maps, so every route
-works on one layout whatever the orientation: the forward spatial routes on
-the (B, C, N, orth) offset input of ``_offset_input``, swept axis at 2, and
-``parc_backward`` and the frequency route on C-contiguous lines-last
-(C, B * orth, N) arrays of ``_lines``.  Each array is made by the add that
-forms it, which also does the transpose, and ``_rows`` maps results back to
-(B, C, H, W), bit for bit.
+Every swept line is an independent length-N circular correlation, so every
+route works on one layout whatever the orientation: C-contiguous lines-last
+(C, B * orth, N) arrays of ``_lines``, one row per line, each made by the add
+or cast that also does the transpose; ``_line_view`` maps (B, C, H, W) to
+lines and back.  Every forward route, ``fast_parc``'s too, starts with
+``_offset_input``, the one place the position embedding is added, and ends
+in ``_finish``, the one place lines become a map again.
 
 ``parc_forward_via_concat`` is the paper's tap loop: one valid correlation
-over the (2N-1)-long periodic extension of the offset input.  Along one line
+over the (2N-1)-long periodic extension of each offset line.  Along one line
 the operator is also a product with the circulant M[i, l] = K[(l - i) mod N]
 (``_circulant``), so in depthwise mode ``parc_forward`` runs the sweep as one
 stacked matmul, agreeing with the tap loop to roundoff.  Where that stack
@@ -27,8 +27,7 @@ per-tap product; the zero-padded baselines in ``conv_baseline`` share it.
 ``parc_backward`` runs the operator again per channel block of lines, dX
 correlating dY with the reversed kernel and dK the offset input with dY: as
 circulant matmuls under the memory rule and as ``_correlate`` passes on thin
-maps, so it never holds much more than the forward.  Every forward route,
-``fast_parc``'s frequency route too, ends in ``_finish``.
+maps, so it never holds much more than the forward.
 Resolved rows, weight spectra and forward circulant stacks are plans, cached
 by ``ParCParams.prepared``.
 """
@@ -179,16 +178,31 @@ def random_params(
 # ---------------------------------------------------------------------------
 
 
-def _rows(arr: np.ndarray, axis: int) -> np.ndarray:
-    """View of a (B, C, H, W) array with the swept axis at position 2, or
-    back: a no-op for H, a swap of H and W for V, and its own inverse."""
-    return np.swapaxes(arr, 2, axis)
+def _line_view(arr: np.ndarray, axis: int) -> np.ndarray:
+    """View of a (B, C, H, W) array as lines (C, B, orth, N), the swept axis
+    last, or back: the one layout map of every route, its own inverse."""
+    return arr.transpose(1, 0, 5 - axis, axis)
 
 
-def _finish(y: np.ndarray, bias: np.ndarray, axis: int) -> Tensor4:
-    """End of every forward route: y += bias in place, any strides, as (B, C, H, W)."""
-    y += bias.reshape(1, -1, 1, 1)
-    return Tensor4(_rows(y, axis))
+def _lines(arr: np.ndarray, axis: int, blk: slice = slice(None), pe_n: np.ndarray | None = None,
+           dtype=np.float64) -> np.ndarray:
+    """Channels blk of a (B, C, H, W) array as C-contiguous lines of dtype,
+    (C_blk, B * orth, N), read through ``_line_view``; given pe_n, of
+    arr + pe_n added at the precision of arr and cast by the same pass."""
+    view = _line_view(arr, axis)[blk]
+    out = np.empty(view.shape, dtype=dtype)
+    if pe_n is None:
+        out[...] = view
+    else:
+        np.add(view, pe_n[blk, None, None, :], out=out, dtype=arr.dtype)
+    return out.reshape(out.shape[0], -1, out.shape[-1])
+
+
+def _finish(yl: np.ndarray, bias: np.ndarray, axis: int, batch: int) -> Tensor4:
+    """End of every forward route: bias added in place on C-contiguous lines
+    yl (C, B * orth, N), returned as the (B, C, H, W) ``_line_view`` of them."""
+    yl += bias[:, None, None]
+    return Tensor4(_line_view(yl.reshape(yl.shape[0], batch, -1, yl.shape[-1]), axis))
 
 
 def _resolve(x: Tensor4, p: ParCParams):
@@ -202,12 +216,11 @@ def _resolve(x: Tensor4, p: ParCParams):
 
 
 def _offset_input(x: Tensor4, p: ParCParams):
-    """Swept axis, length N, resolved kernel and bias, and xp = x + pe as one
-    C-contiguous (B, C, N, orth) array; the add that allocates xp also does
-    the transpose, so a V sweep copies the input no more than an H sweep."""
+    """Swept axis, length N, resolved kernel and bias, and the offset input
+    xl = x + pe as ``_lines`` at the input's precision: the PE-add-and-layout
+    stage of every forward route, on which H and V sweeps run alike."""
     axis, n, kernel_n, pe_n, bias = _resolve(x, p)
-    xp = np.add(_rows(x.data, axis), pe_n[None, :, :, None], order="C")
-    return axis, n, kernel_n, bias, xp
+    return axis, n, kernel_n, bias, _lines(x.data, axis, slice(None), pe_n, x.dtype)
 
 
 def _channel_blocks(channels: int, channel_bytes: int) -> list:
@@ -232,10 +245,11 @@ def _correlate(src, taps, y) -> None:
     BLAS, no fused multiply-add) then multiplies each tap and adds it into
     the output element, tap after tap, as a multiply-then-add loop would,
     wherever the taps are one column (K_w = 1), the output's last axis is
-    longer than 1 and src and y are row-major, as the forward passes them.
-    Otherwise, as on the backward's row taps, it may sum them in its own
-    order, within roundoff.  Channels never mix, so the block size changes
-    no output element's sequence of operations, or any bit.
+    longer than 1 and src and y are row-major, as the zero-padded baselines
+    pass them.  Otherwise, as on the row taps of the forward and the
+    backward, it may sum them in its own order, within roundoff.  Channels
+    never mix, so the block size changes no output element's sequence of
+    operations, or any bit.
     """
     (h, w), (h0, w0) = y.shape[2:], src.shape[2:]
     rows, cols = h + taps.shape[1] - 1, w + taps.shape[2] - 1
@@ -253,32 +267,38 @@ def _correlate(src, taps, y) -> None:
         np.einsum("crs,bcrshw->bchw", taps[blk], win, out=y[:, blk])
 
 
-def _accumulate(xp, kernel_n, bias, mode, axis):
-    """Shared tap loop over the offset input xp, (B, C, N, orth), read as its
-    periodic extension: output position i takes kernel[k] * (x + pe)[(i + k)
+def _accumulate(xl, kernel_n, mode):
+    """Shared tap loop over the offset lines xl, (C_in, lines, N), each read
+    as its periodic extension: output position i takes kernel[k] * xl[(i + k)
     mod N].  Every tap-loop forward funnels through here so the accumulation
-    order, and therefore every rounding, is identical.  Depthwise, one
-    ``_correlate`` call extends each channel block by itself, so no extension
+    order, and therefore every rounding, is identical.  Returns the lines
+    (C_out, lines, N).  Depthwise, one ``_correlate`` call with one row of N
+    taps per channel extends each channel block by itself, so no extension
     of the whole tensor and no per-tap product is held; dense mode extends
     the whole tensor and runs one einsum per tap.
     """
-    n = kernel_n.shape[-1]
-    shape = (xp.shape[0], kernel_n.shape[0], n, xp.shape[3])
     if mode == "depthwise":
-        y = np.empty(shape, dtype=xp.dtype)
-        run_sliced(_correlate, xp, kernel_n[:, :, None], y)
-    else:
-        y = np.zeros(shape, dtype=xp.dtype)
-        ext = np.concatenate([xp, xp[:, :, :n - 1]], axis=2)
-        for k in range(n):
-            y += np.einsum("oi,bihw->bohw", kernel_n[:, :, k], ext[:, :, k:k + n])
-    return _finish(y, bias, axis)
+        yl = np.empty_like(xl)
+        run_sliced(_correlate, xl[None], kernel_n[:, None, :], yl[None])
+        return yl
+    n = xl.shape[-1]
+    yl = np.zeros((kernel_n.shape[0],) + xl.shape[1:], dtype=xl.dtype)
+    ext = np.concatenate([xl, xl[..., :n - 1]], axis=-1)
+    for k in range(n):
+        yl += np.einsum("oi,ilw->olw", kernel_n[:, :, k], ext[..., k:k + n])
+    return yl
+
+
+def _reversed(k: np.ndarray) -> np.ndarray:
+    """Kernel rows k (..., N) read backwards mod N, k[..., (-j) mod N]; np.take
+    keeps them C-contiguous whatever the layout of k."""
+    return np.take(k, -np.arange(k.shape[-1]) % k.shape[-1], axis=-1)
 
 
 def _circulant(k: np.ndarray) -> np.ndarray:
     """Circulant stack M[..., i, l] = k[..., (l - i) mod N] of kernel rows
-    k (..., N): along one line the forward is y = M @ xp and the input
-    adjoint is dY @ M.
+    k (..., N): along one line the forward is y = xl @ M.T, M.T being the
+    stack of the ``_reversed`` rows, and the input adjoint is dY @ M.
 
     The stack is C-contiguous, so every (N, N) slice has a unit-stride row
     and ``matmul`` hands it to BLAS.  ``np.take`` along the last axis builds
@@ -290,7 +310,7 @@ def _circulant(k: np.ndarray) -> np.ndarray:
 
 def _circulant_fits(n: int, lines: int) -> bool:
     """The memory rule of both circulant branches: a (C, N, N) stack holds no
-    more elements than the (lines, C, 2N-1) periodic extension of the tap
+    more elements than the (C, lines, 2N-1) periodic extension of the tap
     loop, lines = B * orth being the count of swept lines per channel."""
     return n * n <= lines * (2 * n - 1)
 
@@ -303,36 +323,37 @@ def parc_forward(x: Tensor4, p: ParCParams) -> Tensor4:
     additionally contracts over input channels.  Output shape matches the
     input except that dense mode replaces C with channels_out.
 
-    Depthwise, y = M @ xp with the C-contiguous (C, N, N) circulant stack M
-    of ``_circulant``, in the input's precision, over the C-contiguous
-    (B, C, N, orth) offset input: matmul loops over batch and channels and
-    hands each (N, N) @ (N, orth) product, every line of one channel, to
-    BLAS.  The stack is built only while it holds no more elements than the
-    periodic extension the tap loop would allocate,
+    Depthwise, y = xl @ M.T over the offset lines xl (C, B * orth, N) of
+    ``_offset_input``, in the input's precision, M.T being the C-contiguous
+    (C, N, N) ``_circulant`` stack of the ``_reversed`` kernel rows: matmul
+    loops over channels and hands each (lines, N) @ (N, N) product, every
+    line of one channel, to BLAS.  The stack is built only while it holds no
+    more elements than the periodic extension the tap loop would allocate,
     N^2 <= B * orth * (2N - 1), so peak memory never exceeds the tap loop's,
     and kept as a plan of the params.  Dense mode and thin maps run the tap
     loop of ``parc_forward_via_concat``, bit for bit.
     """
-    axis, n, kernel_n, bias, xp = _offset_input(x, p)
-    b, _, _, orth = xp.shape
-    if p.mode == "depthwise" and _circulant_fits(n, b * orth):
-        y = p.prepared("circulant", n, x.dtype_name, lambda: (_circulant(kernel_n),))[0] @ xp
-        return _finish(y, bias, axis)
-    return _accumulate(xp, kernel_n, bias, p.mode, axis)
+    axis, n, kernel_n, bias, xl = _offset_input(x, p)
+    if p.mode == "depthwise" and _circulant_fits(n, xl.shape[1]):
+        yl = xl @ p.prepared("circulant", n, x.dtype_name,
+                             lambda: (_circulant(_reversed(kernel_n)),))[0]
+    else:
+        yl = _accumulate(xl, kernel_n, p.mode)
+    return _finish(yl, bias, axis, x.shape[0])
 
 
 def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
     """Same operator as the paper's tap loop over a periodic extension.
 
-    The offset input is concatenated with its own first N-1 positions along
-    the swept axis (length 2N-1) and the kernel slides over that extension
-    with no padding.  Bit-identical to ``parc_forward`` wherever that runs
-    the tap loop (dense mode, thin maps), and equal to its circulant matmul
-    to roundoff.  ``parallel`` is accepted and ignored; perfbench's
+    Each offset line is concatenated with its own first N-1 positions
+    (length 2N-1) and the kernel slides over that extension with no
+    padding.  Bit-identical to ``parc_forward`` wherever that runs the tap
+    loop (dense mode, thin maps), and equal to its circulant matmul to
+    roundoff.  ``parallel`` is accepted and ignored; perfbench's
     ``call_route`` still passes it.  The tap loop always runs serially.
     """
-    axis, _, kernel_n, bias, xp = _offset_input(x, p)
-    return _accumulate(xp, kernel_n, bias, p.mode, axis)
+    axis, _, kernel_n, bias, xl = _offset_input(x, p)
+    return _finish(_accumulate(xl, kernel_n, p.mode), bias, axis, x.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +381,6 @@ class ParCGrads:
     d_meta_pe: np.ndarray
 
 
-def _lines(rows: np.ndarray, blk: slice, pe_n: np.ndarray | None = None,
-           dtype=np.float64) -> np.ndarray:
-    """Channels blk of a (B, C, N, orth) array as C-contiguous lines of dtype,
-    (C_blk, B * orth, N); given pe_n, of rows + pe_n added at the precision of
-    rows, as ``_offset_input`` adds it, and cast by the same pass."""
-    view = rows[:, blk].transpose(1, 0, 3, 2)
-    out = np.empty(view.shape, dtype=dtype)
-    if pe_n is None:
-        out[...] = view
-    else:
-        np.add(view, pe_n[blk, None, None, :], out=out, dtype=rows.dtype)
-    return out.reshape(out.shape[0], -1, out.shape[-1])
-
-
 def _wrapped_diagonals(gram: np.ndarray) -> np.ndarray:
     """dK[..., k] = sum_i gram[..., i, (i + k) mod N], summed through a view of
     [gram, gram] whose element [..., i, k] sits at [..., i, i + k]."""
@@ -397,8 +404,7 @@ def _adjoint(xl, g, k, fits: bool):
     c, lines, n = xl.shape
     g = np.broadcast_to(g, xl.shape)
     dxl = np.empty(xl.shape)
-    # np.take keeps the taps C-contiguous whatever the layout of k
-    _correlate(g[None], np.take(k, -np.arange(n) % n, axis=-1)[:, None], dxl[None])
+    _correlate(g[None], _reversed(k)[:, None], dxl[None])
     dk = np.empty((1, c * lines, 1, n))
     _correlate(xl.reshape(1, c * lines, 1, n), g.reshape(c * lines, 1, n), dk)
     return dk.reshape(c, lines, n).sum(axis=1), dxl
@@ -408,16 +414,16 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     """Analytic adjoint of the forward operator at the point (x, p).
 
     dY has the forward output's shape.  Every gradient is computed in
-    float64 from the offset input xp formed at the input precision.  Along
-    one line the forward pass is y = xp @ M.T with the circulant
-    M[i, l] = K[(l - i) mod N], so dxp = dY @ M and dK[k] =
-    sum_i G[i, (i + k) mod N] sums the wrapped diagonals of the Gram matrix
-    G = dY.T @ xp.  ``_adjoint`` forms both, as matmuls under the forward's
-    memory rule N^2 <= B * orth * (2N - 1) and as tap loops outside it, on
-    one ``_channel_blocks`` block of float64 lines-last (C, lines, N) arrays
-    at a time; each block writes its share of every gradient in place.
+    float64 from the offset lines xl formed at the input precision, as
+    ``_offset_input`` forms them.  Along one line the forward pass is
+    y = xl @ M.T with the circulant M[i, l] = K[(l - i) mod N], so
+    dxl = dY @ M and dK[k] = sum_i G[i, (i + k) mod N] sums the wrapped
+    diagonals of the Gram matrix G = dY.T @ xl.  ``_adjoint`` forms both, as
+    matmuls under the forward's memory rule N^2 <= B * orth * (2N - 1) and
+    as tap loops outside it, on one ``_channel_blocks`` block of float64
+    lines at a time; each block writes its share of every gradient in place.
     Dense mode is one block that calls ``_adjoint`` per output channel o,
-    dY[o] shared by every input channel, and adds up the dxp shares, so no
+    dY[o] shared by every input channel, and adds up the dxl shares, so no
     (C_out*N, C_in*N) matrix is ever formed.  Meta-length gradients are
     pulled back through ``interp_linear_adjoint``.
     """
@@ -425,18 +431,16 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     expect = (x.shape[0], p.channels_out) + x.shape[2:]
     if dy.shape != expect:
         raise ValueError(f"dY shape {dy.shape} does not match forward output {expect}")
-    xr, gr = _rows(x.data, axis), _rows(dy.data, axis)
-    b, c, _, orth = xr.shape
     k64 = kernel_n.astype(np.float64)
     d_input = np.empty(x.shape, dtype=x.dtype)
-    # d_input as lines-last (C, B, orth, N), the layout of _lines
-    d_lines = _rows(d_input, axis).transpose(1, 0, 3, 2)
+    d_lines = _line_view(d_input, axis)
+    c, b, orth, _ = d_lines.shape
     d_kernel_n, d_pe_n = np.empty(k64.shape), np.empty((c, n))
     d_bias = np.empty(p.channels_out)
     fits = _circulant_fits(n, b * orth)
     depthwise = p.mode == "depthwise"
     for blk in _channel_blocks(c, b * orth * n * 8) if depthwise else [slice(None)]:
-        xl, g = _lines(xr, blk, pe_n), _lines(gr, blk)
+        xl, g = _lines(x.data, axis, blk, pe_n), _lines(dy.data, axis, blk)
         if depthwise:
             d_kernel_n[blk], dxl = _adjoint(xl, g, k64[blk], fits)
         else:

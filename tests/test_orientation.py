@@ -1,8 +1,8 @@
 """An H sweep and a V sweep are one operator on transposed maps.
 
-Every route gets the offset input with the swept axis at position 2, so a V
-sweep of x must equal, bit for bit, the H sweep of x with H and W swapped,
-transposed back, and must not cost more memory than that H sweep.
+Every route computes on the offset input laid out as lines, swept axis last,
+so a V sweep of x must equal, bit for bit, the H sweep of x with H and W
+swapped, transposed back, and must not cost more memory than that H sweep.
 """
 
 import tracemalloc
@@ -91,8 +91,8 @@ def _peak(route, x, p) -> int:
 @pytest.mark.parametrize("route", [parc_forward_via_concat, fast_parc_forward],
                          ids=["parc_forward_via_concat", "fast_parc_forward"])
 def test_v_sweep_peak_memory_matches_the_h_sweep(route):
-    """The transpose to the swept-axis-at-2 layout rides on the allocation of
-    the offset input, so a V sweep holds no second copy of the map."""
+    """The transpose to the lines layout rides on the allocation of the
+    offset input, so a V sweep holds no second copy of the map."""
     rng = np.random.default_rng(5)
     p_v = random_params(rng, 16, orientation="V")
     p_h = ParCParams("depthwise", "H", p_v.meta_kernel, p_v.meta_pe, p_v.bias)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parc import parc_spatial
+from parc import fast_parc, parc_spatial
 from parc.fast_parc import fast_parc_forward, weight_spectrum
 from parc.parc_spatial import (
     ParCParams,
@@ -123,7 +123,7 @@ class TestOracleEquivalence:
 
 def takes_circulant(shape, p):
     """parc_forward's documented branch rule: depthwise, and a (C, N, N) stack
-    no larger than the (B, C, 2N-1, orth) periodic extension."""
+    no larger than the (C, B * orth, 2N-1) periodic extension."""
     axis = 2 if p.orientation == "H" else 3
     n, orth = shape[axis], shape[5 - axis]
     return p.mode == "depthwise" and n * n <= shape[0] * orth * (2 * n - 1)
@@ -173,7 +173,8 @@ class TestTwoRoutesBitwise:
     @pytest.mark.parametrize("orientation", ["H", "V"])
     @pytest.mark.parametrize("shape", [(2, 10, 50, 83), (2, 3, 1, 2), (2, 3, 2, 1)],
                              ids=["blocks", "h1w2", "h2w1"])
-    def test_default_budget_and_shortest_extensions(self, shape, orientation, mode, dtype):
+    def test_default_budget_and_shortest_extensions(self, shape, orientation, mode, dtype,
+                                                   monkeypatch):
         # at 50x83 one channel holds 33,200 B in f32 and 66,400 B in f64, so the
         # default budget cuts 10 channels into blocks of 7+3 and 3+3+3+1; the
         # small maps sweep n = 1 and 2, extensions of 1 and 3 rows
@@ -186,12 +187,14 @@ class TestTwoRoutesBitwise:
         a = parc_forward(Tensor4(x), p).data
         b = parc_forward_via_concat(Tensor4(x), p).data
         assert b.dtype == dtype
-        if mode == "depthwise":
-            assert b.tobytes() == unblocked_forward(x, p).tobytes()
         if takes_circulant(shape, p):
             assert_roundoff(a, b)
         else:
             assert a.tobytes() == b.tobytes()
+        if mode == "depthwise":
+            assert_tap_roundoff(b, x, p)
+            monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", 1 << 40)
+            assert b.tobytes() == parc_forward_via_concat(Tensor4(x), p).data.tobytes()
 
 
 
@@ -208,6 +211,23 @@ def unblocked_forward(x, p):
         y += prod
     y += bias.reshape(1, -1, 1, 1)
     return np.swapaxes(y, 2, axis)
+
+
+def assert_tap_roundoff(got, x, p):
+    """The depthwise tap loop against ``unblocked_forward``: its row taps sum
+    in einsum's own order, so within 1e-6 (f32) or 1e-13 (f64) of
+    sum_k |kernel[c, k]| |x + pe|[c, (i + k) mod N] per element, the bound
+    of ``TestFusedTapLoop.test_other_taps_match_to_roundoff``."""
+    axis = 2 if p.orientation == "H" else 3
+    n = x.shape[axis]
+    kernel_n, pe_n, _ = p.resolved(n, Tensor4(x).dtype_name)
+    xp = np.abs(np.swapaxes(x, 2, axis) + pe_n[None, :, :, None]).astype(np.float64)
+    k = np.abs(kernel_n.astype(np.float64))
+    scale = sum(k[:, j].reshape(1, -1, 1, 1) * np.roll(xp, -j, axis=2) for j in range(n))
+    tol = 1e-6 if x.dtype == np.float32 else 1e-13
+    assert got.dtype == x.dtype
+    diff = np.abs(got.astype(np.float64) - unblocked_forward(x, p))
+    assert (diff <= tol * np.swapaxes(scale, 2, axis)).all()
 
 
 def spy_block_passes(monkeypatch):
@@ -243,18 +263,22 @@ class TestChannelBlocks:
     @pytest.mark.parametrize("orientation", ["H", "V"])
     @pytest.mark.parametrize("route", [parc_forward, parc_forward_via_concat],
                              ids=["modulo", "concat"])
-    def test_every_budget_gives_the_unblocked_bits(self, route, orientation, dtype, monkeypatch):
+    def test_every_budget_gives_the_one_block_bits(self, route, orientation, dtype, monkeypatch):
         rng = np.random.default_rng(35)
         p = random_params(rng, self.C, orientation=orientation)
         shape = self.SHAPES["modulo" if route is parc_forward else "concat"][orientation]
         x = rng.standard_normal(shape).astype(dtype)
         assert not (route is parc_forward and takes_circulant(shape, p))
-        want = unblocked_forward(x, p).tobytes()
+        runs = {}
         for name, budget in self.budgets(x).items():
             monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", budget)
-            got = route(Tensor4(x), p).data
-            assert got.dtype == dtype
-            assert got.tobytes() == want, name
+            runs[name] = route(Tensor4(x), p).data
+        want = runs["one_block"]
+        for name, got in runs.items():
+            assert got.tobytes() == want.tobytes(), name
+        assert_tap_roundoff(want, x, p)
+        # where parc_forward runs the tap loop, it is the tap loop of concat
+        assert want.tobytes() == parc_forward_via_concat(Tensor4(x), p).data.tobytes()
 
     def test_block_sizes_follow_the_budget(self, monkeypatch):
         rng = np.random.default_rng(36)
@@ -333,9 +357,9 @@ class TestFusedTapLoop:
 
     @staticmethod
     def case(rng, dtype, orientation, taps_shape, out_hw):
-        """Source, taps and output as ``_correlate``'s callers pass them:
-        row-major, swept axis at 2.  A V map is drawn as (B, C, orth, N) and
-        reaches that layout through a transposing copy, as in ``_offset_input``."""
+        """Source, taps and output as ``conv_baseline.conv1d_zeropad`` passes
+        them: row-major, swept axis at 2.  A V map is drawn as
+        (B, C, orth, N) and reaches that layout through a transposing copy."""
         b, c, (h, w) = 2, TestFusedTapLoop.C, out_hw
         src_hw = (h + taps_shape[1] - 1, w + taps_shape[2] - 1)
         if orientation == "V":
@@ -425,8 +449,8 @@ class TestFusedTapLoop:
 
 class TestMemoryRule:
     """parc_forward and parc_backward build (C, N, N) circulant stacks only
-    while one holds no more elements than the (B, C, 2N-1, orth) extension of
-    the tap loop."""
+    while one holds no more elements than the (C, B * orth, 2N-1) extension
+    of the tap loop."""
 
     @staticmethod
     def spy_circulant(monkeypatch):
@@ -901,3 +925,63 @@ class TestPlanCache:
         assert not any(arr.flags.writeable for plan in p._plans.values() for arr in plan)
         for route, want in zip(routes, before):
             assert route(x, p).data.tobytes() == want.tobytes()
+
+
+class TestOneLayoutStage:
+    """Every forward route adds the PE and lays its lines out once, in
+    ``_offset_input``, and maps its lines back to a map once, in
+    ``_finish``: both C-contiguous (C, B * orth, N) arrays."""
+
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    @pytest.mark.parametrize("route, mode, shape", [
+        (parc_forward, "depthwise", (2, 3, 8, 5)),
+        (parc_forward, "depthwise", (1, 3, 64, 2)),
+        (parc_forward, "dense", (2, 3, 8, 5)),
+        (parc_forward_via_concat, "depthwise", (2, 3, 8, 5)),
+        (parc_forward_via_concat, "dense", (2, 3, 8, 5)),
+        (fast_parc_forward, "depthwise", (2, 3, 8, 5)),
+    ], ids=["modulo-circulant", "modulo-taps", "modulo-dense", "concat", "concat-dense", "freq"])
+    def test_each_route_runs_the_stage_once(self, route, mode, shape, orientation, monkeypatch):
+        rng = np.random.default_rng(44)
+        p = random_params(rng, 3, orientation=orientation, mode=mode, channels_out=4)
+        if orientation == "V":
+            shape = shape[:2] + shape[2:][::-1]
+        x = Tensor4(rng.standard_normal(shape))
+        if route is parc_forward and mode == "depthwise":
+            assert takes_circulant(shape, p) == (shape[0] == 2)
+        calls = []
+
+        def spy(name, fn, pick):
+            def wrapped(*args):
+                out = fn(*args)
+                calls.append((name, pick(args, out)))
+                return out
+            return wrapped
+
+        offset = spy("offset", parc_spatial._offset_input, lambda args, out: out[-1])
+        finish = spy("finish", parc_spatial._finish, lambda args, out: args[0])
+        for module in (parc_spatial, fast_parc):
+            monkeypatch.setattr(module, "_offset_input", offset)
+            monkeypatch.setattr(module, "_finish", finish)
+        y = route(x, p).data
+        assert [name for name, _ in calls] == ["offset", "finish"]
+        n = shape[2] if orientation == "H" else shape[3]
+        lines = shape[0] * shape[2] * shape[3] // n
+        for (_, arr), channels in zip(calls, (p.channels_in, p.channels_out)):
+            assert arr.shape == (channels, lines, n) and arr.flags.c_contiguous
+        assert y.shape == (shape[0], p.channels_out) + shape[2:]
+
+
+@pytest.mark.parametrize("orth", [2, 4])
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_tap_loop_f32_error_stays_flat_in_n(n, orth):
+    """The f32 tap loop on thin maps, kernel scale 1/N, against its own f64
+    run: within 5e-7 of the output's max up to N = 4096, where a tap loop
+    summing each output's N products in order reads up to about 8.5e-7."""
+    rng = np.random.default_rng(n + orth)
+    p = random_params(rng, 4, kernel_scale=1.0 / n)
+    x = rng.standard_normal((1, 4, n, orth))
+    want = parc_forward_via_concat(Tensor4(x), p).data
+    got = parc_forward_via_concat(Tensor4(x.astype(np.float32)), p).data
+    err = np.abs(got - want).max() / np.abs(want).max()
+    assert err <= 5e-7, f"{err:.2e}"
