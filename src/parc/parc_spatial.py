@@ -18,16 +18,16 @@ in ``_finish``, the one place lines become a map again.
 over the (2N-1)-long periodic extension of each offset line.  Along one line
 the operator is also a product with the circulant M[i, l] = K[(l - i) mod N]
 (``_circulant``), so in depthwise mode ``parc_forward`` runs the sweep as one
-stacked matmul, agreeing with the tap loop to roundoff.  Where that stack
-would outgrow the periodic extension (thin maps) and in dense mode,
-``parc_forward`` runs the same tap loop, bit for bit.  In depthwise mode the
-tap loop is ``_correlate``, which reads its source circularly, one einsum
-pass over a strided window view per cache-sized channel block, storing no
-per-tap product; the zero-padded baselines in ``conv_baseline`` share it.
-``parc_backward`` runs the operator again per channel block of lines, dX
-correlating dY with the reversed kernel and dK the offset input with dY: as
-circulant matmuls under the memory rule and as ``_correlate`` passes on thin
-maps, so it never holds much more than the forward.
+stacked matmul, agreeing with the tap loop to roundoff.  Outside the memory
+rule ``_circulant_fits`` (thin maps) and in dense mode, ``parc_forward`` runs
+the same tap loop, bit for bit: ``_accumulate``, the one circular tap loop
+on lines of both modes and directions.  Depthwise it is ``_correlate``, one
+einsum pass over a strided window view per cache-sized channel block, which
+reads its source circularly and stores no per-tap product; the zero-padded
+baselines share it.  ``parc_backward`` runs the operator again per channel
+block of lines, dX correlating dY with the reversed kernel and dK the offset
+input with dY: as circulant matmuls under the memory rule and as tap loops
+on thin maps, so it never holds much more than the forward.
 Resolved rows, weight spectra and forward circulant stacks are plans, cached
 by ``ParCParams.prepared``.
 """
@@ -44,8 +44,8 @@ from .tensor import Tensor4, dtype_from_name, finite_field, interp_linear_adjoin
 _AXIS = {"H": 2, "V": 3}
 DEFAULT_META_LEN = 14
 # Most plans one ParCParams keeps, least recently used dropped first.  A count
-# bounds the bytes: the one large plan, a circulant stack, passed parc_forward's
-# memory rule, so it is no larger than the extension its own call allocated.
+# bounds the bytes: the one large plan, a circulant stack, passed the memory
+# rule ``_circulant_fits``, so it is smaller than twice its call's offset lines.
 _PLAN_CAP = 16
 # Output bytes per channel block of the tap loop ``_correlate``: small enough that
 # a block's source window and output stay in L2 over all taps.  The frequency
@@ -231,33 +231,32 @@ def _channel_blocks(channels: int, channel_bytes: int) -> list:
 
 
 def _correlate(src, taps, y) -> None:
-    """Write sum_(r,s) taps[c, r, s] * src[:, c, (r + i) mod H, (s + j) mod W]
-    into y[:, c, i, j] for every channel c, (h, w) being y's last two extents
-    and (H, W) src's, whose windows may wrap at most once.
+    """Write sum_(r,s) taps[c, r, s] * src[:, c, r + i, (s + j) mod W] into
+    y[:, c, i, j] for every channel c, (h, w) being y's last two extents and
+    W src's last, which its windows may wrap at most once.  Only that axis
+    wraps: src must hold all h + K_h - 1 rows of the windows on axis 2, or
+    a window would read past its buffer.
 
     Each ``_channel_blocks`` block of y's channels appends to its slice of
-    src the leading rows and columns its windows wrap onto; a source that
-    needs no wrap, such as a zero-padded one, is read as it is.  The block is
-    then one einsum pass over a read-only strided view, (B, cb, K_h, K_w, h,
-    w), whose element [b, c, r, s, i, j] is src[b, c, r + i, s + j]: all taps
-    of a block run before the next block starts, so its source window and
+    src the leading columns its windows wrap onto; a source that needs no
+    wrap, such as a zero-padded one, is read as it is.  The block is then
+    one einsum pass over a read-only strided view, (B, cb, K_h, K_w, h, w),
+    whose element [b, c, r, s, i, j] is src[b, c, r + i, s + j]: all taps of
+    a block run before the next block starts, so its source window and
     output stay in cache, and no product is stored.  einsum's C loop (no
     BLAS, no fused multiply-add) then multiplies each tap and adds it into
     the output element, tap after tap, as a multiply-then-add loop would,
     wherever the taps are one column (K_w = 1), the output's last axis is
     longer than 1 and src and y are row-major, as the zero-padded baselines
-    pass them.  Otherwise, as on the row taps of the forward and the
-    backward, it may sum them in its own order, within roundoff.  Channels
-    never mix, so the block size changes no output element's sequence of
-    operations, or any bit.
+    pass them.  Otherwise, as on ``_accumulate``'s row taps, it may sum them
+    in its own order, within roundoff.  Channels never mix, so the block
+    size changes no output element's sequence of operations, or any bit.
     """
-    (h, w), (h0, w0) = y.shape[2:], src.shape[2:]
-    rows, cols = h + taps.shape[1] - 1, w + taps.shape[2] - 1
+    (h, w), w0 = y.shape[2:], src.shape[3]
+    cols = w + taps.shape[2] - 1
     for blk in _channel_blocks(y.shape[1], y[:, :1].nbytes):
         part = src[:, blk]
         # C order: concatenate lays a channel-broadcast dY out channel-fastest
-        if h0 < rows:
-            part = np.ascontiguousarray(np.concatenate([part, part[:, :, :rows - h0]], 2))
         if w0 < cols:
             part = np.ascontiguousarray(np.concatenate([part, part[..., :cols - w0]], 3))
         sb, sc, sr, ss = part.strides
@@ -267,18 +266,19 @@ def _correlate(src, taps, y) -> None:
         np.einsum("crs,bcrshw->bchw", taps[blk], win, out=y[:, blk])
 
 
-def _accumulate(xl, kernel_n, mode):
-    """Shared tap loop over the offset lines xl, (C_in, lines, N), each read
-    as its periodic extension: output position i takes kernel[k] * xl[(i + k)
-    mod N].  Every tap-loop forward funnels through here so the accumulation
-    order, and therefore every rounding, is identical.  Returns the lines
-    (C_out, lines, N).  Depthwise, one ``_correlate`` call with one row of N
-    taps per channel extends each channel block by itself, so no extension
-    of the whole tensor and no per-tap product is held; dense mode extends
-    the whole tensor and runs one einsum per tap.
+def _accumulate(xl, kernel_n):
+    """The one circular tap loop on lines, run by every tap-loop forward, so
+    each makes the same roundings, and by the backward outside the memory
+    rule: output position i of each line of xl (C_in, lines, N) takes
+    kernel[k] * xl[(i + k) mod N], depthwise for kernel rows (C, N), summed
+    over input channels for a (C_out, C_in, N) kernel.  Returns the lines
+    (C_out, lines, N).  Depthwise it is one ``_correlate`` call, one row of
+    N taps per channel, which extends each channel block by itself; xl may
+    be broadcast over channels.  Dense mode extends the whole tensor and
+    runs one einsum per tap.
     """
-    if mode == "depthwise":
-        yl = np.empty_like(xl)
+    if kernel_n.ndim == 2:
+        yl = np.empty(xl.shape, xl.dtype)
         run_sliced(_correlate, xl[None], kernel_n[:, None, :], yl[None])
         return yl
     n = xl.shape[-1]
@@ -309,9 +309,10 @@ def _circulant(k: np.ndarray) -> np.ndarray:
 
 
 def _circulant_fits(n: int, lines: int) -> bool:
-    """The memory rule of both circulant branches: a (C, N, N) stack holds no
-    more elements than the (C, lines, 2N-1) periodic extension of the tap
-    loop, lines = B * orth being the count of swept lines per channel."""
+    """The memory rule of both circulant branches, lines = B * orth being
+    the swept lines per channel: N^2 <= lines * (2N - 1) < 2 * lines * N, so
+    a (C, N, N) stack holds fewer elements than twice the (C, lines, N)
+    offset lines of its call."""
     return n * n <= lines * (2 * n - 1)
 
 
@@ -327,18 +328,17 @@ def parc_forward(x: Tensor4, p: ParCParams) -> Tensor4:
     ``_offset_input``, in the input's precision, M.T being the C-contiguous
     (C, N, N) ``_circulant`` stack of the ``_reversed`` kernel rows: matmul
     loops over channels and hands each (lines, N) @ (N, N) product, every
-    line of one channel, to BLAS.  The stack is built only while it holds no
-    more elements than the periodic extension the tap loop would allocate,
-    N^2 <= B * orth * (2N - 1), so peak memory never exceeds the tap loop's,
-    and kept as a plan of the params.  Dense mode and thin maps run the tap
-    loop of ``parc_forward_via_concat``, bit for bit.
+    line of one channel, to BLAS.  The stack is built only under the memory
+    rule ``_circulant_fits``, which bounds it by twice the offset lines, and
+    kept as a plan of the params.  Dense mode and thin maps run the tap loop
+    of ``parc_forward_via_concat``, bit for bit.
     """
     axis, n, kernel_n, bias, xl = _offset_input(x, p)
     if p.mode == "depthwise" and _circulant_fits(n, xl.shape[1]):
         yl = xl @ p.prepared("circulant", n, x.dtype_name,
                              lambda: (_circulant(_reversed(kernel_n)),))[0]
     else:
-        yl = _accumulate(xl, kernel_n, p.mode)
+        yl = _accumulate(xl, kernel_n)
     return _finish(yl, bias, axis, x.shape[0])
 
 
@@ -353,7 +353,7 @@ def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -
     ``call_route`` still passes it.  The tap loop always runs serially.
     """
     axis, _, kernel_n, bias, xl = _offset_input(x, p)
-    return _finish(_accumulate(xl, kernel_n, p.mode), bias, axis, x.shape[0])
+    return _finish(_accumulate(xl, kernel_n), bias, axis, x.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -391,22 +391,31 @@ def _wrapped_diagonals(gram: np.ndarray) -> np.ndarray:
     return view.sum(axis=-2)
 
 
-def _adjoint(xl, g, k, fits: bool):
-    """dK (C, N) and dxl (C, lines, N) of a depthwise sweep, from float64
-    offset lines xl (C, lines, N), kernel rows k (C, N) and dY lines g,
-    (C, lines, N) or one (lines, N) that every channel shares.  Under the
-    memory rule (``fits``) they are the Grams' wrapped diagonals and g @ M.
-    Outside it two ``_correlate`` passes, reading their sources circularly,
-    build no (N, N) array: dxl correlates g with the taps K[(-j) mod N], and
-    dK xl with each line's own g, summed over the lines."""
-    if fits:
-        return _wrapped_diagonals(np.swapaxes(g, -1, -2) @ xl), g @ _circulant(k)
+def _adjoint(xl, g, k):
+    """dK and dxl (C_in, lines, N) of a sweep, from float64 offset lines xl
+    (C_in, lines, N), kernel k and dY lines g.  For kernel rows k (C, N), a
+    depthwise sweep, g is (C, lines, N) or one (lines, N) that every channel
+    shares, and dK is (C, N).  Under the memory rule ``_circulant_fits`` they
+    are the Grams' wrapped diagonals and g @ M.  Outside it two
+    ``_accumulate`` passes build no (N, N) array: dxl correlates g with the
+    taps K[(-j) mod N], and dK xl with each line's own g, summed over the
+    lines.  A dense kernel k (C_out, C_in, N) with g (C_out, lines, N) runs
+    the depthwise adjoint once per output channel o, dY[o] shared by every
+    input channel, and adds up the dxl shares, so no (C_out*N, C_in*N)
+    matrix is ever formed."""
+    if k.ndim == 3:
+        dk, dxl = np.empty(k.shape), np.zeros(xl.shape)
+        for o in range(k.shape[0]):
+            dk[o], share = _adjoint(xl, g[o], k[o])
+            dxl += share
+            del share  # before the next output channel builds its own
+        return dk, dxl
     c, lines, n = xl.shape
+    if _circulant_fits(n, lines):
+        return _wrapped_diagonals(np.swapaxes(g, -1, -2) @ xl), g @ _circulant(k)
     g = np.broadcast_to(g, xl.shape)
-    dxl = np.empty(xl.shape)
-    _correlate(g[None], _reversed(k)[:, None], dxl[None])
-    dk = np.empty((1, c * lines, 1, n))
-    _correlate(xl.reshape(1, c * lines, 1, n), g.reshape(c * lines, 1, n), dk)
+    dxl = _accumulate(g, _reversed(k))
+    dk = _accumulate(xl.reshape(c * lines, 1, n), g.reshape(c * lines, n))
     return dk.reshape(c, lines, n).sum(axis=1), dxl
 
 
@@ -419,13 +428,10 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     y = xl @ M.T with the circulant M[i, l] = K[(l - i) mod N], so
     dxl = dY @ M and dK[k] = sum_i G[i, (i + k) mod N] sums the wrapped
     diagonals of the Gram matrix G = dY.T @ xl.  ``_adjoint`` forms both, as
-    matmuls under the forward's memory rule N^2 <= B * orth * (2N - 1) and
-    as tap loops outside it, on one ``_channel_blocks`` block of float64
-    lines at a time; each block writes its share of every gradient in place.
-    Dense mode is one block that calls ``_adjoint`` per output channel o,
-    dY[o] shared by every input channel, and adds up the dxl shares, so no
-    (C_out*N, C_in*N) matrix is ever formed.  Meta-length gradients are
-    pulled back through ``interp_linear_adjoint``.
+    matmuls under the forward's memory rule and as tap loops outside it, on
+    one ``_channel_blocks`` block of float64 lines at a time, dense mode
+    being one block; each block writes its share of every gradient in place.
+    Meta-length gradients are pulled back through ``interp_linear_adjoint``.
     """
     axis, n, kernel_n, pe_n, _ = _resolve(x, p)
     expect = (x.shape[0], p.channels_out) + x.shape[2:]
@@ -437,18 +443,9 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     c, b, orth, _ = d_lines.shape
     d_kernel_n, d_pe_n = np.empty(k64.shape), np.empty((c, n))
     d_bias = np.empty(p.channels_out)
-    fits = _circulant_fits(n, b * orth)
-    depthwise = p.mode == "depthwise"
-    for blk in _channel_blocks(c, b * orth * n * 8) if depthwise else [slice(None)]:
+    for blk in _channel_blocks(c, b * orth * n * 8) if p.mode == "depthwise" else [slice(None)]:
         xl, g = _lines(x.data, axis, blk, pe_n), _lines(dy.data, axis, blk)
-        if depthwise:
-            d_kernel_n[blk], dxl = _adjoint(xl, g, k64[blk], fits)
-        else:
-            dxl = np.zeros(xl.shape)
-            for o in range(p.channels_out):
-                d_kernel_n[o], share = _adjoint(xl, g[o], k64[o], fits)
-                dxl += share
-                del share  # before the next output channel builds its own
+        d_kernel_n[blk], dxl = _adjoint(xl, g, k64[blk])
         d_bias[blk] = g.sum(axis=(1, 2))
         d_pe_n[blk] = dxl.sum(axis=1)
         d_lines[blk] = dxl.reshape(d_lines[blk].shape)

@@ -122,8 +122,8 @@ class TestOracleEquivalence:
 
 
 def takes_circulant(shape, p):
-    """parc_forward's documented branch rule: depthwise, and a (C, N, N) stack
-    no larger than the (C, B * orth, 2N-1) periodic extension."""
+    """parc_forward's documented branch rule: depthwise, and N^2 <= B * orth *
+    (2N - 1), the memory rule of ``parc_spatial._circulant_fits``."""
     axis = 2 if p.orientation == "H" else 3
     n, orth = shape[axis], shape[5 - axis]
     return p.mode == "depthwise" and n * n <= shape[0] * orth * (2 * n - 1)
@@ -349,9 +349,9 @@ class TestFusedTapLoop:
     multiply-add or a reordered tap sequence fails.  With one column of
     output, or KxK taps, einsum may sum in its own order: within 1e-6 (f32)
     or 1e-13 (f64) of sum |k| |x| per element.  A source shorter than the
-    windows is read circularly, with the bits of the call given its periodic
-    extension.  Five channels at a budget of two per block leave a ragged
-    last block."""
+    windows along its last axis is read circularly, with the bits of the
+    call given its periodic extension.  Five channels at a budget of two per
+    block leave a ragged last block."""
 
     C = 5
 
@@ -406,14 +406,14 @@ class TestFusedTapLoop:
 
     @pytest.mark.parametrize("broadcast", [False, True], ids=["own", "shared"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-    @pytest.mark.parametrize("taps_shape, out_hw", [
-        ((C, 9, 1), (9, 4)), ((C, 1, 9), (4, 9)), ((C, 3, 3), (6, 9))],
-        ids=["columns-wrap-axis2", "rows-wrap-axis3", "k3-wraps-both"])
+    @pytest.mark.parametrize("taps_shape, out_hw", [((C, 1, 9), (4, 9))],
+                             ids=["rows-wrap-axis3"])
     def test_unextended_source_is_read_circularly(self, taps_shape, out_hw, dtype, broadcast,
                                                   monkeypatch):
-        """An (h, w) source gives the bits of the call given its periodic
-        extension, built here by np.pad; so does a source broadcast over the
-        channels, as dense mode's backward shares one dY line."""
+        """An (h, w) source, h rows of 1x9 taps, gives the bits of the call
+        given its periodic extension along the last axis, built here by
+        np.pad; so does a source broadcast over the channels, as dense
+        mode's backward shares one dY line."""
         rng = np.random.default_rng(taps_shape[1] * 10 + taps_shape[2])
         b, c, hw = 2, self.C, out_hw
         src = rng.standard_normal((b, 1 if broadcast else c) + hw).astype(dtype)
@@ -449,8 +449,8 @@ class TestFusedTapLoop:
 
 class TestMemoryRule:
     """parc_forward and parc_backward build (C, N, N) circulant stacks only
-    while one holds no more elements than the (C, B * orth, 2N-1) extension
-    of the tap loop."""
+    under the memory rule of ``parc_spatial._circulant_fits``, which bounds a
+    stack by twice the call's (C, B * orth, N) offset lines."""
 
     @staticmethod
     def spy_circulant(monkeypatch):
@@ -465,14 +465,36 @@ class TestMemoryRule:
         return built
 
     @staticmethod
-    def peak(route, x, p) -> int:
-        route(x, p)  # resolve the parameters outside the measurement
+    def peak(route, x, p, warm=True) -> int:
+        if warm:
+            route(x, p)  # resolve the parameters outside the measurement
         tracemalloc.start()
         try:
             route(x, p)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("shape", [(1, 48, 56, 56), (1, 4, 63, 32)],
+                             ids=["square", "rule-edge"])
+    def test_building_call_peak_is_bounded_by_the_offset_lines(self, shape, monkeypatch):
+        """The call that builds the stack, plans cleared as on first use,
+        peaks within the tap loop's peak plus twice the offset lines' bytes.
+        At the rule's edge, 63^2 = 3969 <= 32 * 125 = 4000, the stack alone
+        holds 1.97 times the offset lines."""
+        rng = np.random.default_rng(45)
+        p = random_params(rng, shape[1])
+        x = Tensor4(rng.standard_normal(shape).astype(np.float32))
+        assert takes_circulant(shape, p)
+
+        def first_peak(route):
+            p._plans.clear()
+            return self.peak(route, x, p, warm=False)
+
+        built = self.spy_circulant(monkeypatch)
+        peak, tap_peak = first_peak(parc_forward), first_peak(parc_forward_via_concat)
+        assert built == [(shape[1], shape[2])]
+        assert peak <= tap_peak + 2 * x.data.nbytes, f"{peak} B against {tap_peak} B"
 
     def test_thin_map_keeps_the_tap_loop(self, monkeypatch):
         # the stack would hold 4 * 512^2 elements, the extension 4 * 1023
@@ -970,6 +992,52 @@ class TestOneLayoutStage:
         for (_, arr), channels in zip(calls, (p.channels_in, p.channels_out)):
             assert arr.shape == (channels, lines, n) and arr.flags.c_contiguous
         assert y.shape == (shape[0], p.channels_out) + shape[2:]
+
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 5), (1, 3, 64, 2)], ids=["square", "thin"])
+    @pytest.mark.parametrize("route, mode", [
+        ("modulo", "depthwise"), ("modulo", "dense"), ("concat", "depthwise"),
+        ("concat", "dense"), ("freq", "depthwise"), ("backward", "depthwise"),
+        ("backward", "dense")])
+    def test_only_the_tap_loop_reads_a_source_circularly(self, route, mode, shape, orientation,
+                                                        monkeypatch):
+        """Every ``_correlate`` call whose source is shorter than its windows
+        comes from ``_accumulate``, the one circular tap loop, forward and
+        backward."""
+        rng = np.random.default_rng(46)
+        p = random_params(rng, 3, orientation=orientation, mode=mode, kernel_scale=1.0 / 64)
+        thin = shape[0] == 1
+        if orientation == "V":
+            shape = shape[:2] + shape[2:][::-1]
+        assert takes_circulant(shape, p) == (mode == "depthwise" and not thin)
+        x = Tensor4(rng.standard_normal(shape))
+        depth, wraps = [0], []
+        accumulate, correlate = parc_spatial._accumulate, parc_spatial._correlate
+
+        def in_accumulate(*args):
+            depth[0] += 1
+            try:
+                return accumulate(*args)
+            finally:
+                depth[0] -= 1
+
+        def spy(src, taps, y):
+            if (src.shape[2] < y.shape[2] + taps.shape[1] - 1
+                    or src.shape[3] < y.shape[3] + taps.shape[2] - 1):
+                wraps.append(depth[0] > 0)
+            return correlate(src, taps, y)
+
+        monkeypatch.setattr(parc_spatial, "_accumulate", in_accumulate)
+        monkeypatch.setattr(parc_spatial, "_correlate", spy)
+        if route == "backward":
+            dy = Tensor4(rng.standard_normal((shape[0], p.channels_out) + shape[2:]))
+            parc_backward(x, p, dy)
+        else:
+            {"modulo": parc_forward, "concat": parc_forward_via_concat,
+             "freq": fast_parc_forward}[route](x, p)
+        forward_taps = mode == "depthwise" and (route == "concat" or route == "modulo" and thin)
+        assert wraps == [True] * len(wraps)
+        assert bool(wraps) == (forward_taps or route == "backward" and thin)
 
 
 @pytest.mark.parametrize("orth", [2, 4])

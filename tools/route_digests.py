@@ -12,14 +12,13 @@ C-order bytes, so two trees compute bitwise-identical results exactly when
 their outputs are equal.  Results are named by route: ``modulo`` is
 ``parc_forward``, ``concat`` is ``parc_forward_via_concat`` (the tap loop)
 and ``freq`` is ``fast_parc_forward``; ``metaformer`` and ``convnet_mixer``
-run ``parc_forward``; ``grad.*`` are the fields of ``parc_backward``.  Four
-sweeps here fall outside the memory rule of ``parc_forward`` and
-``parc_backward``, N^2 <= B * orth * (2N - 1): the 2x3x1x5 V sweep, the
-1x4x64x2 H sweep and the 2x4x131x3 and 2x4x263x3 H sweeps.  On them
-``parc_forward`` keeps the tap loop and ``parc_backward`` runs its adjoint
-as tap loops; on every other sweep both run circulant matmuls.  CHANGES.md
-records, for each change, which results moved against the tree before it
-and by how much.
+run ``parc_forward``; ``grad.*`` are the fields of ``parc_backward``.  The
+sweeps outside the memory rule of ``parc_forward`` and ``parc_backward``,
+which the digested tree's ``parc_spatial._circulant_fits`` decides, go to
+stderr: on them ``parc_forward`` keeps the tap loop and ``parc_backward``
+runs its adjoint as tap loops; on every other sweep both run circulant
+matmuls.  CHANGES.md records, for each change, which results moved against
+the tree before it and by how much.
 
 Every route runs twice on the same inputs and params, and the digest is the
 first call's.  The second call is served from the params' plan caches, so a
@@ -63,7 +62,12 @@ def main(root: str) -> int:
                       fast_parc_forward, metaformer_block_forward, parc_backward, parc_forward,
                       parc_forward_via_concat, random_params)
     from parc.blocks import convnet_mixer_forward, random_convnet_mixer, random_metaformer
+    from parc.parc_spatial import _circulant_fits
 
+    outside = [f"{b}x{c}x{h}x{w} {orientation}" for b, c, h, w in MAPS
+               for orientation, n, orth in (("H", h, w), ("V", w, h))
+               if not _circulant_fits(n, b * orth)]
+    print(f"{root}: outside the memory rule: {', '.join(outside)}", file=sys.stderr)
     unstable = []
 
     def emit(label, produce):
