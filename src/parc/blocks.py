@@ -204,20 +204,21 @@ def metaformer_block_forward(x: Tensor4, p: MetaFormerBlockParams) -> Tensor4:
     if x.shape[1] != p.channels:
         raise ValueError(f"input carries {x.shape[1]} channels, block expects {p.channels}")
     u = _token_mixer(x, p)
-    # pointwise layers as BLAS matmuls over (C, H*W), one batch item at a
-    # time into one reused hidden buffer, each bias and activation applied
-    # in place; einsum would run a C loop
+    # the channel mixer runs one batch item at a time end to end: pointwise
+    # layers as BLAS matmuls over (C, H*W) into reused hidden and output
+    # buffers, each bias and activation applied in place (einsum would run a
+    # C loop), then the item's gated result added into u in place
     w1, b1, w2, b2 = (a.astype(x.dtype) for a in (p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2))
     flat = u.reshape(x.shape[0], p.channels, -1)
     h = np.empty((w1.shape[0], flat.shape[2]), dtype=x.dtype)
-    m = np.empty_like(flat)
-    for item, out in zip(flat, m):
+    m = np.empty((1,) + x.shape[1:], dtype=x.dtype)
+    for item in flat:
         np.matmul(w1, item, out=h)
         h += b1[:, None]
         np.tanh(h, out=h)
-        np.matmul(w2, h, out=out)
-        out += b2[:, None]
-    u += channel_attention(Tensor4(m.reshape(x.shape)), p.attention).data
+        np.matmul(w2, h, out=m.reshape(item.shape))
+        m += b2[:, None, None]
+        item += channel_attention(Tensor4(m), p.attention).data.reshape(item.shape)
     return Tensor4(u)
 
 

@@ -16,7 +16,13 @@ half-spectrum bins, and a matching real table maps the bins back.  Past
 spectrum is never split.
 
 ``fast_parc_forward`` is the operator-level entry point and matches the
-spatial routes in ``parc_spatial`` to roundoff.
+spatial routes in ``parc_spatial`` to roundoff.  It has two layouts: up to
+256 the (B, C, orth, N) map itself, whose rows are the lines of a V sweep
+(an H sweep runs on one transposed copy), and past 256 the lines-last
+(C, B*orth, N) lines of ``parc_spatial._lines``.  Its PE rule differs from
+the spatial routes', which add pe to the input in ``_offset_input``: the
+operator is linear, so it adds the output rows q = corr(pe, K) + bias of
+``_pe_bias`` to every output line of a channel.
 """
 
 from __future__ import annotations
@@ -26,12 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parc_spatial import ParCParams, _channel_blocks, _finish, _offset_input
-from .tensor import Tensor4, working_dtype
+from .parc_spatial import ParCParams, _accumulate, _channel_blocks, _finish, _lines, _resolve
+from .tensor import Tensor4, dtype_from_name, working_dtype
 
 _MAX_RADIX = 128
 # Fewest lines, and fewest line elements (lines * N), per table GEMM of
-# fast_parc_forward, which groups whole channels until a group holds both.
+# fast_parc_forward, which groups whole (b, c) planes of the map until a group
+# holds both.
 # Counts, never a byte budget: a GEMM row's bits depend on the call's row
 # count, so the groups must not move with _BLOCK_BYTES.  Measured on a 2-vCPU
 # host with 2 OpenBLAS threads: at 224^2 groups of >= 1024 lines ran 1.6-1.8x
@@ -321,48 +328,93 @@ def weight_spectrum(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
         _rfft_lines(p.resolved(n, dtype_name)[0][:, None], get_plan(n))[:, 0]),))[0]
 
 
+def _pe_bias(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
+    """Output rows q = corr(pe, K) + bias, (C, n): the "pe_bias" plan of the
+    params.  The operator is linear, so corr(x + pe, K) + bias equals
+    corr(x, K) + q on every line of a channel, and the frequency route adds
+    q to its output instead of pe to its input.  Built from the resolved
+    rows by one float64 ``_accumulate`` pass over the C PE lines, O(C n^2),
+    then cast to dtype_name's precision."""
+    def build():
+        kernel_n, pe_n, bias = (a.astype(np.float64) for a in p.resolved(n, dtype_name))
+        q = _accumulate(pe_n[:, None, :], kernel_n)[:, 0] + bias[:, None]
+        return (q.astype(dtype_from_name(dtype_name)),)
+    return p.prepared("pe_bias", n, dtype_name, build)[0]
+
+
+def _sweep_planes(src: np.ndarray, out: np.ndarray, plan: FftPlan, wspec: np.ndarray) -> None:
+    """Correlate every row of the C-contiguous (B, C, orth, N) array src
+    into the same rows of out, which may be src, on a ``half_spectrum``
+    plan.  Each group of whole (b, c) planes holding at least
+    ``_GROUP_LINES`` rows and ``_GROUP_ELEMENTS`` row elements is one
+    (rows, N) @ (N, 2h) table GEMM; plane b*C + c multiplies its bins by
+    row c of wspec; one inverse GEMM writes the group's rows of out."""
+    channels, orth, n = src.shape[1:]
+    planes, dst = src.reshape(-1, orth, n), out.reshape(-1, orth, n)
+    step = -(-max(_GROUP_LINES, _GROUP_ELEMENTS // n) // orth)
+    for start in range(0, len(planes), step):
+        stop = min(start + step, len(planes))
+        spec = _rfft_lines(planes[start:stop].reshape(-1, n), plan)
+        bins = spec.reshape(stop - start, orth, -1)
+        # runs of planes within one batch item take consecutive rows of wspec
+        edges = [start, *range(start - start % channels + channels, stop, channels), stop]
+        for lo, hi in zip(edges, edges[1:]):
+            c = lo % channels
+            bins[lo - start:hi - start] *= wspec[c:c + hi - lo, None, :]
+        _irfft_lines(spec, plan, out=dst[start:stop].reshape(-1, n))
+        del spec, bins  # before the next group allocates its spectrum
+
+
 def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
     """Circular correlation via the frequency domain.
 
-    Adds the position embedding spatially, transforms every line along the
-    swept axis, multiplies by the conjugated kernel spectrum bin-wise,
-    transforms back, and adds bias.  Depthwise mode only.
+    Transforms every line along the swept axis, multiplies by the
+    conjugated kernel spectrum bin-wise, transforms back, and adds the
+    output rows q = corr(pe, K) + bias of ``_pe_bias`` to every line of
+    each channel, which equals adding the position embedding to the input
+    first and the bias last.  Depthwise mode only.
 
-    The offset input is the C-contiguous lines-last (C, B*orth, N) array of
-    ``parc_spatial._offset_input``, as on every forward route; the
-    transforms overwrite it in place, and ``_finish`` adds the bias in place
-    on it and maps it back, so a V sweep with B = 1 allocates no output.  H
-    and V sweeps thus run the same products on the same array, bit for bit.
-    On a ``half_spectrum`` plan (N <= 2*_MAX_RADIX) each group of whole
-    channels holding at least ``_GROUP_LINES`` lines and ``_GROUP_ELEMENTS``
-    line elements is one (rows, N) @ (N, 2h) table GEMM and one inverse GEMM
-    written back into its lines.  Past that, lines pair along each channel's
-    B*orth lines in ``_channel_blocks`` blocks, each channel charged B*orth
-    rows of ``weight_spectrum`` (rows of the inner length at a Bluestein
-    length) against the tap loop's ``_BLOCK_BYTES``.  No bit depends on
-    ``_BLOCK_BYTES``: groups ignore it, and blocks never mix lines of two
-    channels.  ``parallel`` is accepted and ignored; perfbench's
-    ``call_route`` still passes it.  The matmuls run on BLAS threads.
+    On a ``half_spectrum`` plan (N <= 2*_MAX_RADIX) the route runs on the
+    (B, C, orth, N) map itself through ``_sweep_planes``: a V sweep reads
+    the rows of x and writes those of one fresh output; an H sweep makes
+    one transposed copy of x, transforms it in place and returns one
+    transposed copy of it.  So the V sweep of x and the H sweep of its
+    transpose run the same products on the same arrays, bit for bit.  Past
+    that, lines pair along each channel's B*orth lines of the C-contiguous
+    lines-last (C, B*orth, N) array of ``parc_spatial._lines``, transformed
+    in place in ``_channel_blocks`` blocks, each channel charged B*orth rows
+    of ``weight_spectrum`` (rows of the inner length at a Bluestein length)
+    against the tap loop's ``_BLOCK_BYTES``, and ``_finish`` adds q and maps
+    the lines back.  No bit depends on ``_BLOCK_BYTES``: plane groups ignore
+    it, and blocks never mix lines of two channels.  ``parallel`` is
+    accepted and ignored; perfbench's ``call_route`` still passes it.  The
+    matmuls run on BLAS threads.
     """
     if p.mode != "depthwise":
         raise ValueError("the frequency route implements the depthwise operator only")
-    axis, n, _, bias, lines = _offset_input(x, p)
+    axis, n = _resolve(x, p)[:2]
     plan = get_plan(n)
     wspec = weight_spectrum(p, n, x.dtype_name)
-    channels, count, _ = lines.shape
+    q = _pe_bias(p, n, x.dtype_name)
     if plan.half_spectrum:
-        step = -(-max(_GROUP_LINES, _GROUP_ELEMENTS // n) // count)
-        blocks = [slice(start, start + step) for start in range(0, channels, step)]
-    else:
-        # a Bluestein transform works on lines of its inner length, m >= 2n - 1
-        length = n if plan.inner is None else plan.inner.n
-        blocks = _channel_blocks(channels, count * wspec[0].nbytes * length // n)
-    for blk in blocks:
+        if axis == 3:
+            y = np.empty_like(x.data)
+            _sweep_planes(x.data, y, plan, wspec)
+        else:
+            # a real copy: swapaxes(...) of a map with one extent 1 is already
+            # C-contiguous, and ascontiguousarray would return x itself
+            y = np.swapaxes(x.data, 2, 3).copy()
+            _sweep_planes(y, y, plan, wspec)
+        y += q[:, None, :]
+        return Tensor4(np.swapaxes(y, 2, 3) if axis == 2 else y)
+    lines = _lines(x.data, axis, dtype=x.dtype)
+    channels, count, _ = lines.shape
+    # a Bluestein transform works on lines of its inner length, m >= 2n - 1
+    length = n if plan.inner is None else plan.inner.n
+    for blk in _channel_blocks(channels, count * wspec[0].nbytes * length // n):
         group = lines[blk]
-        part = group.reshape(-1, n) if plan.half_spectrum else group
-        spec = _rfft_lines(part, plan)
-        bins = spec.reshape(group.shape[0], -1, spec.shape[-1])
-        bins *= wspec[blk, None, :]
-        _irfft_lines(spec, plan, out=part)
-        del spec, bins  # before the next group allocates its spectrum
-    return _finish(lines, bias, axis, x.shape[0])
+        spec = _rfft_lines(group, plan)
+        spec *= wspec[blk, None, :]
+        _irfft_lines(spec, plan, out=group)
+        del spec  # before the next block allocates its spectrum
+    return _finish(lines, q, axis, x.shape[0])

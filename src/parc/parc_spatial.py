@@ -6,13 +6,18 @@ embedding to the input.  Kernel and embedding are stored at a fixed meta
 length and stretched to the runtime extent by linear interpolation, so one
 parameter set serves any input size.
 
-Every swept line is an independent length-N circular correlation, so every
-route works on one layout whatever the orientation: C-contiguous lines-last
-(C, B * orth, N) arrays of ``_lines``, one row per line, each made by the add
-or cast that also does the transpose; ``_line_view`` maps (B, C, H, W) to
-lines and back.  Every forward route, ``fast_parc``'s too, starts with
-``_offset_input``, the one place the position embedding is added, and ends
-in ``_finish``, the one place lines become a map again.
+Every swept line is an independent length-N circular correlation.  The
+spatial routes work on one layout whatever the orientation: C-contiguous
+lines-last (C, B * orth, N) arrays of ``_lines``, one row per line, each made
+by the add or cast that also does the transpose; ``_line_view`` maps
+(B, C, H, W) to lines and back.  Each spatial forward starts with
+``_offset_input``, which adds the position embedding to the input, and ends
+in ``_finish``, which adds the bias and makes its lines a map again.  The
+frequency route in ``fast_parc`` has two layouts and one PE rule of its
+own: up to N = 256 it runs on the (B, C, orth, N) map itself (the map for a
+V sweep, one transposed copy for an H sweep), past that on ``_lines``, and
+at every length it adds the output rows corr(pe, K) + bias, which the
+linearity of the operator allows, in place of the position embedding.
 
 ``parc_forward_via_concat`` is the paper's tap loop: one valid correlation
 over the (2N-1)-long periodic extension of each offset line.  Along one line
@@ -28,8 +33,8 @@ baselines share it.  ``parc_backward`` runs the operator again per channel
 block of lines, dX correlating dY with the reversed kernel and dK the offset
 input with dY: as circulant matmuls under the memory rule and as tap loops
 on thin maps, so it never holds much more than the forward.
-Resolved rows, weight spectra and forward circulant stacks are plans, cached
-by ``ParCParams.prepared``.
+Resolved rows, weight spectra, the frequency route's output rows and
+forward circulant stacks are plans, cached by ``ParCParams.prepared``.
 """
 
 from __future__ import annotations
@@ -199,9 +204,10 @@ def _lines(arr: np.ndarray, axis: int, blk: slice = slice(None), pe_n: np.ndarra
 
 
 def _finish(yl: np.ndarray, bias: np.ndarray, axis: int, batch: int) -> Tensor4:
-    """End of every forward route: bias added in place on C-contiguous lines
+    """End of every forward route on lines: bias (C,), or rows (C, N) that
+    every line of a channel shares, added in place on C-contiguous lines
     yl (C, B * orth, N), returned as the (B, C, H, W) ``_line_view`` of them."""
-    yl += bias[:, None, None]
+    yl += bias.reshape(bias.shape[0], 1, -1)
     return Tensor4(_line_view(yl.reshape(yl.shape[0], batch, -1, yl.shape[-1]), axis))
 
 
@@ -218,7 +224,9 @@ def _resolve(x: Tensor4, p: ParCParams):
 def _offset_input(x: Tensor4, p: ParCParams):
     """Swept axis, length N, resolved kernel and bias, and the offset input
     xl = x + pe as ``_lines`` at the input's precision: the PE-add-and-layout
-    stage of every forward route, on which H and V sweeps run alike."""
+    stage of the spatial routes, on which H and V sweeps run alike.  The
+    frequency route adds no PE to its input: it adds ``fast_parc``'s output
+    rows corr(pe, K) + bias instead."""
     axis, n, kernel_n, pe_n, bias = _resolve(x, p)
     return axis, n, kernel_n, bias, _lines(x.data, axis, slice(None), pe_n, x.dtype)
 
@@ -234,8 +242,8 @@ def _correlate(src, taps, y) -> None:
     """Write sum_(r,s) taps[c, r, s] * src[:, c, r + i, (s + j) mod W] into
     y[:, c, i, j] for every channel c, (h, w) being y's last two extents and
     W src's last, which its windows may wrap at most once.  Only that axis
-    wraps: src must hold all h + K_h - 1 rows of the windows on axis 2, or
-    a window would read past its buffer.
+    wraps: src must hold all h + K_h - 1 rows of the windows on axis 2, and
+    a shorter one raises ValueError before any window reads past its buffer.
 
     Each ``_channel_blocks`` block of y's channels appends to its slice of
     src the leading columns its windows wrap onto; a source that needs no
@@ -253,6 +261,9 @@ def _correlate(src, taps, y) -> None:
     size changes no output element's sequence of operations, or any bit.
     """
     (h, w), w0 = y.shape[2:], src.shape[3]
+    if src.shape[2] < h + taps.shape[1] - 1:
+        raise ValueError(f"source holds {src.shape[2]} rows, the windows need "
+                         f"{h + taps.shape[1] - 1}")
     cols = w + taps.shape[2] - 1
     for blk in _channel_blocks(y.shape[1], y[:, :1].nbytes):
         part = src[:, blk]
@@ -300,12 +311,16 @@ def _circulant(k: np.ndarray) -> np.ndarray:
     k (..., N): along one line the forward is y = xl @ M.T, M.T being the
     stack of the ``_reversed`` rows, and the input adjoint is dY @ M.
 
-    The stack is C-contiguous, so every (N, N) slice has a unit-stride row
-    and ``matmul`` hands it to BLAS.  ``np.take`` along the last axis builds
-    it in that layout; the fancy index k[..., idx] would move the leading
-    axes fastest, and matmul would fall back to its own loop."""
-    ramp = np.arange(k.shape[-1])
-    return np.take(k, (ramp[None, :] - ramp[:, None]) % k.shape[-1], axis=-1)
+    The stack is one C-contiguous copy of a read-only view of the doubled
+    rows [k, k], element [..., i, l] at [..., N + l - i] (strides -s and s),
+    so every (N, N) slice has a unit-stride row and ``matmul`` hands it to
+    BLAS."""
+    n = k.shape[-1]
+    twice = np.concatenate([k, k], axis=-1)
+    *outer, step = twice.strides
+    view = np.lib.stride_tricks.as_strided(twice[..., n:], k.shape + (n,),
+                                           (*outer, -step, step), writeable=False)
+    return view.copy()
 
 
 def _circulant_fits(n: int, lines: int) -> bool:
@@ -381,13 +396,19 @@ class ParCGrads:
     d_meta_pe: np.ndarray
 
 
-def _wrapped_diagonals(gram: np.ndarray) -> np.ndarray:
-    """dK[..., k] = sum_i gram[..., i, (i + k) mod N], summed through a view of
-    [gram, gram] whose element [..., i, k] sits at [..., i, i + k]."""
-    twice = np.concatenate([gram, gram], axis=-1)
+def _wrapped_diagonals(g: np.ndarray, xl: np.ndarray) -> np.ndarray:
+    """dK[..., k] = sum_i G[..., i, (i + k) mod N] of the Gram G = g.T @ xl,
+    g and xl (..., lines, N): G is written straight into the left half of a
+    (..., N, 2N) buffer and copied into its right half, and the sum runs
+    through a view of [G, G] whose element [..., i, k] sits at [..., i, i + k]."""
+    n = xl.shape[-1]
+    twice = np.empty(np.broadcast_shapes(g.shape[:-2], xl.shape[:-2]) + (n, 2 * n),
+                     np.result_type(g, xl))
+    np.matmul(np.swapaxes(g, -1, -2), xl, out=twice[..., :n])
+    twice[..., n:] = twice[..., :n]
     *outer, row, col = twice.strides
-    view = np.lib.stride_tricks.as_strided(twice, gram.shape, (*outer, row + col, col),
-                                           writeable=False)
+    view = np.lib.stride_tricks.as_strided(twice, twice.shape[:-1] + (n,),
+                                           (*outer, row + col, col), writeable=False)
     return view.sum(axis=-2)
 
 
@@ -412,7 +433,7 @@ def _adjoint(xl, g, k):
         return dk, dxl
     c, lines, n = xl.shape
     if _circulant_fits(n, lines):
-        return _wrapped_diagonals(np.swapaxes(g, -1, -2) @ xl), g @ _circulant(k)
+        return _wrapped_diagonals(g, xl), g @ _circulant(k)
     g = np.broadcast_to(g, xl.shape)
     dxl = _accumulate(g, _reversed(k))
     dk = _accumulate(xl.reshape(c * lines, 1, n), g.reshape(c * lines, n))

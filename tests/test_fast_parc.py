@@ -4,6 +4,7 @@ import math
 import pathlib
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,46 @@ class TestSpectralCorrelation:
         with pytest.raises(ValueError, match="'bogus'"):
             weight_spectrum(p, 8, "bogus")
         assert list(p._plans) == [("rows", 8, "f64"), ("spectrum", 8, "f64")]
+
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    @pytest.mark.parametrize("n", [16, 257], ids=["table", "paired"])
+    def test_in_place_pe_and_bias_edits_rebuild_the_output_rows(self, n, orientation):
+        """The PE and bias reach the output only through the cached rows
+        corr(pe, K) + bias, so editing both in place must give the bytes of
+        a fresh copy of the params."""
+        rng = np.random.default_rng(24)
+        p = random_params(rng, 3, orientation=orientation, kernel_scale=1.0 / n)
+        shape = (2, 3, n, 5) if orientation == "H" else (2, 3, 5, n)
+        x = Tensor4(rng.standard_normal(shape).astype(np.float32))
+        before = fast_parc_forward(x, p).data
+        p.meta_pe[:] += rng.uniform(-1, 1, p.meta_pe.shape)
+        p.bias[1] -= 0.5
+        fresh = ParCParams(p.mode, p.orientation, p.meta_kernel.copy(), p.meta_pe.copy(),
+                           p.bias.copy())
+        after = fast_parc_forward(x, p).data
+        assert not np.array_equal(after, before)
+        assert after.tobytes() == fast_parc_forward(x, fresh).data.tobytes()
+
+    def test_v_sweep_allocates_its_output_one_group_spectrum_and_its_rows(self):
+        """A V sweep on a table plan reads x in place: at its peak it holds
+        its output, one plane group's spectrum (the first group of 64 planes
+        of 32 lines, 2048 rows of 17 bins) and the output rows, plus numpy's
+        buffer for the broadcast per-bin multiply, but no copy of the map
+        and never two spectra at once."""
+        rng = np.random.default_rng(25)
+        p = random_params(rng, 12, orientation="V", kernel_scale=1.0 / 32)
+        x = Tensor4(rng.standard_normal((8, 12, 32, 32)).astype(np.float32))
+        fast_parc_forward(x, p)  # builds the spectra and rows outside the measurement
+        tracemalloc.start()
+        try:
+            y = fast_parc_forward(x, p).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = fast_parc._pe_bias(p, 32, "f32")
+        spectrum = 2048 * 17 * np.dtype(np.complex64).itemsize
+        buffer = np.getbufsize() * np.dtype(np.complex64).itemsize
+        assert peak <= y.nbytes + spectrum + rows.nbytes + buffer, peak
 
     def test_no_route_starts_a_thread(self, monkeypatch):
         """Every route runs serially: no route starts a Python thread, and

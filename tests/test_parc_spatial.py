@@ -427,6 +427,16 @@ class TestFusedTapLoop:
         parc_spatial._correlate(src, taps, got)
         assert got.tobytes() == want.tobytes()
 
+    def test_source_short_of_the_window_rows_raises(self):
+        """Only the last axis wraps: a source with fewer than h + K_h - 1
+        rows would make the strided windows read past its buffer."""
+        taps = np.ones((self.C, 3, 1))
+        y = np.empty((2, self.C, 4, 6))
+        with pytest.raises(ValueError, match="source holds 5 rows, the windows need 6"):
+            parc_spatial._correlate(np.ones((2, self.C, 5, 6)), taps, y)
+        parc_spatial._correlate(np.ones((2, self.C, 6, 6)), taps, y)
+        assert (y == 3.0).all()
+
     @pytest.mark.parametrize("orientation", ["H", "V"])
     def test_zero_padded_source_is_read_as_it_is(self, orientation, monkeypatch):
         """A source as long as the windows, as the zero-padded baselines pass
@@ -761,6 +771,25 @@ class TestBackward:
         assert g.d_kernel_n.shape == (2, 7)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("orientation", ["H", "V"])
+@pytest.mark.parametrize("shape", [(2, 3, 1, 5), (2, 3, 5, 1)], ids=["2x3x1x5", "2x3x5x1"])
+@pytest.mark.parametrize("route, mode", [
+    (parc_forward, "depthwise"), (parc_forward, "dense"), (parc_forward_via_concat, "depthwise"),
+    (parc_forward_via_concat, "dense"), (fast_parc_forward, "depthwise")],
+    ids=["modulo", "modulo-dense", "concat", "concat-dense", "freq"])
+def test_no_forward_route_writes_its_input(route, mode, shape, orientation, dtype):
+    """With one extent 1 a transposed map is already C-contiguous, so a route
+    that transforms a "copy" in place must make a real one."""
+    rng = np.random.default_rng(48)
+    p = random_params(rng, 3, orientation=orientation, mode=mode)
+    x = rng.standard_normal(shape).astype(dtype)
+    before = x.tobytes()
+    y = route(Tensor4(x), p).data
+    assert x.tobytes() == before
+    assert not np.shares_memory(x, y)
+
+
 class TestParamsContract:
     def test_defaults_and_caching(self):
         rng = np.random.default_rng(71)
@@ -950,9 +979,20 @@ class TestPlanCache:
 
 
 class TestOneLayoutStage:
-    """Every forward route adds the PE and lays its lines out once, in
-    ``_offset_input``, and maps its lines back to a map once, in
-    ``_finish``: both C-contiguous (C, B * orth, N) arrays."""
+    """Every spatial forward route adds the PE and lays its lines out once,
+    in ``_offset_input``, and maps its lines back to a map once, in
+    ``_finish``: both C-contiguous (C, B * orth, N) arrays.  The frequency
+    route adds no PE to its input but the output rows corr(pe, K) + bias:
+    up to N = 256 on the map itself, past that on lines it ends in
+    ``_finish``."""
+
+    @staticmethod
+    def spy(calls, name, fn, pick):
+        def wrapped(*args, **kw):
+            out = fn(*args, **kw)
+            calls.append((name, pick(args, kw, out)))
+            return out
+        return wrapped
 
     @pytest.mark.parametrize("orientation", ["H", "V"])
     @pytest.mark.parametrize("route, mode, shape", [
@@ -961,8 +1001,7 @@ class TestOneLayoutStage:
         (parc_forward, "dense", (2, 3, 8, 5)),
         (parc_forward_via_concat, "depthwise", (2, 3, 8, 5)),
         (parc_forward_via_concat, "dense", (2, 3, 8, 5)),
-        (fast_parc_forward, "depthwise", (2, 3, 8, 5)),
-    ], ids=["modulo-circulant", "modulo-taps", "modulo-dense", "concat", "concat-dense", "freq"])
+    ], ids=["modulo-circulant", "modulo-taps", "modulo-dense", "concat", "concat-dense"])
     def test_each_route_runs_the_stage_once(self, route, mode, shape, orientation, monkeypatch):
         rng = np.random.default_rng(44)
         p = random_params(rng, 3, orientation=orientation, mode=mode, channels_out=4)
@@ -972,19 +1011,10 @@ class TestOneLayoutStage:
         if route is parc_forward and mode == "depthwise":
             assert takes_circulant(shape, p) == (shape[0] == 2)
         calls = []
-
-        def spy(name, fn, pick):
-            def wrapped(*args):
-                out = fn(*args)
-                calls.append((name, pick(args, out)))
-                return out
-            return wrapped
-
-        offset = spy("offset", parc_spatial._offset_input, lambda args, out: out[-1])
-        finish = spy("finish", parc_spatial._finish, lambda args, out: args[0])
-        for module in (parc_spatial, fast_parc):
-            monkeypatch.setattr(module, "_offset_input", offset)
-            monkeypatch.setattr(module, "_finish", finish)
+        monkeypatch.setattr(parc_spatial, "_offset_input", self.spy(
+            calls, "offset", parc_spatial._offset_input, lambda args, kw, out: out[-1]))
+        monkeypatch.setattr(parc_spatial, "_finish", self.spy(
+            calls, "finish", parc_spatial._finish, lambda args, kw, out: args[0]))
         y = route(x, p).data
         assert [name for name, _ in calls] == ["offset", "finish"]
         n = shape[2] if orientation == "H" else shape[3]
@@ -992,6 +1022,56 @@ class TestOneLayoutStage:
         for (_, arr), channels in zip(calls, (p.channels_in, p.channels_out)):
             assert arr.shape == (channels, lines, n) and arr.flags.c_contiguous
         assert y.shape == (shape[0], p.channels_out) + shape[2:]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    def test_frequency_route_runs_on_the_map(self, orientation, dtype, monkeypatch):
+        """Up to N = 256 a V sweep reads its rows from x and writes them into
+        the output, and an H sweep transforms one transposed copy of x in
+        place; neither lays out lines or calls ``_finish``."""
+        rng = np.random.default_rng(45)
+        p = random_params(rng, 3, orientation=orientation)
+        shape = (2, 3, 8, 5) if orientation == "H" else (2, 3, 5, 8)
+        x = Tensor4(rng.standard_normal(shape).astype(dtype))
+        want = parc_forward(x, p).data
+        fast_parc_forward(x, p)  # builds the weight spectra outside the spies
+        calls = []
+        for name in ("_lines", "_finish"):
+            monkeypatch.setattr(fast_parc, name, self.spy(calls, name, getattr(fast_parc, name),
+                                                          lambda args, kw, out: None))
+        monkeypatch.setattr(fast_parc, "_rfft_lines", self.spy(
+            calls, "rfft", fast_parc._rfft_lines, lambda args, kw, out: args[0]))
+        monkeypatch.setattr(fast_parc, "_irfft_lines", self.spy(
+            calls, "irfft", fast_parc._irfft_lines, lambda args, kw, out: kw["out"]))
+        y = fast_parc_forward(x, p).data
+        assert [name for name, _ in calls] == ["rfft", "irfft"]
+        (_, src), (_, dst) = calls
+        assert src.shape == dst.shape == (2 * 3 * 5, 8)
+        if orientation == "V":
+            assert np.shares_memory(src, x.data) and np.shares_memory(dst, y)
+        else:
+            assert not np.shares_memory(src, x.data) and np.shares_memory(src, dst)
+        assert np.abs(y - want).max() <= (1e-5 if dtype == np.float32 else 1e-12)
+
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    def test_paired_frequency_route_adds_rows_in_finish(self, orientation, monkeypatch):
+        """Past N = 256 the frequency route lays x out as ``_lines`` with no
+        PE and hands ``_finish`` the (C, N) output rows in place of a bias."""
+        rng = np.random.default_rng(47)
+        p = random_params(rng, 3, orientation=orientation, kernel_scale=1.0 / 257)
+        shape = (2, 3, 257, 5) if orientation == "H" else (2, 3, 5, 257)
+        x = Tensor4(rng.standard_normal(shape))
+        calls = []
+        monkeypatch.setattr(fast_parc, "_lines", self.spy(
+            calls, "lines", fast_parc._lines, lambda args, kw, out: (len(args), out)))
+        monkeypatch.setattr(fast_parc, "_finish", self.spy(
+            calls, "finish", fast_parc._finish, lambda args, kw, out: args[1]))
+        y = fast_parc_forward(x, p).data
+        assert [name for name, _ in calls] == ["lines", "finish"]
+        (_, (positional, lines)), (_, rows) = calls
+        assert positional == 2 and lines.shape == (3, 10, 257)
+        assert rows.shape == (3, 257)
+        assert np.abs(y - parc_forward(x, p).data).max() <= 1e-12
 
     @pytest.mark.parametrize("orientation", ["H", "V"])
     @pytest.mark.parametrize("shape", [(2, 3, 8, 5), (1, 3, 64, 2)], ids=["square", "thin"])
@@ -1027,7 +1107,8 @@ class TestOneLayoutStage:
                 wraps.append(depth[0] > 0)
             return correlate(src, taps, y)
 
-        monkeypatch.setattr(parc_spatial, "_accumulate", in_accumulate)
+        for module in (parc_spatial, fast_parc):
+            monkeypatch.setattr(module, "_accumulate", in_accumulate)
         monkeypatch.setattr(parc_spatial, "_correlate", spy)
         if route == "backward":
             dy = Tensor4(rng.standard_normal((shape[0], p.channels_out) + shape[2:]))
@@ -1037,7 +1118,12 @@ class TestOneLayoutStage:
              "freq": fast_parc_forward}[route](x, p)
         forward_taps = mode == "depthwise" and (route == "concat" or route == "modulo" and thin)
         assert wraps == [True] * len(wraps)
-        assert bool(wraps) == (forward_taps or route == "backward" and thin)
+        # the frequency route's one tap loop builds its output rows on a plan miss
+        assert bool(wraps) == (forward_taps or route == "backward" and thin or route == "freq")
+        if route == "freq":
+            wraps.clear()
+            fast_parc_forward(x, p)
+            assert wraps == []
 
 
 @pytest.mark.parametrize("orth", [2, 4])

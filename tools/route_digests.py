@@ -2,6 +2,7 @@
 
 Usage: python3 tools/route_digests.py ROOT
        python3 tools/route_digests.py OLD NEW
+       python3 tools/route_digests.py ROOT --save DIR < NAMES
 
 Imports the ``parc`` package from ROOT/src and runs every route over a fixed
 grid of map shapes, precisions, orientations and modes, with inputs and
@@ -26,9 +27,15 @@ cache hit that changes any bit is named on stderr and the exit status is 1.
 
 With two roots, each tree is digested in its own interpreter by this file,
 so both run the same grid.  Only the results whose digests differ, or that
-one tree lacks, are printed, as ``name OLD-digest NEW-digest`` with ``-``
-for a missing one; a count goes to stderr and the exit status is 1 if any
-result differs or either tree fails its repeat check, 0 otherwise.
+one tree lacks, are printed, as ``name OLD-digest NEW-digest REL`` with
+``-`` for a missing one.  REL is the largest difference relative to the
+output's scale, max|new - old| / max(1, max|old|) in float64 as the route
+tests measure it, or ``-`` when a tree lacks the result or the shapes
+differ.  The arrays come from a second run of each tree, given ``--save
+DIR`` and the differing names on stdin, which computes only the groups
+holding them and writes the i-th name's result to DIR/<i>.npy.  A count
+goes to stderr and the exit status is 1 if any result differs or either
+tree fails its repeat check, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -55,8 +63,10 @@ def _digest(arr) -> str:
     return h.hexdigest()
 
 
-def main(root: str) -> int:
-    """Print every result's digest; 1 if any differs between two calls."""
+def main(root: str, save: str | None = None) -> int:
+    """Print every result's digest; 1 if any differs between two calls.
+    Given save, read result names from stdin and write only those results,
+    from one call each, to save/<i>.npy, i being the name's line on stdin."""
     sys.path.insert(0, os.path.join(root, "src"))
     from parc import (Tensor4, ZeroPadConvParams, conv1d_zeropad, dwconv2d_zeropad,
                       fast_parc_forward, metaformer_block_forward, parc_backward, parc_forward,
@@ -69,11 +79,20 @@ def main(root: str) -> int:
                if not _circulant_fits(n, b * orth)]
     print(f"{root}: outside the memory rule: {', '.join(outside)}", file=sys.stderr)
     unstable = []
+    wanted = {line.rstrip("\n"): i for i, line in enumerate(sys.stdin)} if save else {}
 
     def emit(label, produce):
         """Print the digest of each result of produce(), a dict name -> array,
         called twice on the same inputs and params: the second call, served
-        from the params' caches, must give the first call's bytes."""
+        from the params' caches, must give the first call's bytes.  Given
+        save, only write the wanted results of one call."""
+        if save:
+            if any(name.startswith(f"{label} ") for name in wanted):
+                for name, arr in produce().items():
+                    i = wanted.get(f"{label} {name:18}")
+                    if i is not None:
+                        np.save(os.path.join(save, f"{i}.npy"), arr)
+            return
         first, again = produce(), produce()
         for name, arr in first.items():
             digest = _digest(arr)
@@ -140,14 +159,38 @@ def _digests(root: str) -> tuple:
     return dict(line.rsplit(" ", 1) for line in proc.stdout.splitlines()), proc.returncode == 0
 
 
+def _results(root: str, names: list, directory: str) -> list:
+    """The named results of root, each an array or None where root lacks
+    it, from this file run on root with --save in a fresh interpreter."""
+    subprocess.run([sys.executable, os.path.abspath(__file__), root, "--save", directory],
+                   input="".join(f"{name}\n" for name in names), stdout=subprocess.DEVNULL,
+                   text=True)
+    paths = [os.path.join(directory, f"{i}.npy") for i in range(len(names))]
+    return [np.load(path) if os.path.exists(path) else None for path in paths]
+
+
+def _relative(old, new) -> str:
+    """max|new - old| / max(1, max|old|) in float64, the scale of the
+    route-equivalence tests, or '-' if either is missing or their shapes
+    differ."""
+    if old is None or new is None or old.shape != new.shape:
+        return "-"
+    old, new = old.astype(np.float64), new.astype(np.float64)
+    return f"{np.abs(new - old).max() / max(1.0, np.abs(old).max()):.2e}"
+
+
 def compare(old: str, new: str) -> int:
-    """Print the results on which the two trees differ; 1 if any do, or if
-    either tree's repeated calls do not match its first."""
+    """Print the results on which the two trees differ, with their largest
+    relative differences; 1 if any differ, or if either tree's repeated
+    calls do not match its first."""
     (a, a_stable), (b, b_stable) = _digests(old), _digests(new)
     names = list(a) + [name for name in b if name not in a]
     differ = [name for name in names if a.get(name) != b.get(name)]
-    for name in differ:
-        print(f"{name} {a.get(name, '-')} {b.get(name, '-')}")
+    if differ:
+        with tempfile.TemporaryDirectory() as d_old, tempfile.TemporaryDirectory() as d_new:
+            rel = list(map(_relative, _results(old, differ, d_old), _results(new, differ, d_new)))
+        for name, r in zip(differ, rel):
+            print(f"{name} {a.get(name, '-')} {b.get(name, '-')} {r}")
     print(f"{len(differ)} of {len(names)} results differ", file=sys.stderr)
     return 1 if differ or not (a_stable and b_stable) else 0
 
@@ -155,6 +198,8 @@ def compare(old: str, new: str) -> int:
 if __name__ == "__main__":
     if len(sys.argv) == 2:
         sys.exit(main(sys.argv[1]))
+    elif len(sys.argv) == 4 and sys.argv[2] == "--save":
+        sys.exit(main(sys.argv[1], save=sys.argv[3]))
     elif len(sys.argv) == 3:
         sys.exit(compare(sys.argv[1], sys.argv[2]))
     else:
