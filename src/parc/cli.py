@@ -17,8 +17,8 @@ from . import bench as bench_mod
 from . import blocks as blocks_mod
 from .fast_parc import fast_parc_forward
 from .flops import write_curves_csv
-from .parc_spatial import (_lines, _offset_input, parc_backward, parc_forward,
-                           parc_forward_via_concat, random_params)
+from .parc_spatial import (_lines, _resolve, parc_backward, parc_forward, parc_forward_via_concat,
+                           random_params)
 from .rng import Xoshiro256
 from .tensor import DTYPE_NAMES, Tensor4, dtype_from_name, write_fixture
 
@@ -67,11 +67,11 @@ def _adjoint_gap(x: Tensor4, p, y: Tensor4) -> float:
     own size; a random dy would dilute it by the square root of the output
     size.
     """
-    axis, _, kernel_n, bias, xl = _offset_input(x, p)
+    axis, _, kernel_n, pe_n, bias = _resolve(x, p)
     dy = y.data - bias[None, :, None, None]
     g = parc_backward(x, p, Tensor4(dy))
     lin = dy.astype(np.float64)
-    xl = xl.astype(np.float64)
+    xl = _lines(x.data, axis, pe_n=pe_n)
     d_in = _lines(g.d_input.data, axis)
     lhs = np.vdot(lin, lin)
     gaps = (abs(lhs - np.vdot(g.d_kernel_n, kernel_n.astype(np.float64))),

@@ -16,13 +16,11 @@ half-spectrum bins, and a matching real table maps the bins back.  Past
 spectrum is never split.
 
 ``fast_parc_forward`` is the operator-level entry point and matches the
-spatial routes in ``parc_spatial`` to roundoff.  It has two layouts: up to
-256 the (B, C, orth, N) map itself, whose rows are the lines of a V sweep
-(an H sweep runs on one transposed copy), and past 256 the lines-last
-(C, B*orth, N) lines of ``parc_spatial._lines``.  Its PE rule differs from
-the spatial routes', which add pe to the input in ``_offset_input``: the
-operator is linear, so it adds the output rows q = corr(pe, K) + bias of
-``_pe_bias`` to every output line of a channel.
+spatial routes in ``parc_spatial`` to roundoff.  It runs their pipeline:
+up to 256 the swept-last (B, C, orth, N) array of ``_offset_input``, x
+itself for a V sweep, past 256 the lines-last (C, B*orth, N) lines of
+``parc_spatial._lines``, whose pairs cross batch items; at every length
+the output rows q = corr(pe, K) + bias of ``_pe_bias`` and one ``_finish``.
 """
 
 from __future__ import annotations
@@ -32,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parc_spatial import ParCParams, _accumulate, _channel_blocks, _finish, _lines, _resolve
-from .tensor import Tensor4, dtype_from_name, working_dtype
+from .parc_spatial import (ParCParams, _channel_blocks, _finish, _lines, _offset_input, _pe_bias,
+                           _resolve)
+from .tensor import Tensor4, working_dtype
 
 _MAX_RADIX = 128
 # Fewest lines, and fewest line elements (lines * N), per table GEMM of
@@ -328,20 +327,6 @@ def weight_spectrum(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
         _rfft_lines(p.resolved(n, dtype_name)[0][:, None], get_plan(n))[:, 0]),))[0]
 
 
-def _pe_bias(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
-    """Output rows q = corr(pe, K) + bias, (C, n): the "pe_bias" plan of the
-    params.  The operator is linear, so corr(x + pe, K) + bias equals
-    corr(x, K) + q on every line of a channel, and the frequency route adds
-    q to its output instead of pe to its input.  Built from the resolved
-    rows by one float64 ``_accumulate`` pass over the C PE lines, O(C n^2),
-    then cast to dtype_name's precision."""
-    def build():
-        kernel_n, pe_n, bias = (a.astype(np.float64) for a in p.resolved(n, dtype_name))
-        q = _accumulate(pe_n[:, None, :], kernel_n)[:, 0] + bias[:, None]
-        return (q.astype(dtype_from_name(dtype_name)),)
-    return p.prepared("pe_bias", n, dtype_name, build)[0]
-
-
 def _sweep_planes(src: np.ndarray, out: np.ndarray, plan: FftPlan, wspec: np.ndarray) -> None:
     """Correlate every row of the C-contiguous (B, C, orth, N) array src
     into the same rows of out, which may be src, on a ``half_spectrum``
@@ -369,26 +354,26 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
     """Circular correlation via the frequency domain.
 
     Transforms every line along the swept axis, multiplies by the
-    conjugated kernel spectrum bin-wise, transforms back, and adds the
-    output rows q = corr(pe, K) + bias of ``_pe_bias`` to every line of
-    each channel, which equals adding the position embedding to the input
-    first and the bias last.  Depthwise mode only.
+    conjugated kernel spectrum bin-wise, transforms back, and ends in
+    ``_finish``, which adds the output rows q = corr(pe, K) + bias of
+    ``_pe_bias`` to every line of each channel, as every forward route
+    does.  Depthwise mode only.
 
-    On a ``half_spectrum`` plan (N <= 2*_MAX_RADIX) the route runs on the
-    (B, C, orth, N) map itself through ``_sweep_planes``: a V sweep reads
-    the rows of x and writes those of one fresh output; an H sweep makes
-    one transposed copy of x, transforms it in place and returns one
-    transposed copy of it.  So the V sweep of x and the H sweep of its
-    transpose run the same products on the same arrays, bit for bit.  Past
-    that, lines pair along each channel's B*orth lines of the C-contiguous
-    lines-last (C, B*orth, N) array of ``parc_spatial._lines``, transformed
-    in place in ``_channel_blocks`` blocks, each channel charged B*orth rows
-    of ``weight_spectrum`` (rows of the inner length at a Bluestein length)
-    against the tap loop's ``_BLOCK_BYTES``, and ``_finish`` adds q and maps
-    the lines back.  No bit depends on ``_BLOCK_BYTES``: plane groups ignore
-    it, and blocks never mix lines of two channels.  ``parallel`` is
-    accepted and ignored; perfbench's ``call_route`` still passes it.  The
-    matmuls run on BLAS threads.
+    On a ``half_spectrum`` plan (N <= 2*_MAX_RADIX) the route runs
+    ``_sweep_planes`` on the swept-last array of ``_offset_input``: a V
+    sweep reads the rows of x and writes those of one fresh output; an H
+    sweep transforms its transposed copy of x in place.  So the V sweep of
+    x and the H sweep of its transpose run the same products on the same
+    arrays, bit for bit.  Past that, lines pair along each channel's B*orth
+    lines of the C-contiguous lines-last (C, B*orth, N) array of
+    ``parc_spatial._lines``, transformed in place in ``_channel_blocks``
+    blocks, each channel charged B*orth rows of ``weight_spectrum`` (rows of
+    the inner length at a Bluestein length) against the tap loop's
+    ``_BLOCK_BYTES``; ``_finish`` gets their (B, C, orth, N) view.  No bit
+    depends on ``_BLOCK_BYTES``: plane groups ignore it, and blocks never
+    mix lines of two channels.  ``parallel`` is accepted and ignored;
+    perfbench's ``call_route`` still passes it.  The matmuls run on BLAS
+    threads.
     """
     if p.mode != "depthwise":
         raise ValueError("the frequency route implements the depthwise operator only")
@@ -397,16 +382,10 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
     wspec = weight_spectrum(p, n, x.dtype_name)
     q = _pe_bias(p, n, x.dtype_name)
     if plan.half_spectrum:
-        if axis == 3:
-            y = np.empty_like(x.data)
-            _sweep_planes(x.data, y, plan, wspec)
-        else:
-            # a real copy: swapaxes(...) of a map with one extent 1 is already
-            # C-contiguous, and ascontiguousarray would return x itself
-            y = np.swapaxes(x.data, 2, 3).copy()
-            _sweep_planes(y, y, plan, wspec)
-        y += q[:, None, :]
-        return Tensor4(np.swapaxes(y, 2, 3) if axis == 2 else y)
+        src = _offset_input(x, axis)
+        y = src if axis == 2 else np.empty_like(src)
+        _sweep_planes(src, y, plan, wspec)
+        return _finish(y, q, axis)
     lines = _lines(x.data, axis, dtype=x.dtype)
     channels, count, _ = lines.shape
     # a Bluestein transform works on lines of its inner length, m >= 2n - 1
@@ -417,4 +396,4 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
         spec *= wspec[blk, None, :]
         _irfft_lines(spec, plan, out=group)
         del spec  # before the next block allocates its spectrum
-    return _finish(lines, q, axis, x.shape[0])
+    return _finish(np.swapaxes(lines.reshape(channels, x.shape[0], -1, n), 0, 1), q, axis)

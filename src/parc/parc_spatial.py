@@ -6,34 +6,31 @@ embedding to the input.  Kernel and embedding are stored at a fixed meta
 length and stretched to the runtime extent by linear interpolation, so one
 parameter set serves any input size.
 
-Every swept line is an independent length-N circular correlation.  The
-spatial routes work on one layout whatever the orientation: C-contiguous
-lines-last (C, B * orth, N) arrays of ``_lines``, one row per line, each made
-by the add or cast that also does the transpose; ``_line_view`` maps
-(B, C, H, W) to lines and back.  Each spatial forward starts with
-``_offset_input``, which adds the position embedding to the input, and ends
-in ``_finish``, which adds the bias and makes its lines a map again.  The
-frequency route in ``fast_parc`` has two layouts and one PE rule of its
-own: up to N = 256 it runs on the (B, C, orth, N) map itself (the map for a
-V sweep, one transposed copy for an H sweep), past that on ``_lines``, and
-at every length it adds the output rows corr(pe, K) + bias, which the
-linearity of the operator allows, in place of the position embedding.
+Every swept line is an independent length-N circular correlation, so every
+row of a map whose swept axis is last is one line.  All forward routes run
+one pipeline: ``_offset_input`` lays x out swept-last, (B, C, orth, N), x's
+own array for a V sweep and one transposed copy for an H sweep; the PE and
+the bias enter only as the output rows q = corr(pe, K) + bias of
+``_pe_bias``, which the operator's linearity allows; ``_finish`` adds q and
+transposes an H sweep back.  Only what sums or pairs lines across batch
+items, the backward and ``fast_parc``'s paired spectra past N = 256, lays
+them out lines-last, (C, B * orth, N), with ``_lines``.
 
 ``parc_forward_via_concat`` is the paper's tap loop: one valid correlation
-over the (2N-1)-long periodic extension of each offset line.  Along one line
-the operator is also a product with the circulant M[i, l] = K[(l - i) mod N]
+over the (2N-1)-long periodic extension of each line.  Along one line the
+operator is also a product with the circulant M[i, l] = K[(l - i) mod N]
 (``_circulant``), so in depthwise mode ``parc_forward`` runs the sweep as one
 stacked matmul, agreeing with the tap loop to roundoff.  Outside the memory
 rule ``_circulant_fits`` (thin maps) and in dense mode, ``parc_forward`` runs
 the same tap loop, bit for bit: ``_accumulate``, the one circular tap loop
-on lines of both modes and directions.  Depthwise it is ``_correlate``, one
-einsum pass over a strided window view per cache-sized channel block, which
-reads its source circularly and stores no per-tap product; the zero-padded
-baselines share it.  ``parc_backward`` runs the operator again per channel
-block of lines, dX correlating dY with the reversed kernel and dK the offset
-input with dY: as circulant matmuls under the memory rule and as tap loops
-on thin maps, so it never holds much more than the forward.
-Resolved rows, weight spectra, the frequency route's output rows and
+of both modes and directions, which also builds q.  Depthwise it is
+``_correlate``, one einsum pass over a strided window view per cache-sized
+channel block, which reads its source circularly and stores no per-tap
+product; the zero-padded baselines share it.  ``parc_backward`` runs the
+operator again per channel block of lines, dX correlating dY with the
+reversed kernel and dK the offset input x + pe with dY: as circulant matmuls
+under the memory rule and as tap loops on thin maps, so it never holds much
+more than the forward.  Resolved rows, weight spectra, output rows and
 forward circulant stacks are plans, cached by ``ParCParams.prepared``.
 """
 
@@ -185,7 +182,7 @@ def random_params(
 
 def _line_view(arr: np.ndarray, axis: int) -> np.ndarray:
     """View of a (B, C, H, W) array as lines (C, B, orth, N), the swept axis
-    last, or back: the one layout map of every route, its own inverse."""
+    last, or back: the layout map of ``_lines``, its own inverse."""
     return arr.transpose(1, 0, 5 - axis, axis)
 
 
@@ -203,14 +200,6 @@ def _lines(arr: np.ndarray, axis: int, blk: slice = slice(None), pe_n: np.ndarra
     return out.reshape(out.shape[0], -1, out.shape[-1])
 
 
-def _finish(yl: np.ndarray, bias: np.ndarray, axis: int, batch: int) -> Tensor4:
-    """End of every forward route on lines: bias (C,), or rows (C, N) that
-    every line of a channel shares, added in place on C-contiguous lines
-    yl (C, B * orth, N), returned as the (B, C, H, W) ``_line_view`` of them."""
-    yl += bias.reshape(bias.shape[0], 1, -1)
-    return Tensor4(_line_view(yl.reshape(yl.shape[0], batch, -1, yl.shape[-1]), axis))
-
-
 def _resolve(x: Tensor4, p: ParCParams):
     """Swept axis, its length N, and the kernel, PE and bias resolved to N at
     the input's precision; an input with the wrong channel count raises."""
@@ -221,14 +210,35 @@ def _resolve(x: Tensor4, p: ParCParams):
     return (axis, n) + p.resolved(n, x.dtype_name)
 
 
-def _offset_input(x: Tensor4, p: ParCParams):
-    """Swept axis, length N, resolved kernel and bias, and the offset input
-    xl = x + pe as ``_lines`` at the input's precision: the PE-add-and-layout
-    stage of the spatial routes, on which H and V sweeps run alike.  The
-    frequency route adds no PE to its input: it adds ``fast_parc``'s output
-    rows corr(pe, K) + bias instead."""
-    axis, n, kernel_n, pe_n, bias = _resolve(x, p)
-    return axis, n, kernel_n, bias, _lines(x.data, axis, slice(None), pe_n, x.dtype)
+def _offset_input(x: Tensor4, axis: int) -> np.ndarray:
+    """x swept-last, (B, C, orth, N), the one layout stage of every forward
+    route: x's own array for a V sweep, one C-contiguous transposed copy,
+    which the frequency route transforms in place, for an H sweep.  It adds
+    no PE; the name stays for perfbench's ``parc_spatial.offset`` span."""
+    if axis == 3:
+        return x.data
+    return np.swapaxes(x.data, 2, 3).copy()  # a copy even where the swap is C-contiguous
+
+
+def _pe_bias(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
+    """Output rows q = corr(pe, K) + bias, (C_out, n), the "pe_bias" plan of
+    the params: the only way the PE and the bias enter a forward route.  By
+    linearity corr(x + pe, K) + bias = corr(x, K) + q on every line of a
+    channel.  One float64 ``_accumulate`` pass over the C_in PE lines (summed
+    over them in dense mode), cast to dtype_name's precision."""
+    def build():
+        kernel_n, pe_n, bias = (a.astype(np.float64) for a in p.resolved(n, dtype_name))
+        q = _accumulate(pe_n[None, :, None, :], kernel_n)[0, :, 0] + bias[:, None]
+        return (q.astype(dtype_from_name(dtype_name)),)
+    return p.prepared("pe_bias", n, dtype_name, build)[0]
+
+
+def _finish(y: np.ndarray, q: np.ndarray, axis: int) -> Tensor4:
+    """End of every forward route: the output rows q (C, N) of ``_pe_bias``
+    added in place to every line of the swept-last (B, C, orth, N) array y,
+    returned as the (B, C, H, W) Tensor4, transposed back for an H sweep."""
+    y += q[:, None, :]
+    return Tensor4(np.swapaxes(y, 2, 3) if axis == 2 else y)
 
 
 def _channel_blocks(channels: int, channel_bytes: int) -> list:
@@ -277,27 +287,27 @@ def _correlate(src, taps, y) -> None:
         np.einsum("crs,bcrshw->bchw", taps[blk], win, out=y[:, blk])
 
 
-def _accumulate(xl, kernel_n):
-    """The one circular tap loop on lines, run by every tap-loop forward, so
-    each makes the same roundings, and by the backward outside the memory
-    rule: output position i of each line of xl (C_in, lines, N) takes
-    kernel[k] * xl[(i + k) mod N], depthwise for kernel rows (C, N), summed
-    over input channels for a (C_out, C_in, N) kernel.  Returns the lines
-    (C_out, lines, N).  Depthwise it is one ``_correlate`` call, one row of
-    N taps per channel, which extends each channel block by itself; xl may
+def _accumulate(src, kernel_n):
+    """The one circular tap loop, run by every tap-loop forward, so each
+    makes the same roundings, by ``_pe_bias`` and by the backward outside
+    the memory rule: output position i of each row of src (B, C_in, rows, N)
+    takes kernel[k] * src[(i + k) mod N], depthwise for kernel rows (C, N),
+    summed over input channels for a (C_out, C_in, N) kernel.  Returns
+    (B, C_out, rows, N).  Depthwise it is one ``_correlate`` call, one row of
+    N taps per channel, which extends each channel block by itself; src may
     be broadcast over channels.  Dense mode extends the whole tensor and
     runs one einsum per tap.
     """
     if kernel_n.ndim == 2:
-        yl = np.empty(xl.shape, xl.dtype)
-        run_sliced(_correlate, xl[None], kernel_n[:, None, :], yl[None])
-        return yl
-    n = xl.shape[-1]
-    yl = np.zeros((kernel_n.shape[0],) + xl.shape[1:], dtype=xl.dtype)
-    ext = np.concatenate([xl, xl[..., :n - 1]], axis=-1)
+        y = np.empty(src.shape, src.dtype)
+        run_sliced(_correlate, src, kernel_n[:, None, :], y)
+        return y
+    n = src.shape[-1]
+    y = np.zeros((src.shape[0], kernel_n.shape[0]) + src.shape[2:], dtype=src.dtype)
+    ext = np.concatenate([src, src[..., :n - 1]], axis=-1)
     for k in range(n):
-        yl += np.einsum("oi,ilw->olw", kernel_n[:, :, k], ext[..., k:k + n])
-    return yl
+        y += np.einsum("oi,bilw->bolw", kernel_n[:, :, k], ext[..., k:k + n])
+    return y
 
 
 def _reversed(k: np.ndarray) -> np.ndarray:
@@ -339,36 +349,40 @@ def parc_forward(x: Tensor4, p: ParCParams) -> Tensor4:
     additionally contracts over input channels.  Output shape matches the
     input except that dense mode replaces C with channels_out.
 
-    Depthwise, y = xl @ M.T over the offset lines xl (C, B * orth, N) of
-    ``_offset_input``, in the input's precision, M.T being the C-contiguous
+    Depthwise, y = src @ M.T over the swept-last array src of
+    ``_offset_input`` (x itself on a V sweep), M.T being the C-contiguous
     (C, N, N) ``_circulant`` stack of the ``_reversed`` kernel rows: matmul
-    loops over channels and hands each (lines, N) @ (N, N) product, every
-    line of one channel, to BLAS.  The stack is built only under the memory
-    rule ``_circulant_fits``, which bounds it by twice the offset lines, and
-    kept as a plan of the params.  Dense mode and thin maps run the tap loop
-    of ``parc_forward_via_concat``, bit for bit.
+    broadcasts it over the batch and hands each (orth, N) @ (N, N) product
+    to BLAS.  The stack is built only under the memory rule
+    ``_circulant_fits``, which bounds it by twice the offset lines, and kept
+    as a plan of the params.  Dense mode and thin maps run the tap loop of
+    ``parc_forward_via_concat``, bit for bit.
     """
-    axis, n, kernel_n, bias, xl = _offset_input(x, p)
-    if p.mode == "depthwise" and _circulant_fits(n, xl.shape[1]):
-        yl = xl @ p.prepared("circulant", n, x.dtype_name,
+    axis, n, kernel_n = _resolve(x, p)[:3]
+    q = _pe_bias(p, n, x.dtype_name)
+    src = _offset_input(x, axis)
+    if p.mode == "depthwise" and _circulant_fits(n, src.shape[0] * src.shape[2]):
+        y = src @ p.prepared("circulant", n, x.dtype_name,
                              lambda: (_circulant(_reversed(kernel_n)),))[0]
     else:
-        yl = _accumulate(xl, kernel_n)
-    return _finish(yl, bias, axis, x.shape[0])
+        y = _accumulate(src, kernel_n)
+    return _finish(y, q, axis)
 
 
 def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
     """Same operator as the paper's tap loop over a periodic extension.
 
-    Each offset line is concatenated with its own first N-1 positions
-    (length 2N-1) and the kernel slides over that extension with no
-    padding.  Bit-identical to ``parc_forward`` wherever that runs the tap
-    loop (dense mode, thin maps), and equal to its circulant matmul to
-    roundoff.  ``parallel`` is accepted and ignored; perfbench's
-    ``call_route`` still passes it.  The tap loop always runs serially.
+    Each line of the swept-last array of ``_offset_input`` is concatenated
+    with its own first N-1 positions (length 2N-1) and the kernel slides
+    over that extension with no padding.  Bit-identical to ``parc_forward``
+    wherever that runs the tap loop (dense mode, thin maps), and equal to
+    its circulant matmul to roundoff.  ``parallel`` is accepted and
+    ignored; perfbench's ``call_route`` still passes it.  The tap loop
+    always runs serially.
     """
-    axis, _, kernel_n, bias, xl = _offset_input(x, p)
-    return _finish(_accumulate(xl, kernel_n), bias, axis, x.shape[0])
+    axis, n, kernel_n = _resolve(x, p)[:3]
+    q = _pe_bias(p, n, x.dtype_name)
+    return _finish(_accumulate(_offset_input(x, axis), kernel_n), q, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +449,8 @@ def _adjoint(xl, g, k):
     if _circulant_fits(n, lines):
         return _wrapped_diagonals(g, xl), g @ _circulant(k)
     g = np.broadcast_to(g, xl.shape)
-    dxl = _accumulate(g, _reversed(k))
-    dk = _accumulate(xl.reshape(c * lines, 1, n), g.reshape(c * lines, n))
+    dxl = _accumulate(g[None], _reversed(k))[0]
+    dk = _accumulate(xl.reshape(1, c * lines, 1, n), g.reshape(c * lines, n))
     return dk.reshape(c, lines, n).sum(axis=1), dxl
 
 
@@ -444,8 +458,8 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     """Analytic adjoint of the forward operator at the point (x, p).
 
     dY has the forward output's shape.  Every gradient is computed in
-    float64 from the offset lines xl formed at the input precision, as
-    ``_offset_input`` forms them.  Along one line the forward pass is
+    float64 from the offset lines xl = x + pe formed at the input
+    precision, as ``_lines`` forms them.  Along one line the forward pass is
     y = xl @ M.T with the circulant M[i, l] = K[(l - i) mod N], so
     dxl = dY @ M and dK[k] = sum_i G[i, (i + k) mod N] sums the wrapped
     diagonals of the Gram matrix G = dY.T @ xl.  ``_adjoint`` forms both, as

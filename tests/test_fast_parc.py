@@ -377,23 +377,34 @@ class TestSpectralCorrelation:
         assert list(p._plans) == [("rows", 8, "f64"), ("spectrum", 8, "f64")]
 
     @pytest.mark.parametrize("orientation", ["H", "V"])
-    @pytest.mark.parametrize("n", [16, 257], ids=["table", "paired"])
-    def test_in_place_pe_and_bias_edits_rebuild_the_output_rows(self, n, orientation):
-        """The PE and bias reach the output only through the cached rows
-        corr(pe, K) + bias, so editing both in place must give the bytes of
-        a fresh copy of the params."""
+    @pytest.mark.parametrize("route, mode, b, n, orth", [
+        (fast_parc_forward, "depthwise", 2, 16, 5),
+        (fast_parc_forward, "depthwise", 2, 257, 5),
+        (parc_forward_via_concat, "depthwise", 2, 16, 5),
+        (parc_forward, "depthwise", 2, 16, 5),
+        (parc_forward, "depthwise", 1, 16, 1),
+        (parc_forward, "dense", 2, 16, 5),
+        (parc_forward_via_concat, "dense", 2, 16, 5),
+    ], ids=["table", "paired", "concat", "modulo-circulant", "modulo-taps", "modulo-dense",
+            "concat-dense"])
+    def test_in_place_pe_and_bias_edits_rebuild_the_output_rows(self, route, mode, b, n, orth,
+                                                                 orientation):
+        """The PE and bias reach every route's output only through the
+        cached rows corr(pe, K) + bias, so editing both in place must give
+        the bytes of a fresh copy of the params."""
         rng = np.random.default_rng(24)
-        p = random_params(rng, 3, orientation=orientation, kernel_scale=1.0 / n)
-        shape = (2, 3, n, 5) if orientation == "H" else (2, 3, 5, n)
+        p = random_params(rng, 3, orientation=orientation, mode=mode, channels_out=4,
+                          kernel_scale=1.0 / n)
+        shape = (b, 3, n, orth) if orientation == "H" else (b, 3, orth, n)
         x = Tensor4(rng.standard_normal(shape).astype(np.float32))
-        before = fast_parc_forward(x, p).data
+        before = route(x, p).data
         p.meta_pe[:] += rng.uniform(-1, 1, p.meta_pe.shape)
         p.bias[1] -= 0.5
         fresh = ParCParams(p.mode, p.orientation, p.meta_kernel.copy(), p.meta_pe.copy(),
                            p.bias.copy())
-        after = fast_parc_forward(x, p).data
+        after = route(x, p).data
         assert not np.array_equal(after, before)
-        assert after.tobytes() == fast_parc_forward(x, fresh).data.tobytes()
+        assert after.tobytes() == route(x, fresh).data.tobytes()
 
     def test_v_sweep_allocates_its_output_one_group_spectrum_and_its_rows(self):
         """A V sweep on a table plan reads x in place: at its peak it holds
@@ -411,7 +422,7 @@ class TestSpectralCorrelation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rows = fast_parc._pe_bias(p, 32, "f32")
+        rows = parc_spatial._pe_bias(p, 32, "f32")
         spectrum = 2048 * 17 * np.dtype(np.complex64).itemsize
         buffer = np.getbufsize() * np.dtype(np.complex64).itemsize
         assert peak <= y.nbytes + spectrum + rows.nbytes + buffer, peak

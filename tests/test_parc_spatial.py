@@ -284,6 +284,7 @@ class TestChannelBlocks:
         rng = np.random.default_rng(36)
         p = random_params(rng, self.C, orientation="V")
         x = rng.standard_normal((2, self.C, 6, 9)).astype(np.float32)
+        parc_forward_via_concat(Tensor4(x), p)  # builds the output rows outside the spy
         sizes = spy_block_passes(monkeypatch)
         # one einsum pass per block, sized by the block's channel count
         want = {"one_channel": [1] * 7, "ragged": [3, 3, 1], "one_block": [7]}
@@ -530,6 +531,23 @@ class TestMemoryRule:
         # a second call takes the stack cached on the params
         assert parc_forward(x, p).data.tobytes() == got.tobytes()
         assert built == [(4, 16)]
+
+    def test_v_sweep_reads_x_in_place(self):
+        """A depthwise V sweep under the memory rule multiplies x's own rows
+        by the cached stack: at its peak it holds its output, the output
+        rows and numpy's buffer for the broadcast add of ``_finish``, but no
+        copy of x."""
+        rng = np.random.default_rng(48)
+        p = random_params(rng, 12, orientation="V", kernel_scale=1.0 / 32)
+        shape = (8, 12, 32, 32)
+        x = Tensor4(rng.standard_normal(shape).astype(np.float32))
+        assert takes_circulant(shape, p)
+        y = parc_forward(x, p).data  # builds the stack and the rows outside the measurement
+        peak = self.peak(parc_forward, x, p, warm=False)
+        rows = parc_spatial._pe_bias(p, 32, "f32")
+        buffer = np.getbufsize() * np.dtype(np.float32).itemsize
+        assert peak <= y.nbytes + rows.nbytes + buffer + 4096, peak
+        assert peak < y.nbytes + x.data.nbytes
 
     def test_dense_mode_keeps_the_tap_loop(self, monkeypatch):
         rng = np.random.default_rng(40)
@@ -979,12 +997,12 @@ class TestPlanCache:
 
 
 class TestOneLayoutStage:
-    """Every spatial forward route adds the PE and lays its lines out once,
-    in ``_offset_input``, and maps its lines back to a map once, in
-    ``_finish``: both C-contiguous (C, B * orth, N) arrays.  The frequency
-    route adds no PE to its input but the output rows corr(pe, K) + bias:
-    up to N = 256 on the map itself, past that on lines it ends in
-    ``_finish``."""
+    """Every forward route runs one pipeline: ``_pe_bias``'s output rows
+    q = corr(pe, K) + bias, the swept-last (B, C, orth, N) array of
+    ``_offset_input`` (x itself for a V sweep, one transposed copy for an H
+    sweep) and one ``_finish``, which adds q.  Past N = 256 the frequency
+    route lays its paired lines out as ``_lines`` instead and hands
+    ``_finish`` their (B, C, orth, N) view."""
 
     @staticmethod
     def spy(calls, name, fn, pick):
@@ -994,41 +1012,81 @@ class TestOneLayoutStage:
             return out
         return wrapped
 
+    ROUTES = {"modulo": parc_forward, "concat": parc_forward_via_concat, "freq": fast_parc_forward}
+
     @pytest.mark.parametrize("orientation", ["H", "V"])
     @pytest.mark.parametrize("route, mode, shape", [
-        (parc_forward, "depthwise", (2, 3, 8, 5)),
-        (parc_forward, "depthwise", (1, 3, 64, 2)),
-        (parc_forward, "dense", (2, 3, 8, 5)),
-        (parc_forward_via_concat, "depthwise", (2, 3, 8, 5)),
-        (parc_forward_via_concat, "dense", (2, 3, 8, 5)),
-    ], ids=["modulo-circulant", "modulo-taps", "modulo-dense", "concat", "concat-dense"])
+        ("modulo", "depthwise", (2, 3, 8, 5)),
+        ("modulo", "depthwise", (1, 3, 64, 2)),
+        ("modulo", "dense", (2, 3, 8, 5)),
+        ("concat", "depthwise", (2, 3, 8, 5)),
+        ("concat", "dense", (2, 3, 8, 5)),
+        ("freq", "depthwise", (2, 3, 8, 5)),
+    ], ids=["modulo-circulant", "modulo-taps", "modulo-dense", "concat", "concat-dense", "freq"])
     def test_each_route_runs_the_stage_once(self, route, mode, shape, orientation, monkeypatch):
         rng = np.random.default_rng(44)
         p = random_params(rng, 3, orientation=orientation, mode=mode, channels_out=4)
         if orientation == "V":
             shape = shape[:2] + shape[2:][::-1]
         x = Tensor4(rng.standard_normal(shape))
-        if route is parc_forward and mode == "depthwise":
+        if route == "modulo" and mode == "depthwise":
             assert takes_circulant(shape, p) == (shape[0] == 2)
         calls = []
-        monkeypatch.setattr(parc_spatial, "_offset_input", self.spy(
-            calls, "offset", parc_spatial._offset_input, lambda args, kw, out: out[-1]))
-        monkeypatch.setattr(parc_spatial, "_finish", self.spy(
-            calls, "finish", parc_spatial._finish, lambda args, kw, out: args[0]))
-        y = route(x, p).data
-        assert [name for name, _ in calls] == ["offset", "finish"]
-        n = shape[2] if orientation == "H" else shape[3]
-        lines = shape[0] * shape[2] * shape[3] // n
-        for (_, arr), channels in zip(calls, (p.channels_in, p.channels_out)):
-            assert arr.shape == (channels, lines, n) and arr.flags.c_contiguous
+        # each stage is spied under every name the routes look it up by
+        for name, pick in (("_pe_bias", lambda args, kw, out: out),
+                           ("_offset_input", lambda args, kw, out: out),
+                           ("_finish", lambda args, kw, out: args[:2])):
+            wrapped = self.spy(calls, name.strip("_"), getattr(parc_spatial, name), pick)
+            for module in (parc_spatial, fast_parc):
+                monkeypatch.setattr(module, name, wrapped)
+        y = self.ROUTES[route](x, p).data
+        assert [name for name, _ in calls] == ["pe_bias", "offset_input", "finish"]
+        (_, q), (_, src), (_, (out, rows)) = calls
+        n, orth = (shape[2], shape[3]) if orientation == "H" else (shape[3], shape[2])
+        assert src.shape == (shape[0], p.channels_in, orth, n) and src.flags.c_contiguous
+        assert (src is x.data) == (orientation == "V")
+        assert out.shape == (shape[0], p.channels_out, orth, n)
+        assert rows is q and q.shape == (p.channels_out, n)
         assert y.shape == (shape[0], p.channels_out) + shape[2:]
+
+    @pytest.mark.parametrize("orientation", ["H", "V"])
+    @pytest.mark.parametrize("route, mode, shape", [
+        ("modulo", "depthwise", (2, 3, 8, 5)),
+        ("modulo", "depthwise", (1, 3, 64, 2)),
+        ("modulo", "dense", (2, 3, 8, 5)),
+        ("concat", "depthwise", (2, 3, 8, 5)),
+        ("concat", "dense", (2, 3, 8, 5)),
+        ("freq", "depthwise", (2, 3, 8, 5)),
+        ("freq", "depthwise", (2, 3, 257, 3)),
+    ], ids=["modulo-circulant", "modulo-taps", "modulo-dense", "concat", "concat-dense",
+            "freq-table", "freq-paired"])
+    def test_pe_and_bias_enter_only_through_the_output_rows(self, route, mode, shape,
+                                                            orientation, monkeypatch):
+        """With ``_pe_bias`` patched to zero rows, every route gives the
+        bytes of the same params with a zero PE and bias, whose rows
+        corr(0, K) + 0 are exactly zero."""
+        rng = np.random.default_rng(49)
+        p = random_params(rng, 3, orientation=orientation, mode=mode, channels_out=4,
+                          kernel_scale=1.0 / 64)
+        if orientation == "V":
+            shape = shape[:2] + shape[2:][::-1]
+        x = Tensor4(rng.standard_normal(shape).astype(np.float32))
+        bare = ParCParams(p.mode, p.orientation, p.meta_kernel, np.zeros_like(p.meta_pe),
+                          np.zeros_like(p.bias))
+        want = self.ROUTES[route](x, bare).data
+        def zero_rows(p, n, dtype_name):
+            return np.zeros((p.channels_out, n), np.float32)
+
+        for module in (parc_spatial, fast_parc):
+            monkeypatch.setattr(module, "_pe_bias", zero_rows)
+        assert self.ROUTES[route](x, p).data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("orientation", ["H", "V"])
     def test_frequency_route_runs_on_the_map(self, orientation, dtype, monkeypatch):
         """Up to N = 256 a V sweep reads its rows from x and writes them into
-        the output, and an H sweep transforms one transposed copy of x in
-        place; neither lays out lines or calls ``_finish``."""
+        a fresh output, and an H sweep transforms its transposed copy of x
+        in place; neither lays out lines, and both end in ``_finish``."""
         rng = np.random.default_rng(45)
         p = random_params(rng, 3, orientation=orientation)
         shape = (2, 3, 8, 5) if orientation == "H" else (2, 3, 5, 8)
@@ -1036,17 +1094,19 @@ class TestOneLayoutStage:
         want = parc_forward(x, p).data
         fast_parc_forward(x, p)  # builds the weight spectra outside the spies
         calls = []
-        for name in ("_lines", "_finish"):
-            monkeypatch.setattr(fast_parc, name, self.spy(calls, name, getattr(fast_parc, name),
+        monkeypatch.setattr(fast_parc, "_lines", self.spy(calls, "lines", fast_parc._lines,
                                                           lambda args, kw, out: None))
+        monkeypatch.setattr(fast_parc, "_finish", self.spy(
+            calls, "finish", fast_parc._finish, lambda args, kw, out: args[0]))
         monkeypatch.setattr(fast_parc, "_rfft_lines", self.spy(
             calls, "rfft", fast_parc._rfft_lines, lambda args, kw, out: args[0]))
         monkeypatch.setattr(fast_parc, "_irfft_lines", self.spy(
             calls, "irfft", fast_parc._irfft_lines, lambda args, kw, out: kw["out"]))
         y = fast_parc_forward(x, p).data
-        assert [name for name, _ in calls] == ["rfft", "irfft"]
-        (_, src), (_, dst) = calls
+        assert [name for name, _ in calls] == ["rfft", "irfft", "finish"]
+        (_, src), (_, dst), (_, out) = calls
         assert src.shape == dst.shape == (2 * 3 * 5, 8)
+        assert np.shares_memory(dst, out)
         if orientation == "V":
             assert np.shares_memory(src, x.data) and np.shares_memory(dst, y)
         else:
@@ -1056,7 +1116,8 @@ class TestOneLayoutStage:
     @pytest.mark.parametrize("orientation", ["H", "V"])
     def test_paired_frequency_route_adds_rows_in_finish(self, orientation, monkeypatch):
         """Past N = 256 the frequency route lays x out as ``_lines`` with no
-        PE and hands ``_finish`` the (C, N) output rows in place of a bias."""
+        PE and hands ``_finish`` the (B, C, orth, N) view of those lines and
+        the (C, N) output rows."""
         rng = np.random.default_rng(47)
         p = random_params(rng, 3, orientation=orientation, kernel_scale=1.0 / 257)
         shape = (2, 3, 257, 5) if orientation == "H" else (2, 3, 5, 257)
@@ -1065,11 +1126,12 @@ class TestOneLayoutStage:
         monkeypatch.setattr(fast_parc, "_lines", self.spy(
             calls, "lines", fast_parc._lines, lambda args, kw, out: (len(args), out)))
         monkeypatch.setattr(fast_parc, "_finish", self.spy(
-            calls, "finish", fast_parc._finish, lambda args, kw, out: args[1]))
+            calls, "finish", fast_parc._finish, lambda args, kw, out: args[:2]))
         y = fast_parc_forward(x, p).data
         assert [name for name, _ in calls] == ["lines", "finish"]
-        (_, (positional, lines)), (_, rows) = calls
+        (_, (positional, lines)), (_, (out, rows)) = calls
         assert positional == 2 and lines.shape == (3, 10, 257)
+        assert out.shape == (2, 3, 5, 257) and np.shares_memory(out, lines)
         assert rows.shape == (3, 257)
         assert np.abs(y - parc_forward(x, p).data).max() <= 1e-12
 
@@ -1083,7 +1145,7 @@ class TestOneLayoutStage:
                                                         monkeypatch):
         """Every ``_correlate`` call whose source is shorter than its windows
         comes from ``_accumulate``, the one circular tap loop, forward and
-        backward."""
+        backward, and the one builder of every route's output rows."""
         rng = np.random.default_rng(46)
         p = random_params(rng, 3, orientation=orientation, mode=mode, kernel_scale=1.0 / 64)
         thin = shape[0] == 1
@@ -1107,23 +1169,25 @@ class TestOneLayoutStage:
                 wraps.append(depth[0] > 0)
             return correlate(src, taps, y)
 
-        for module in (parc_spatial, fast_parc):
-            monkeypatch.setattr(module, "_accumulate", in_accumulate)
+        assert not hasattr(fast_parc, "_accumulate")
+        monkeypatch.setattr(parc_spatial, "_accumulate", in_accumulate)
         monkeypatch.setattr(parc_spatial, "_correlate", spy)
         if route == "backward":
             dy = Tensor4(rng.standard_normal((shape[0], p.channels_out) + shape[2:]))
             parc_backward(x, p, dy)
-        else:
-            {"modulo": parc_forward, "concat": parc_forward_via_concat,
-             "freq": fast_parc_forward}[route](x, p)
+            assert wraps == [True] * len(wraps)
+            assert bool(wraps) == thin
+            return
+        self.ROUTES[route](x, p)
         forward_taps = mode == "depthwise" and (route == "concat" or route == "modulo" and thin)
         assert wraps == [True] * len(wraps)
-        # the frequency route's one tap loop builds its output rows on a plan miss
-        assert bool(wraps) == (forward_taps or route == "backward" and thin or route == "freq")
-        if route == "freq":
-            wraps.clear()
-            fast_parc_forward(x, p)
-            assert wraps == []
+        # on a plan miss every depthwise route's tap loop builds its output
+        # rows; dense rows sum over input channels without ``_correlate``
+        assert bool(wraps) == (mode == "depthwise")
+        wraps.clear()
+        self.ROUTES[route](x, p)
+        assert wraps == [True] * len(wraps)
+        assert bool(wraps) == forward_taps
 
 
 @pytest.mark.parametrize("orth", [2, 4])

@@ -34,8 +34,10 @@ tests measure it, or ``-`` when a tree lacks the result or the shapes
 differ.  The arrays come from a second run of each tree, given ``--save
 DIR`` and the differing names on stdin, which computes only the groups
 holding them and writes the i-th name's result to DIR/<i>.npy.  A count
-goes to stderr and the exit status is 1 if any result differs or either
-tree fails its repeat check, 0 otherwise.
+goes to stderr, then one line per route and precision with a differing
+result: how many of its results differ and their largest REL.  The exit
+status is 1 if any result differs or either tree fails its repeat check,
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -169,14 +171,18 @@ def _results(root: str, names: list, directory: str) -> list:
     return [np.load(path) if os.path.exists(path) else None for path in paths]
 
 
-def _relative(old, new) -> str:
+def _relative(old, new) -> float | None:
     """max|new - old| / max(1, max|old|) in float64, the scale of the
-    route-equivalence tests, or '-' if either is missing or their shapes
+    route-equivalence tests, or None if either is missing or their shapes
     differ."""
     if old is None or new is None or old.shape != new.shape:
-        return "-"
+        return None
     old, new = old.astype(np.float64), new.astype(np.float64)
-    return f"{np.abs(new - old).max() / max(1.0, np.abs(old).max()):.2e}"
+    return float(np.abs(new - old).max() / max(1.0, np.abs(old).max()))
+
+
+def _rel_text(rel: float | None) -> str:
+    return "-" if rel is None else f"{rel:.2e}"
 
 
 def compare(old: str, new: str) -> int:
@@ -186,12 +192,19 @@ def compare(old: str, new: str) -> int:
     (a, a_stable), (b, b_stable) = _digests(old), _digests(new)
     names = list(a) + [name for name in b if name not in a]
     differ = [name for name in names if a.get(name) != b.get(name)]
+    moved = {}  # (route, precision) -> REL of each differing result
     if differ:
         with tempfile.TemporaryDirectory() as d_old, tempfile.TemporaryDirectory() as d_new:
             rel = list(map(_relative, _results(old, differ, d_old), _results(new, differ, d_new)))
         for name, r in zip(differ, rel):
-            print(f"{name} {a.get(name, '-')} {b.get(name, '-')} {r}")
+            print(f"{name} {a.get(name, '-')} {b.get(name, '-')} {_rel_text(r)}")
+            fields = name.split()  # BxCxHxW precision orientation mode result
+            moved.setdefault((fields[-1], fields[1]), []).append(r)
     print(f"{len(differ)} of {len(names)} results differ", file=sys.stderr)
+    for (route, precision), rels in moved.items():
+        worst = max((r for r in rels if r is not None), default=None)
+        print(f"{route} {precision}: {len(rels)} differ, largest REL {_rel_text(worst)}",
+              file=sys.stderr)
     return 1 if differ or not (a_stable and b_stable) else 0
 
 
