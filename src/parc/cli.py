@@ -17,8 +17,8 @@ from . import bench as bench_mod
 from . import blocks as blocks_mod
 from .fast_parc import fast_parc_forward
 from .flops import write_curves_csv
-from .parc_spatial import (_lines, _resolve, parc_backward, parc_forward, parc_forward_via_concat,
-                           random_params)
+from .parc_spatial import (parc_backward, parc_forward, parc_forward_via_concat, random_params,
+                           sweep_axis)
 from .rng import Xoshiro256
 from .tensor import DTYPE_NAMES, Tensor4, dtype_from_name, write_fixture
 
@@ -60,23 +60,24 @@ def _adjoint_gap(x: Tensor4, p, y: Tensor4) -> float:
     """Worst gap in parc_backward's adjoint identities at (x, p), relative to
     the larger norm product.
 
-    y - bias is linear in both the resolved kernel K and the offset lines
-    xl, so for any cotangent dy, <dy, y - bias> must equal <dK, K> and
-    <dxl, xl>, dxl being d_input as lines.  dy = y - bias makes the left
-    side a squared norm, so a relative error in dK or dxl shows at about its
-    own size; a random dy would dilute it by the square root of the output
-    size.
+    y - bias is linear in both the resolved kernel K and the offset input
+    xp = x + pe, formed in float64 as the routes' forward forms it, so for
+    any cotangent dy, <dy, y - bias> must equal <dK, K> and <dxp, xp>, dxp
+    being d_input, both swept axis last.  dy = y - bias makes the left side
+    a squared norm, so a relative error in dK or dxp shows at about its own
+    size; a random dy would dilute it by the square root of the output size.
     """
-    axis, _, kernel_n, pe_n, bias = _resolve(x, p)
+    axis = sweep_axis(p.orientation)
+    kernel_n, pe_n, bias = p.resolved(x.shape[axis], x.dtype_name)
     dy = y.data - bias[None, :, None, None]
     g = parc_backward(x, p, Tensor4(dy))
     lin = dy.astype(np.float64)
-    xl = _lines(x.data, axis, pe_n=pe_n)
-    d_in = _lines(g.d_input.data, axis)
+    xp = np.moveaxis(x.data, axis, 3) + pe_n.astype(np.float64)[:, None, :]
+    d_in = np.moveaxis(g.d_input.data, axis, 3).astype(np.float64)
     lhs = np.vdot(lin, lin)
     gaps = (abs(lhs - np.vdot(g.d_kernel_n, kernel_n.astype(np.float64))),
-            abs(lhs - np.vdot(d_in, xl)))
-    scale = max(lhs, np.linalg.norm(d_in) * np.linalg.norm(xl), 1e-300)
+            abs(lhs - np.vdot(d_in, xp)))
+    scale = max(lhs, np.linalg.norm(d_in) * np.linalg.norm(xp), 1e-300)
     return float(max(gaps) / scale)
 
 

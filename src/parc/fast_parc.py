@@ -355,9 +355,8 @@ def fast_parc_forward(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tens
 
     Transforms every line along the swept axis, multiplies by the
     conjugated kernel spectrum bin-wise, transforms back, and ends in
-    ``_finish``, which adds the output rows q = corr(pe, K) + bias of
-    ``_pe_bias`` to every line of each channel, as every forward route
-    does.  Depthwise mode only.
+    ``_finish``, which adds the output rows q of ``_pe_bias`` (the PE rule
+    of ``parc_spatial``).  Depthwise mode only.
 
     On a ``half_spectrum`` plan (N <= 2*_MAX_RADIX) the route runs
     ``_sweep_planes`` on the swept-last array of ``_offset_input``: a V

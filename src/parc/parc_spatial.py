@@ -9,12 +9,14 @@ parameter set serves any input size.
 Every swept line is an independent length-N circular correlation, so every
 row of a map whose swept axis is last is one line.  All forward routes run
 one pipeline: ``_offset_input`` lays x out swept-last, (B, C, orth, N), x's
-own array for a V sweep and one transposed copy for an H sweep; the PE and
-the bias enter only as the output rows q = corr(pe, K) + bias of
-``_pe_bias``, which the operator's linearity allows; ``_finish`` adds q and
-transposes an H sweep back.  Only what sums or pairs lines across batch
-items, the backward and ``fast_parc``'s paired spectra past N = 256, lays
-them out lines-last, (C, B * orth, N), with ``_lines``.
+own array for a V sweep and one transposed copy for an H sweep, and
+``_finish`` adds the output rows q = corr(pe, K) + bias that ``_pe_bias``
+builds in float64 and transposes an H sweep back.  The PE rule: the PE and
+the bias enter a forward only through q, as corr(x + pe, K) + bias =
+corr(x, K) + q, so no route rounds x + pe; the backward adds the same PE
+rows to x's lines in float64.  Only the backward and ``fast_parc``'s paired
+spectra past N = 256, which sum or pair lines across batch items, lay them
+out lines-last, (C, B * orth, N), with ``_lines``, a bare layout copy.
 
 ``parc_forward_via_concat`` is the paper's tap loop: one valid correlation
 over the (2N-1)-long periodic extension of each line.  Along one line the
@@ -186,17 +188,12 @@ def _line_view(arr: np.ndarray, axis: int) -> np.ndarray:
     return arr.transpose(1, 0, 5 - axis, axis)
 
 
-def _lines(arr: np.ndarray, axis: int, blk: slice = slice(None), pe_n: np.ndarray | None = None,
-           dtype=np.float64) -> np.ndarray:
+def _lines(arr: np.ndarray, axis: int, blk: slice = slice(None), dtype=np.float64) -> np.ndarray:
     """Channels blk of a (B, C, H, W) array as C-contiguous lines of dtype,
-    (C_blk, B * orth, N), read through ``_line_view``; given pe_n, of
-    arr + pe_n added at the precision of arr and cast by the same pass."""
+    (C_blk, B * orth, N): a fresh copy of ``_line_view``, never arr itself."""
     view = _line_view(arr, axis)[blk]
     out = np.empty(view.shape, dtype=dtype)
-    if pe_n is None:
-        out[...] = view
-    else:
-        np.add(view, pe_n[blk, None, None, :], out=out, dtype=arr.dtype)
+    out[...] = view
     return out.reshape(out.shape[0], -1, out.shape[-1])
 
 
@@ -222,10 +219,9 @@ def _offset_input(x: Tensor4, axis: int) -> np.ndarray:
 
 def _pe_bias(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
     """Output rows q = corr(pe, K) + bias, (C_out, n), the "pe_bias" plan of
-    the params: the only way the PE and the bias enter a forward route.  By
-    linearity corr(x + pe, K) + bias = corr(x, K) + q on every line of a
-    channel.  One float64 ``_accumulate`` pass over the C_in PE lines (summed
-    over them in dense mode), cast to dtype_name's precision."""
+    the params: the only way the PE and the bias enter a forward route (the
+    module's PE rule).  One float64 ``_accumulate`` pass over the C_in PE
+    lines (summed over them in dense mode), cast to dtype_name's precision."""
     def build():
         kernel_n, pe_n, bias = (a.astype(np.float64) for a in p.resolved(n, dtype_name))
         q = _accumulate(pe_n[None, :, None, :], kernel_n)[0, :, 0] + bias[:, None]
@@ -251,9 +247,9 @@ def _channel_blocks(channels: int, channel_bytes: int) -> list:
 def _correlate(src, taps, y) -> None:
     """Write sum_(r,s) taps[c, r, s] * src[:, c, r + i, (s + j) mod W] into
     y[:, c, i, j] for every channel c, (h, w) being y's last two extents and
-    W src's last, which its windows may wrap at most once.  Only that axis
-    wraps: src must hold all h + K_h - 1 rows of the windows on axis 2, and
-    a shorter one raises ValueError before any window reads past its buffer.
+    W src's last.  Only that axis wraps, at most once: src must hold all
+    h + K_h - 1 rows of the windows and half their w + K_w - 1 columns, and
+    any other source raises ValueError before a window reads past its buffer.
 
     Each ``_channel_blocks`` block of y's channels appends to its slice of
     src the leading columns its windows wrap onto; a source that needs no
@@ -275,6 +271,8 @@ def _correlate(src, taps, y) -> None:
         raise ValueError(f"source holds {src.shape[2]} rows, the windows need "
                          f"{h + taps.shape[1] - 1}")
     cols = w + taps.shape[2] - 1
+    if 2 * w0 < cols:
+        raise ValueError(f"source holds {w0} columns, the windows need {cols}: two wraps")
     for blk in _channel_blocks(y.shape[1], y[:, :1].nbytes):
         part = src[:, blk]
         # C order: concatenate lays a channel-broadcast dY out channel-fastest
@@ -397,9 +395,9 @@ class ParCGrads:
     d_kernel_n / d_pe_n are at the resolved sweep length; d_meta_kernel /
     d_meta_pe are pulled back through the interpolation adjoint.  d_input
     carries the input's dtype; every other field is float64, accumulated in
-    float64 whatever the input precision.  Every field is bitwise the same
-    whatever the channel block size; the circulant and tap-loop branches of
-    ``parc_backward`` agree to roundoff.
+    float64 whatever the input precision, for the forward the routes compute
+    (the module's PE rule).  Every field is bitwise the same whatever the
+    channel block size; the circulant and tap-loop branches agree to roundoff.
     """
 
     d_input: Tensor4
@@ -458,9 +456,9 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     """Analytic adjoint of the forward operator at the point (x, p).
 
     dY has the forward output's shape.  Every gradient is computed in
-    float64 from the offset lines xl = x + pe formed at the input
-    precision, as ``_lines`` forms them.  Along one line the forward pass is
-    y = xl @ M.T with the circulant M[i, l] = K[(l - i) mod N], so
+    float64 from the offset lines xl = x + pe, the PE added to ``_lines``'
+    copy of x in float64 (the module's PE rule).  Along one line the forward
+    is y = xl @ M.T with the circulant M[i, l] = K[(l - i) mod N], so
     dxl = dY @ M and dK[k] = sum_i G[i, (i + k) mod N] sums the wrapped
     diagonals of the Gram matrix G = dY.T @ xl.  ``_adjoint`` forms both, as
     matmuls under the forward's memory rule and as tap loops outside it, on
@@ -472,14 +470,15 @@ def parc_backward(x: Tensor4, p: ParCParams, dy: Tensor4) -> ParCGrads:
     expect = (x.shape[0], p.channels_out) + x.shape[2:]
     if dy.shape != expect:
         raise ValueError(f"dY shape {dy.shape} does not match forward output {expect}")
-    k64 = kernel_n.astype(np.float64)
+    k64, pe64 = kernel_n.astype(np.float64), pe_n.astype(np.float64)
     d_input = np.empty(x.shape, dtype=x.dtype)
     d_lines = _line_view(d_input, axis)
     c, b, orth, _ = d_lines.shape
     d_kernel_n, d_pe_n = np.empty(k64.shape), np.empty((c, n))
     d_bias = np.empty(p.channels_out)
     for blk in _channel_blocks(c, b * orth * n * 8) if p.mode == "depthwise" else [slice(None)]:
-        xl, g = _lines(x.data, axis, blk, pe_n), _lines(dy.data, axis, blk)
+        xl, g = _lines(x.data, axis, blk), _lines(dy.data, axis, blk)
+        xl += pe64[blk, None, :]
         d_kernel_n[blk], dxl = _adjoint(xl, g, k64[blk])
         d_bias[blk] = g.sum(axis=(1, 2))
         d_pe_n[blk] = dxl.sum(axis=1)

@@ -1,8 +1,10 @@
 """An H sweep and a V sweep are one operator on transposed maps.
 
-Every route computes on the offset input laid out as lines, swept axis last,
-so a V sweep of x must equal, bit for bit, the H sweep of x with H and W
-swapped, transposed back, and must not cost more memory than that H sweep.
+Every forward route computes on x laid out with its swept axis last and adds
+the PE and bias as output rows afterwards; the backward works on x's lines,
+swept axis last, with the PE added in float64.  So a V sweep of x must
+equal, bit for bit, the H sweep of x with H and W swapped, transposed back,
+and must not cost more memory than that H sweep.
 """
 
 import tracemalloc
@@ -91,8 +93,9 @@ def _peak(route, x, p) -> int:
 @pytest.mark.parametrize("route", [parc_forward_via_concat, fast_parc_forward],
                          ids=["parc_forward_via_concat", "fast_parc_forward"])
 def test_v_sweep_peak_memory_matches_the_h_sweep(route):
-    """The transpose to the lines layout rides on the allocation of the
-    offset input, so a V sweep holds no second copy of the map."""
+    """A V sweep reads x in place, its swept axis already last, where an H
+    sweep makes one transposed copy, so a V sweep holds no second copy of
+    the map."""
     rng = np.random.default_rng(5)
     p_v = random_params(rng, 16, orientation="V")
     p_h = ParCParams("depthwise", "H", p_v.meta_kernel, p_v.meta_pe, p_v.bias)

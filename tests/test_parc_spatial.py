@@ -438,6 +438,16 @@ class TestFusedTapLoop:
         parc_spatial._correlate(np.ones((2, self.C, 6, 6)), taps, y)
         assert (y == 3.0).all()
 
+    def test_source_wrapped_more_than_once_raises(self):
+        """The last axis wraps at most once: a source with fewer than half of
+        the w + K_w - 1 window columns would make the appended wrap read
+        past its buffer."""
+        y = np.empty((1, 1, 1, 3))
+        with pytest.raises(ValueError, match="source holds 3 columns, the windows need 10"):
+            parc_spatial._correlate(np.arange(3.0).reshape(1, 1, 1, 3), np.ones((1, 1, 8)), y)
+        parc_spatial._correlate(np.arange(3.0).reshape(1, 1, 1, 3), np.ones((1, 1, 4)), y)
+        assert y.ravel().tolist() == [3.0, 4.0, 5.0]
+
     @pytest.mark.parametrize("orientation", ["H", "V"])
     def test_zero_padded_source_is_read_as_it_is(self, orientation, monkeypatch):
         """A source as long as the windows, as the zero-padded baselines pass
@@ -690,7 +700,9 @@ class TestBackward:
         """Lengths beyond the finite-difference gate, against np.take gathers.
 
         y - bias is linear in both the resolved kernel K and the offset input
-        xp, so <dy, y - bias> == <dK, K> == <dxp, xp> must hold.
+        xp, so <dy, y - bias> == <dK, K> == <dxp, xp> must hold.  xp = x + pe
+        is formed in float64, the forward every route computes, so d_kernel_n
+        matches to 1e-12 at either input precision.
         """
         rng = np.random.default_rng(65)
         tol = 1e-5 if dtype == np.float32 else 1e-12
@@ -708,8 +720,8 @@ class TestBackward:
 
             kernel_n, pe_n, bias = p.resolved(n, x.dtype_name)
             pe = pe_n[None, :, :, None] if axis == 2 else pe_n[None, :, None, :]
-            # the offset input is formed at the input precision, as forward does
-            xp = (x.data + pe).astype(np.float64)
+            # no route rounds x + pe: the reference adds them in float64
+            xp = x.data + pe.astype(np.float64)
             kernel_n, bias = kernel_n.astype(np.float64), bias.astype(np.float64)
             g64 = dy.astype(np.float64)
             base = np.arange(n)
@@ -791,14 +803,17 @@ class TestBackward:
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("orientation", ["H", "V"])
-@pytest.mark.parametrize("shape", [(2, 3, 1, 5), (2, 3, 5, 1)], ids=["2x3x1x5", "2x3x5x1"])
+@pytest.mark.parametrize("shape", [(2, 3, 1, 5), (2, 3, 5, 1), (1, 3, 1, 257), (1, 3, 257, 1)],
+                         ids=["2x3x1x5", "2x3x5x1", "1x3x1x257", "1x3x257x1"])
 @pytest.mark.parametrize("route, mode", [
     (parc_forward, "depthwise"), (parc_forward, "dense"), (parc_forward_via_concat, "depthwise"),
     (parc_forward_via_concat, "dense"), (fast_parc_forward, "depthwise")],
     ids=["modulo", "modulo-dense", "concat", "concat-dense", "freq"])
 def test_no_forward_route_writes_its_input(route, mode, shape, orientation, dtype):
     """With one extent 1 a transposed map is already C-contiguous, so a route
-    that transforms a "copy" in place must make a real one."""
+    that transforms a "copy" in place must make a real one: the H sweep's
+    swept-last copy on table plans, and past N = 256 the frequency route's
+    paired lines, a view of x itself on a B = 1 V map."""
     rng = np.random.default_rng(48)
     p = random_params(rng, 3, orientation=orientation, mode=mode)
     x = rng.standard_normal(shape).astype(dtype)

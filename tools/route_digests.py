@@ -16,10 +16,11 @@ and ``freq`` is ``fast_parc_forward``; ``metaformer`` and ``convnet_mixer``
 run ``parc_forward``; ``grad.*`` are the fields of ``parc_backward``.  The
 sweeps outside the memory rule of ``parc_forward`` and ``parc_backward``,
 which the digested tree's ``parc_spatial._circulant_fits`` decides, go to
-stderr: on them ``parc_forward`` keeps the tap loop and ``parc_backward``
-runs its adjoint as tap loops; on every other sweep both run circulant
-matmuls.  CHANGES.md records, for each change, which results moved against
-the tree before it and by how much.
+stderr once per digest run, never from a ``--save`` run: on them
+``parc_forward`` keeps the tap loop and ``parc_backward`` runs its adjoint
+as tap loops; on every other sweep both run circulant matmuls.  CHANGES.md
+records, for each change, which results moved against the tree before it
+and by how much.
 
 Every route runs twice on the same inputs and params, and the digest is the
 first call's.  The second call is served from the params' plan caches, so a
@@ -76,10 +77,11 @@ def main(root: str, save: str | None = None) -> int:
     from parc.blocks import convnet_mixer_forward, random_convnet_mixer, random_metaformer
     from parc.parc_spatial import _circulant_fits
 
-    outside = [f"{b}x{c}x{h}x{w} {orientation}" for b, c, h, w in MAPS
-               for orientation, n, orth in (("H", h, w), ("V", w, h))
-               if not _circulant_fits(n, b * orth)]
-    print(f"{root}: outside the memory rule: {', '.join(outside)}", file=sys.stderr)
+    if not save:
+        outside = [f"{b}x{c}x{h}x{w} {orientation}" for b, c, h, w in MAPS
+                   for orientation, n, orth in (("H", h, w), ("V", w, h))
+                   if not _circulant_fits(n, b * orth)]
+        print(f"{root}: outside the memory rule: {', '.join(outside)}", file=sys.stderr)
     unstable = []
     wanted = {line.rstrip("\n"): i for i, line in enumerate(sys.stdin)} if save else {}
 
