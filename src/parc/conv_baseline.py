@@ -4,9 +4,9 @@ These are correlation-convention (no kernel flip), per-channel operators:
 the 1D form slides along H or V, the 2D form is the familiar depthwise KxK
 layer.  They exist to contrast local receptive fields with the global
 circular operators and to feed the latency benchmark.  A zero-padded
-correlation is a valid correlation over an input extended by zeros, where
-ParC extends it periodically, so both run the one channel-blocked tap loop,
-``parc_spatial._correlate``.
+correlation is a valid correlation over an input extended by zeros, so
+they run ``parc_spatial._correlate``, a channel-blocked einsum tap loop over
+a source that needs no wrap.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _check_channels(x: Tensor4, p: ZeroPadConvParams) -> None:
 
 def _correlate_zeropad(x: np.ndarray, kernel: np.ndarray, pad: tuple) -> np.ndarray:
     """Per-channel correlation of a (C, K_h, K_w) kernel over x zero padded
-    by pad = (pad_h, pad_w), run by the shared channel-blocked tap loop."""
+    by pad = (pad_h, pad_w), run by the channel-blocked tap loop ``_correlate``."""
     xpad = np.pad(x, [(0, 0), (0, 0), (pad[0], pad[0]), (pad[1], pad[1])])
     _, k_h, k_w = kernel.shape
     y = np.empty(x.shape[:2] + (xpad.shape[2] - k_h + 1, xpad.shape[3] - k_w + 1), dtype=x.dtype)

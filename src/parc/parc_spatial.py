@@ -26,9 +26,12 @@ stacked matmul, agreeing with the tap loop to roundoff.  Outside the memory
 rule ``_circulant_fits`` (thin maps) and in dense mode, ``parc_forward`` runs
 the same tap loop, bit for bit: ``_accumulate``, the one circular tap loop
 of both modes and directions, which also builds q.  Depthwise it is
-``_correlate``, one einsum pass over a strided window view per cache-sized
-channel block, which reads its source circularly and stores no per-tap
-product; the zero-padded baselines share it.  ``parc_backward`` runs the
+``_circular_correlate``: per cache-sized channel block, one extension of the
+lines by their first N - 1 columns and one ``np.matmul`` over a strided
+window view of it, so each output column is one BLAS matrix-vector product
+of its window with the N taps, and no per-tap product, circulant or
+spectrum is built.  ``_correlate``, the einsum pass of the zero-padded
+baselines, reads nothing circularly.  ``parc_backward`` runs the
 operator again per channel block of lines, dX correlating dY with the
 reversed kernel and dK the offset input x + pe with dY: as circulant matmuls
 under the memory rule and as tap loops on thin maps, so it never holds much
@@ -51,10 +54,10 @@ DEFAULT_META_LEN = 14
 # bounds the bytes: the one large plan, a circulant stack, passed the memory
 # rule ``_circulant_fits``, so it is smaller than twice its call's offset lines.
 _PLAN_CAP = 16
-# Output bytes per channel block of the tap loop ``_correlate``: small enough that
-# a block's source window and output stay in L2 over all taps.  The frequency
-# route sizes its channel blocks of paired spectra (lengths past 256) by the
-# same budget.
+# Output bytes per channel block of the tap loops ``_circular_correlate`` and
+# ``_correlate``: small enough that a block's source window and output stay in
+# L2 over all taps.  The frequency route sizes its channel blocks of paired
+# spectra (lengths past 256) by the same budget.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -245,44 +248,76 @@ def _channel_blocks(channels: int, channel_bytes: int) -> list:
 
 
 def _correlate(src, taps, y) -> None:
-    """Write sum_(r,s) taps[c, r, s] * src[:, c, r + i, (s + j) mod W] into
-    y[:, c, i, j] for every channel c, (h, w) being y's last two extents and
-    W src's last.  Only that axis wraps, at most once: src must hold all
-    h + K_h - 1 rows of the windows and half their w + K_w - 1 columns, and
-    any other source raises ValueError before a window reads past its buffer.
+    """Write sum_(r,s) taps[c, r, s] * src[:, c, r + i, s + j] into
+    y[:, c, i, j] for every channel c, (i, j) running over y's last two
+    extents: the zero-padded baselines' valid correlation.  Nothing wraps:
+    src must hold all h + K_h - 1 rows and w + K_w - 1 columns of the
+    windows, and a shorter source raises ValueError before a window reads
+    past its buffer.
 
-    Each ``_channel_blocks`` block of y's channels appends to its slice of
-    src the leading columns its windows wrap onto; a source that needs no
-    wrap, such as a zero-padded one, is read as it is.  The block is then
-    one einsum pass over a read-only strided view, (B, cb, K_h, K_w, h, w),
-    whose element [b, c, r, s, i, j] is src[b, c, r + i, s + j]: all taps of
-    a block run before the next block starts, so its source window and
-    output stay in cache, and no product is stored.  einsum's C loop (no
-    BLAS, no fused multiply-add) then multiplies each tap and adds it into
-    the output element, tap after tap, as a multiply-then-add loop would,
-    wherever the taps are one column (K_w = 1), the output's last axis is
-    longer than 1 and src and y are row-major, as the zero-padded baselines
-    pass them.  Otherwise, as on ``_accumulate``'s row taps, it may sum them
-    in its own order, within roundoff.  Channels never mix, so the block
-    size changes no output element's sequence of operations, or any bit.
+    Each ``_channel_blocks`` block of y's channels is one einsum pass over a
+    read-only strided view of src, (B, cb, K_h, K_w, h, w), whose element
+    [b, c, r, s, i, j] is src[b, c, r + i, s + j]: all taps of a block run
+    before the next block starts, so its source window and output stay in
+    cache, and no product is stored.  einsum's C loop (no BLAS, no fused
+    multiply-add) then multiplies each tap and adds it into the output
+    element, tap after tap, as a multiply-then-add loop would, wherever the
+    taps are one column (K_w = 1), the output's last axis is longer than 1
+    and src and y are row-major, as ``conv1d_zeropad`` passes them.
+    Otherwise, as for the 2D baseline's KxK taps, it may sum them in its own
+    order, within roundoff.  Channels never mix, so the block size changes
+    no output element's sequence of operations, or any bit.
     """
-    (h, w), w0 = y.shape[2:], src.shape[3]
-    if src.shape[2] < h + taps.shape[1] - 1:
-        raise ValueError(f"source holds {src.shape[2]} rows, the windows need "
-                         f"{h + taps.shape[1] - 1}")
-    cols = w + taps.shape[2] - 1
-    if 2 * w0 < cols:
-        raise ValueError(f"source holds {w0} columns, the windows need {cols}: two wraps")
+    for axis, name in ((2, "rows"), (3, "columns")):
+        need = y.shape[axis] + taps.shape[axis - 1] - 1
+        if src.shape[axis] < need:
+            raise ValueError(f"source holds {src.shape[axis]} {name}, the windows need {need}")
     for blk in _channel_blocks(y.shape[1], y[:, :1].nbytes):
         part = src[:, blk]
-        # C order: concatenate lays a channel-broadcast dY out channel-fastest
-        if w0 < cols:
-            part = np.ascontiguousarray(np.concatenate([part, part[..., :cols - w0]], 3))
         sb, sc, sr, ss = part.strides
         win = np.lib.stride_tricks.as_strided(
-            part, part.shape[:2] + taps.shape[1:] + (h, w), (sb, sc, sr, ss, sr, ss),
+            part, part.shape[:2] + taps.shape[1:] + y.shape[2:], (sb, sc, sr, ss, sr, ss),
             writeable=False)
         np.einsum("crs,bcrshw->bchw", taps[blk], win, out=y[:, blk])
+
+
+def _circular_correlate(src, taps, y) -> None:
+    """Write sum_s taps[c, s] * src[b, c, l, (j + s) mod W] into y[b, c, l, j]
+    for every channel c, row l and column j < w, w being y's last extent and
+    W src's: the circular tap loop, one row of taps per channel.  The last
+    axis wraps at most once: src must hold half the w + K - 1 window columns,
+    and a shorter source raises ValueError.
+
+    Each ``_channel_blocks`` block of y's channels copies its rows into one
+    C-contiguous extension, the rows followed by the leading columns the
+    windows wrap onto, and views it read-only as (B, cb, w, rows, K), whose
+    element [b, c, j, l, s] is ext[b, c, l, j + s].  One ``np.matmul`` of
+    that view with the block's taps writes y through its (B, cb, w, rows, 1)
+    transposed view: each output column of each channel is one BLAS
+    matrix-vector product of its (rows, K) window with the K taps, a dot
+    product where a channel holds one row.  That is the tap loop's K
+    multiplications per output element, summed in BLAS's order, within
+    roundoff of a multiply-then-add loop; no circulant or spectrum of the
+    taps is built, and nothing is allocated but the extension.  The
+    extension gives every window a unit-stride row even where src is
+    broadcast over channels, so BLAS, not numpy's own loop, runs every
+    block.  Channels never mix, so the block size changes no bit.
+    """
+    w, w0 = y.shape[3], src.shape[3]
+    cols = w + taps.shape[1] - 1
+    if 2 * w0 < cols:
+        raise ValueError(f"source holds {w0} columns, the windows need {cols}: two wraps")
+    wrap = max(0, cols - w0)
+    for blk in _channel_blocks(y.shape[1], y[:, :1].nbytes):
+        part = src[:, blk]
+        ext = np.empty(part.shape[:3] + (w0 + wrap,), part.dtype)
+        ext[..., :w0] = part
+        ext[..., w0:] = part[..., :wrap]
+        sb, sc, sr, ss = ext.strides
+        win = np.lib.stride_tricks.as_strided(
+            ext, ext.shape[:2] + (w, ext.shape[2], taps.shape[1]), (sb, sc, ss, sr, ss),
+            writeable=False)
+        np.matmul(win, taps[blk][:, None, :, None], out=np.swapaxes(y[:, blk], 2, 3)[..., None])
 
 
 def _accumulate(src, kernel_n):
@@ -291,14 +326,15 @@ def _accumulate(src, kernel_n):
     the memory rule: output position i of each row of src (B, C_in, rows, N)
     takes kernel[k] * src[(i + k) mod N], depthwise for kernel rows (C, N),
     summed over input channels for a (C_out, C_in, N) kernel.  Returns
-    (B, C_out, rows, N).  Depthwise it is one ``_correlate`` call, one row of
-    N taps per channel, which extends each channel block by itself; src may
-    be broadcast over channels.  Dense mode extends the whole tensor and
-    runs one einsum per tap.
+    (B, C_out, rows, N).  Depthwise it is one ``_circular_correlate`` call,
+    one row of N taps per channel, which extends each channel block by
+    itself and computes each output column of a channel as one BLAS
+    matrix-vector product; src may be broadcast over channels.  Dense mode
+    extends the whole tensor and runs one einsum per tap.
     """
     if kernel_n.ndim == 2:
         y = np.empty(src.shape, src.dtype)
-        run_sliced(_correlate, src, kernel_n[:, None, :], y)
+        run_sliced(_circular_correlate, src, kernel_n, y)
         return y
     n = src.shape[-1]
     y = np.zeros((src.shape[0], kernel_n.shape[0]) + src.shape[2:], dtype=src.dtype)
@@ -372,7 +408,10 @@ def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -
 
     Each line of the swept-last array of ``_offset_input`` is concatenated
     with its own first N-1 positions (length 2N-1) and the kernel slides
-    over that extension with no padding.  Bit-identical to ``parc_forward``
+    over that extension with no padding: per channel block,
+    ``_circular_correlate`` builds the extension and computes each output
+    column as one BLAS matrix-vector product of its (orth, N) window with
+    the N taps.  Bit-identical to ``parc_forward``
     wherever that runs the tap loop (dense mode, thin maps), and equal to
     its circulant matmul to roundoff.  ``parallel`` is accepted and
     ignored; perfbench's ``call_route`` still passes it.  The tap loop

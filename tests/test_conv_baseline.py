@@ -171,7 +171,7 @@ class TestChannelBlocks:
                               orientation=orientation)
         op = dwconv2d_zeropad if orientation == "2D" else conv1d_zeropad
         x = rng.standard_normal((2, self.C, 6, 9)).astype(dtype)
-        sizes = test_parc_spatial.spy_block_passes(monkeypatch)
+        sizes = test_parc_spatial.spy_block_passes(monkeypatch, "einsum")
         # same-size outputs, so a block holds as many channels as the budget
         # allows input channels; one einsum pass per block
         want = {"one_channel": [1] * 7, "ragged": [3, 3, 1], "one_block": [7]}

@@ -215,7 +215,7 @@ def unblocked_forward(x, p):
 
 def assert_tap_roundoff(got, x, p):
     """The depthwise tap loop against ``unblocked_forward``: its row taps sum
-    in einsum's own order, so within 1e-6 (f32) or 1e-13 (f64) of
+    in BLAS's own order, so within 1e-6 (f32) or 1e-13 (f64) of
     sum_k |kernel[c, k]| |x + pe|[c, (i + k) mod N] per element, the bound
     of ``TestFusedTapLoop.test_other_taps_match_to_roundoff``."""
     axis = 2 if p.orientation == "H" else 3
@@ -230,16 +230,18 @@ def assert_tap_roundoff(got, x, p):
     assert (diff <= tol * np.swapaxes(scale, 2, axis)).all()
 
 
-def spy_block_passes(monkeypatch):
-    """Patch np.einsum to record the leading extent of its first operand,
-    the channel count of one ``_correlate`` block pass; returns the list."""
-    sizes, einsum = [], np.einsum
+def spy_block_passes(monkeypatch, name="matmul"):
+    """Patch np.matmul, the block pass of ``_circular_correlate``, or
+    np.einsum, that of ``_correlate``, to record the leading extent of the
+    taps, the second argument of either: the channel count of one block
+    pass.  Returns the list."""
+    sizes, run = [], getattr(np, name)
 
-    def spy(subscripts, *operands, **kw):
-        sizes.append(operands[0].shape[0])
-        return einsum(subscripts, *operands, **kw)
+    def spy(*args, **kw):
+        sizes.append(args[1].shape[0])
+        return run(*args, **kw)
 
-    monkeypatch.setattr(np, "einsum", spy)
+    monkeypatch.setattr(np, name, spy)
     return sizes
 
 
@@ -286,7 +288,7 @@ class TestChannelBlocks:
         x = rng.standard_normal((2, self.C, 6, 9)).astype(np.float32)
         parc_forward_via_concat(Tensor4(x), p)  # builds the output rows outside the spy
         sizes = spy_block_passes(monkeypatch)
-        # one einsum pass per block, sized by the block's channel count
+        # one matmul pass per block, sized by the block's channel count
         want = {"one_channel": [1] * 7, "ragged": [3, 3, 1], "one_block": [7]}
         for name, budget in self.budgets(x).items():
             monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", budget)
@@ -308,8 +310,9 @@ class TestChannelBlocks:
                                                           mode, monkeypatch):
         """parc_backward runs per channel block inside the memory rule and
         through the blocked tap loop outside it; neither mixes channels.
-        Dense mode is one block, but outside the rule each ``_correlate``
-        block extends its own copy of the dY line every channel shares."""
+        Dense mode is one block, but outside the rule each
+        ``_circular_correlate`` block extends its own copy of the dY line
+        every channel shares."""
         rng = np.random.default_rng(37)
         p = random_params(rng, self.C, orientation=orientation)
         shape = self.BACKWARD_SHAPES[branch][orientation]
@@ -349,9 +352,8 @@ class TestFusedTapLoop:
     there it must match ``multiply_then_add`` bit for bit, so a fused
     multiply-add or a reordered tap sequence fails.  With one column of
     output, or KxK taps, einsum may sum in its own order: within 1e-6 (f32)
-    or 1e-13 (f64) of sum |k| |x| per element.  A source shorter than the
-    windows along its last axis is read circularly, with the bits of the
-    call given its periodic extension.  Five channels at a budget of two per
+    or 1e-13 (f64) of sum |k| |x| per element.  Nothing wraps: a source
+    shorter than the windows raises.  Five channels at a budget of two per
     block leave a ragged last block."""
 
     C = 5
@@ -405,29 +407,6 @@ class TestFusedTapLoop:
         assert y.dtype == dtype
         assert (np.abs(y.astype(np.float64) - want) <= tol * scale).all()
 
-    @pytest.mark.parametrize("broadcast", [False, True], ids=["own", "shared"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-    @pytest.mark.parametrize("taps_shape, out_hw", [((C, 1, 9), (4, 9))],
-                             ids=["rows-wrap-axis3"])
-    def test_unextended_source_is_read_circularly(self, taps_shape, out_hw, dtype, broadcast,
-                                                  monkeypatch):
-        """An (h, w) source, h rows of 1x9 taps, gives the bits of the call
-        given its periodic extension along the last axis, built here by
-        np.pad; so does a source broadcast over the channels, as dense
-        mode's backward shares one dY line."""
-        rng = np.random.default_rng(taps_shape[1] * 10 + taps_shape[2])
-        b, c, hw = 2, self.C, out_hw
-        src = rng.standard_normal((b, 1 if broadcast else c) + hw).astype(dtype)
-        src = np.broadcast_to(src, (b, c) + hw)
-        taps = rng.uniform(-1, 1, taps_shape).astype(dtype)
-        ext = np.pad(src, [(0, 0), (0, 0), (0, taps_shape[1] - 1), (0, taps_shape[2] - 1)],
-                     mode="wrap")
-        monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", 2 * b * hw[0] * hw[1] * src.itemsize)
-        want, got = np.empty((b, c) + hw, dtype), np.empty((b, c) + hw, dtype)
-        parc_spatial._correlate(np.ascontiguousarray(ext), taps, want)
-        parc_spatial._correlate(src, taps, got)
-        assert got.tobytes() == want.tobytes()
-
     def test_source_short_of_the_window_rows_raises(self):
         """Only the last axis wraps: a source with fewer than h + K_h - 1
         rows would make the strided windows read past its buffer."""
@@ -438,15 +417,15 @@ class TestFusedTapLoop:
         parc_spatial._correlate(np.ones((2, self.C, 6, 6)), taps, y)
         assert (y == 3.0).all()
 
-    def test_source_wrapped_more_than_once_raises(self):
-        """The last axis wraps at most once: a source with fewer than half of
-        the w + K_w - 1 window columns would make the appended wrap read
-        past its buffer."""
-        y = np.empty((1, 1, 1, 3))
-        with pytest.raises(ValueError, match="source holds 3 columns, the windows need 10"):
-            parc_spatial._correlate(np.arange(3.0).reshape(1, 1, 1, 3), np.ones((1, 1, 8)), y)
-        parc_spatial._correlate(np.arange(3.0).reshape(1, 1, 1, 3), np.ones((1, 1, 4)), y)
-        assert y.ravel().tolist() == [3.0, 4.0, 5.0]
+    def test_source_short_of_the_window_columns_raises(self):
+        """Nor does the last axis: a source with fewer than w + K_w - 1
+        columns raises where it would once have been wrapped."""
+        taps = np.ones((self.C, 1, 3))
+        y = np.empty((2, self.C, 6, 4))
+        with pytest.raises(ValueError, match="source holds 5 columns, the windows need 6"):
+            parc_spatial._correlate(np.ones((2, self.C, 6, 5)), taps, y)
+        parc_spatial._correlate(np.ones((2, self.C, 6, 6)), taps, y)
+        assert (y == 3.0).all()
 
     @pytest.mark.parametrize("orientation", ["H", "V"])
     def test_zero_padded_source_is_read_as_it_is(self, orientation, monkeypatch):
@@ -466,6 +445,77 @@ class TestFusedTapLoop:
         want = self.run(monkeypatch, src, taps, y)
         assert in_place == [True] * 3  # blocks of 2, 2 and 1 channels
         assert y.tobytes() == want.tobytes()
+
+
+class TestCircularPass:
+    """``_circular_correlate``, the circular tap loop: one BLAS matrix-vector
+    product per output column of each channel, over each block's extension
+    of its source.  Five channels at a budget of two per block leave a
+    ragged last block."""
+
+    C = 5
+
+    @staticmethod
+    def budgets(y):
+        return (1, 2 * y[:, :1].nbytes, 1 << 40)
+
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["own", "shared"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_unextended_source_is_read_circularly(self, dtype, broadcast, monkeypatch):
+        """A (4, 9) source, 4 rows of 9 taps, gives the bits of the call
+        given its periodic extension along the last axis, built here by
+        np.pad, within roundoff of the multiply-then-add loop over it; so
+        does a source broadcast over the channels, as dense mode's backward
+        shares one dY line."""
+        rng = np.random.default_rng(19)
+        b, c, hw = 2, self.C, (4, 9)
+        src = rng.standard_normal((b, 1 if broadcast else c) + hw).astype(dtype)
+        src = np.broadcast_to(src, (b, c) + hw)
+        taps = rng.uniform(-1, 1, (c, 9)).astype(dtype)
+        ext = np.pad(src, [(0, 0), (0, 0), (0, 0), (0, 8)], mode="wrap")
+        want, got = np.empty((b, c) + hw, dtype), np.empty((b, c) + hw, dtype)
+        monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", self.budgets(got)[1])
+        parc_spatial._circular_correlate(np.ascontiguousarray(ext), taps, want)
+        parc_spatial._circular_correlate(src, taps, got)
+        assert got.tobytes() == want.tobytes()
+        loop, scale = np.empty(got.shape), np.empty(got.shape)
+        multiply_then_add(ext.astype(np.float64), taps[:, None, :].astype(np.float64), loop)
+        multiply_then_add(np.abs(ext.astype(np.float64)),
+                          np.abs(taps[:, None, :].astype(np.float64)), scale)
+        tol = 1e-6 if dtype == np.float32 else 1e-13
+        assert (np.abs(got - loop) <= tol * scale).all()
+
+    def test_source_wrapped_more_than_once_raises(self):
+        """The last axis wraps at most once: a source with fewer than half of
+        the w + K - 1 window columns would make the appended wrap read past
+        its buffer."""
+        y = np.empty((1, 1, 1, 3))
+        with pytest.raises(ValueError, match="source holds 3 columns, the windows need 10"):
+            parc_spatial._circular_correlate(np.arange(3.0).reshape(1, 1, 1, 3),
+                                             np.ones((1, 8)), y)
+        parc_spatial._circular_correlate(np.arange(3.0).reshape(1, 1, 1, 3), np.ones((1, 4)), y)
+        assert y.ravel().tolist() == [3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("rows", [1, 6])
+    def test_channel_broadcast_source_gives_its_contiguous_copy_bits(self, rows, dtype,
+                                                                     monkeypatch):
+        """A source broadcast over channels, as the dense backward passes its
+        shared dY line, gives at every block size the bits of its C-contiguous
+        copy: np.concatenate would lay such a block out channel-fastest, and
+        its windows, with no unit stride, would run numpy's own loop, not
+        BLAS, with bits that follow the block size."""
+        rng = np.random.default_rng(20 + rows)
+        shape = (2, self.C, rows, 67)
+        src = np.broadcast_to(rng.standard_normal((2, 1, rows, 67)).astype(dtype), shape)
+        taps = rng.uniform(-1, 1, (self.C, 67)).astype(dtype)
+        want = np.empty(shape, dtype)
+        parc_spatial._circular_correlate(np.ascontiguousarray(src), taps, want)
+        for budget in self.budgets(want):
+            monkeypatch.setattr(parc_spatial, "_BLOCK_BYTES", budget)
+            got = np.empty(shape, dtype)
+            parc_spatial._circular_correlate(src, taps, got)
+            assert got.tobytes() == want.tobytes(), budget
 
 
 class TestMemoryRule:
@@ -1158,9 +1208,10 @@ class TestOneLayoutStage:
         ("backward", "dense")])
     def test_only_the_tap_loop_reads_a_source_circularly(self, route, mode, shape, orientation,
                                                         monkeypatch):
-        """Every ``_correlate`` call whose source is shorter than its windows
-        comes from ``_accumulate``, the one circular tap loop, forward and
-        backward, and the one builder of every route's output rows."""
+        """Every ``_circular_correlate`` call comes from ``_accumulate``, the
+        one circular tap loop, forward and backward, and the one builder of
+        every route's output rows; ``_correlate`` reads no source circularly
+        (it raises on one shorter than its windows) and no route calls it."""
         rng = np.random.default_rng(46)
         p = random_params(rng, 3, orientation=orientation, mode=mode, kernel_scale=1.0 / 64)
         thin = shape[0] == 1
@@ -1168,8 +1219,8 @@ class TestOneLayoutStage:
             shape = shape[:2] + shape[2:][::-1]
         assert takes_circulant(shape, p) == (mode == "depthwise" and not thin)
         x = Tensor4(rng.standard_normal(shape))
-        depth, wraps = [0], []
-        accumulate, correlate = parc_spatial._accumulate, parc_spatial._correlate
+        depth, wraps, plain = [0], [], []
+        accumulate, circular = parc_spatial._accumulate, parc_spatial._circular_correlate
 
         def in_accumulate(*args):
             depth[0] += 1
@@ -1179,38 +1230,43 @@ class TestOneLayoutStage:
                 depth[0] -= 1
 
         def spy(src, taps, y):
-            if (src.shape[2] < y.shape[2] + taps.shape[1] - 1
-                    or src.shape[3] < y.shape[3] + taps.shape[2] - 1):
+            if src.shape[3] < y.shape[3] + taps.shape[1] - 1:
                 wraps.append(depth[0] > 0)
-            return correlate(src, taps, y)
+            return circular(src, taps, y)
 
         assert not hasattr(fast_parc, "_accumulate")
         monkeypatch.setattr(parc_spatial, "_accumulate", in_accumulate)
-        monkeypatch.setattr(parc_spatial, "_correlate", spy)
+        monkeypatch.setattr(parc_spatial, "_circular_correlate", spy)
+        monkeypatch.setattr(parc_spatial, "_correlate", lambda *args: plain.append(args))
         if route == "backward":
             dy = Tensor4(rng.standard_normal((shape[0], p.channels_out) + shape[2:]))
             parc_backward(x, p, dy)
             assert wraps == [True] * len(wraps)
             assert bool(wraps) == thin
+            assert plain == []
             return
         self.ROUTES[route](x, p)
         forward_taps = mode == "depthwise" and (route == "concat" or route == "modulo" and thin)
         assert wraps == [True] * len(wraps)
         # on a plan miss every depthwise route's tap loop builds its output
-        # rows; dense rows sum over input channels without ``_correlate``
+        # rows; dense rows sum over input channels without ``_circular_correlate``
         assert bool(wraps) == (mode == "depthwise")
         wraps.clear()
         self.ROUTES[route](x, p)
         assert wraps == [True] * len(wraps)
         assert bool(wraps) == forward_taps
+        assert plain == []
 
 
-@pytest.mark.parametrize("orth", [2, 4])
+@pytest.mark.parametrize("orth", [1, 2, 4])
 @pytest.mark.parametrize("n", [256, 1024, 4096])
 def test_tap_loop_f32_error_stays_flat_in_n(n, orth):
     """The f32 tap loop on thin maps, kernel scale 1/N, against its own f64
     run: within 5e-7 of the output's max up to N = 4096, where a tap loop
-    summing each output's N products in order reads up to about 8.5e-7."""
+    summing each output's N products in order reads up to about 8.5e-7.
+    With one row per channel (orth = 1, the shape of the output rows'
+    build) each output is a BLAS dot product rather than a matrix-vector
+    product."""
     rng = np.random.default_rng(n + orth)
     p = random_params(rng, 4, kernel_scale=1.0 / n)
     x = rng.standard_normal((1, 4, n, orth))

@@ -7,7 +7,7 @@ Usage: python3 tools/route_digests.py ROOT
 Imports the ``parc`` package from ROOT/src and runs every route over a fixed
 grid of map shapes, precisions, orientations and modes, with inputs and
 parameters drawn from fixed seeds, plus both zero-padded baselines, which
-share the depthwise tap loop, and the two blocks that run ``parc_forward``.
+run ``parc_spatial._correlate``, and the two blocks that run ``parc_forward``.
 Each output line names one result and the sha256 of its dtype, shape and
 C-order bytes, so two trees compute bitwise-identical results exactly when
 their outputs are equal.  Results are named by route: ``modulo`` is
