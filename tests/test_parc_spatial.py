@@ -418,8 +418,8 @@ class TestFusedTapLoop:
         assert (y == 3.0).all()
 
     def test_source_short_of_the_window_columns_raises(self):
-        """Nor does the last axis: a source with fewer than w + K_w - 1
-        columns raises where it would once have been wrapped."""
+        """Nor does the last axis wrap: a source with fewer than w + K_w - 1
+        columns raises."""
         taps = np.ones((self.C, 1, 3))
         y = np.empty((2, self.C, 6, 4))
         with pytest.raises(ValueError, match="source holds 5 columns, the windows need 6"):
