@@ -8,15 +8,19 @@ parameter set serves any input size.
 
 Every swept line is an independent length-N circular correlation, so every
 row of a map whose swept axis is last is one line.  All forward routes run
-one pipeline: ``_offset_input`` lays x out swept-last, (B, C, orth, N), x's
-own array for a V sweep and one transposed copy for an H sweep, and
-``_finish`` adds the output rows q = corr(pe, K) + bias that ``_pe_bias``
-builds in float64 and transposes an H sweep back.  The PE rule: the PE and
-the bias enter a forward only through q, as corr(x + pe, K) + bias =
-corr(x, K) + q, so no route rounds x + pe; the backward adds the same PE
-rows to x's lines in float64.  Only the backward and ``fast_parc``'s paired
-spectra past N = 256, which sum or pair lines across batch items, lay them
-out lines-last, (C, B * orth, N), with ``_lines``, a bare layout copy.
+one pipeline on x swept-last, (B, C, orth, N), and ``_finish`` adds the
+output rows q = corr(pe, K) + bias that ``_pe_bias`` builds in float64 and
+hands the result back as (B, C, H, W).  The GEMM routes (the circulant
+matmul and the frequency route) take x swept-last from ``_offset_input``:
+x's own array for a V sweep, one transposed copy for an H sweep, which
+``_finish`` transposes back.  The tap loop reads x through its swapped view
+and writes its output in x's layout through the same swap, so its
+per-block extension is its only copy.  The PE rule: the PE and the bias
+enter a forward only through q, as corr(x + pe, K) + bias = corr(x, K) + q,
+so no route rounds x + pe; the backward adds the same PE rows to x's lines
+in float64.  Only the backward and ``fast_parc``'s paired spectra past
+N = 256, which sum or pair lines across batch items, lay them out
+lines-last, (C, B * orth, N), with ``_lines``, a bare layout copy.
 
 ``parc_forward_via_concat`` is the paper's tap loop: one valid correlation
 over the (2N-1)-long periodic extension of each line.  Along one line the
@@ -27,16 +31,17 @@ rule ``_circulant_fits`` (thin maps) and in dense mode, ``parc_forward`` runs
 the same tap loop, bit for bit: ``_accumulate``, the one circular tap loop
 of both modes and directions, which also builds q.  Depthwise it is
 ``_circular_correlate``: per cache-sized channel block, one extension of the
-lines by their first N - 1 columns and one ``np.matmul`` over a strided
-window view of it, so each output column is one BLAS matrix-vector product
-of its window with the N taps, and no per-tap product, circulant or
-spectrum is built.  ``_correlate``, the einsum pass of the zero-padded
-baselines, reads nothing circularly.  ``parc_backward`` runs the
-operator again per channel block of lines, dX correlating dY with the
-reversed kernel and dK the offset input x + pe with dY: as circulant matmuls
-under the memory rule and as tap loops on thin maps, so it never holds much
-more than the forward.  Resolved rows, weight spectra, output rows and
-forward circulant stacks are plans, cached by ``ParCParams.prepared``.
+lines by their first N - 1 columns and, per L1-sized chunk of its rows, one
+``np.matmul`` over a strided window view of it, so each output column is
+one BLAS matrix-vector product of its window with the N taps, and no
+per-tap product, circulant or spectrum is built.  ``_correlate``, the
+einsum pass of the zero-padded baselines, reads nothing circularly.
+``parc_backward`` runs the operator again per channel block of lines, dX
+correlating dY with the reversed kernel and dK the offset input x + pe with
+dY: as circulant matmuls under the memory rule and as tap loops on thin
+maps, so it never holds much more than the forward.  Resolved rows, weight
+spectra, output rows and forward circulant stacks are plans, cached by
+``ParCParams.prepared``.
 """
 
 from __future__ import annotations
@@ -59,6 +64,10 @@ _PLAN_CAP = 16
 # L2 over all taps.  The frequency route sizes its channel blocks of paired
 # spectra (lengths past 256) by the same budget.
 _BLOCK_BYTES = 256 * 1024
+# Window bytes per row chunk of ``_circular_correlate``: a chunk of rows runs
+# every output column before the next chunk starts, so the (rows, N) window
+# the neighbouring columns share stays in L1.
+_WINDOW_BYTES = 20 * 1024
 
 
 def sweep_axis(orientation: str) -> int:
@@ -211,10 +220,12 @@ def _resolve(x: Tensor4, p: ParCParams):
 
 
 def _offset_input(x: Tensor4, axis: int) -> np.ndarray:
-    """x swept-last, (B, C, orth, N), the one layout stage of every forward
-    route: x's own array for a V sweep, one C-contiguous transposed copy,
-    which the frequency route transforms in place, for an H sweep.  It adds
-    no PE; the name stays for perfbench's ``parc_spatial.offset`` span."""
+    """x swept-last, (B, C, orth, N), the layout stage of the GEMM routes,
+    the circulant matmul and the frequency route: x's own array for a V
+    sweep, one C-contiguous transposed copy, which the frequency route
+    transforms in place, for an H sweep.  The tap loop needs no copy and
+    does not call it.  It adds no PE; the name stays for perfbench's
+    ``parc_spatial.offset`` span."""
     if axis == 3:
         return x.data
     return np.swapaxes(x.data, 2, 3).copy()  # a copy even where the swap is C-contiguous
@@ -235,7 +246,9 @@ def _pe_bias(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
 def _finish(y: np.ndarray, q: np.ndarray, axis: int) -> Tensor4:
     """End of every forward route: the output rows q (C, N) of ``_pe_bias``
     added in place to every line of the swept-last (B, C, orth, N) array y,
-    returned as the (B, C, H, W) Tensor4, transposed back for an H sweep."""
+    returned as the (B, C, H, W) Tensor4, swapped back for an H sweep: a
+    copy for the GEMM routes, none for the tap loop, whose y is already the
+    swapped view of a C-contiguous map."""
     y += q[:, None, :]
     return Tensor4(np.swapaxes(y, 2, 3) if axis == 2 else y)
 
@@ -286,28 +299,36 @@ def _circular_correlate(src, taps, y) -> None:
     for every channel c, row l and column j < w, w being y's last extent and
     W src's: the circular tap loop, one row of taps per channel.  The last
     axis wraps at most once: src must hold half the w + K - 1 window columns,
-    and a shorter source raises ValueError.
+    and a shorter source raises ValueError.  src and y may be strided views,
+    such as the swapped view of an H sweep's map.
 
     Each ``_channel_blocks`` block of y's channels copies its rows into one
     C-contiguous extension, the rows followed by the leading columns the
-    windows wrap onto, and views it read-only as (B, cb, w, rows, K), whose
-    element [b, c, j, l, s] is ext[b, c, l, j + s].  One ``np.matmul`` of
-    that view with the block's taps writes y through its (B, cb, w, rows, 1)
-    transposed view: each output column of each channel is one BLAS
-    matrix-vector product of its (rows, K) window with the K taps, a dot
-    product where a channel holds one row.  That is the tap loop's K
-    multiplications per output element, summed in BLAS's order, within
-    roundoff of a multiply-then-add loop; no circulant or spectrum of the
-    taps is built, and nothing is allocated but the extension.  The
-    extension gives every window a unit-stride row even where src is
-    broadcast over channels, so BLAS, not numpy's own loop, runs every
-    block.  Channels never mix, so the block size changes no bit.
+    windows wrap onto, the loop's only copy, and views it read-only as
+    (B, cb, w, rows, K), whose element [b, c, j, l, s] is ext[b, c, l, j + s].
+    The rows run in the chunks of ``_row_chunks``: one ``np.matmul`` of a
+    chunk of that view with the block's taps writes y through its
+    (B, cb, w, chunk, 1) transposed view, so each output column of each
+    channel is one BLAS matrix-vector product of its (chunk, K) window with
+    the K taps, a dot product where a channel holds one row.  A chunk runs
+    all w columns before the next starts, so each column reads from L1 the
+    window it shares with the column before but for one column.  That is
+    the tap loop's K multiplications per output element, summed in BLAS's
+    order, within roundoff of a multiply-then-add loop; no circulant or
+    spectrum of the taps is built, and nothing is allocated but the
+    extension.  The extension gives every window a unit-stride row even
+    where src is broadcast over channels, so BLAS, not numpy's own loop,
+    runs every block.  Channels never mix, and BLAS computes each row's dot
+    product on its own, in an order set by the row's place in its group of
+    8 that a chunk of a multiple of 16 rows keeps, so neither the block size
+    nor the chunk size changes any bit.
     """
-    w, w0 = y.shape[3], src.shape[3]
-    cols = w + taps.shape[1] - 1
+    w, w0, k = y.shape[3], src.shape[3], taps.shape[1]
+    cols = w + k - 1
     if 2 * w0 < cols:
         raise ValueError(f"source holds {w0} columns, the windows need {cols}: two wraps")
     wrap = max(0, cols - w0)
+    chunks = _row_chunks(src.shape[2], k * y.itemsize)
     for blk in _channel_blocks(y.shape[1], y[:, :1].nbytes):
         part = src[:, blk]
         ext = np.empty(part.shape[:3] + (w0 + wrap,), part.dtype)
@@ -315,30 +336,54 @@ def _circular_correlate(src, taps, y) -> None:
         ext[..., w0:] = part[..., :wrap]
         sb, sc, sr, ss = ext.strides
         win = np.lib.stride_tricks.as_strided(
-            ext, ext.shape[:2] + (w, ext.shape[2], taps.shape[1]), (sb, sc, ss, sr, ss),
-            writeable=False)
-        np.matmul(win, taps[blk][:, None, :, None], out=np.swapaxes(y[:, blk], 2, 3)[..., None])
+            ext, ext.shape[:2] + (w, ext.shape[2], k), (sb, sc, ss, sr, ss), writeable=False)
+        col, out = taps[blk][:, None, :, None], np.swapaxes(y[:, blk], 2, 3)[..., None]
+        for rows in chunks:
+            np.matmul(win[:, :, :, rows], col, out=out[:, :, :, rows])
 
 
-def _accumulate(src, kernel_n):
+def _row_chunks(rows: int, row_bytes: int) -> list:
+    """Slices of ``_circular_correlate``'s rows, row_bytes of window a row:
+    one slice where all rows fit ``_WINDOW_BYTES``, otherwise chunks of the
+    most rows that fit, rounded down to a multiple of 16 and at least 16.
+    The last chunk takes whatever rows remain, but never a single row: numpy
+    runs a one-row window as a dot product, not a matrix-vector product, and
+    its sums differ, so one left-over row joins the chunk before it."""
+    if rows * row_bytes <= _WINDOW_BYTES:
+        return [slice(None)]
+    step = max(16, _WINDOW_BYTES // row_bytes // 16 * 16)
+    starts = list(range(0, max(1, rows - 1), step)) + [rows]
+    return [slice(a, b) for a, b in zip(starts, starts[1:])]
+
+
+def _accumulate(src, kernel_n, axis: int = 3):
     """The one circular tap loop, run by every tap-loop forward, so each
     makes the same roundings, by ``_pe_bias`` and by the backward outside
     the memory rule: output position i of each row of src (B, C_in, rows, N)
     takes kernel[k] * src[(i + k) mod N], depthwise for kernel rows (C, N),
     summed over input channels for a (C_out, C_in, N) kernel.  Returns
-    (B, C_out, rows, N).  Depthwise it is one ``_circular_correlate`` call,
-    one row of N taps per channel, which extends each channel block by
-    itself and computes each output column of a channel as one BLAS
-    matrix-vector product; src may be broadcast over channels.  Dense mode
-    extends the whole tensor and runs one einsum per tap.
+    (B, C_out, rows, N), the swept-last view of a (B, C_out, H, W) array
+    swept along axis: for an H sweep (axis 2) src may be the swapped view of
+    x, and y is written in x's layout, so ``_finish`` copies nothing.  The
+    output is allocated with ``np.empty``, never like src, which the
+    backward broadcasts over channels.  Depthwise it is one
+    ``_circular_correlate`` call, one row of N taps per channel, which
+    extends each channel block by itself and computes each output column of
+    a channel as one BLAS matrix-vector product per row chunk.  Dense mode
+    extends the whole tensor into one C-contiguous copy and runs one einsum
+    per tap.
     """
+    shape = [src.shape[0], kernel_n.shape[0], *src.shape[2:]]
+    shape[axis], shape[3] = shape[3], shape[axis]
     if kernel_n.ndim == 2:
-        y = np.empty(src.shape, src.dtype)
+        y = np.swapaxes(np.empty(shape, src.dtype), axis, 3)
         run_sliced(_circular_correlate, src, kernel_n, y)
         return y
     n = src.shape[-1]
-    y = np.zeros((src.shape[0], kernel_n.shape[0]) + src.shape[2:], dtype=src.dtype)
-    ext = np.concatenate([src, src[..., :n - 1]], axis=-1)
+    y = np.swapaxes(np.zeros(shape, src.dtype), axis, 3)
+    ext = np.empty(src.shape[:3] + (2 * n - 1,), src.dtype)
+    ext[..., :n] = src
+    ext[..., n:] = src[..., :n - 1]
     for k in range(n):
         y += np.einsum("oi,bilw->bolw", kernel_n[:, :, k], ext[..., k:k + n])
     return y
@@ -390,36 +435,38 @@ def parc_forward(x: Tensor4, p: ParCParams) -> Tensor4:
     to BLAS.  The stack is built only under the memory rule
     ``_circulant_fits``, which bounds it by twice the offset lines, and kept
     as a plan of the params.  Dense mode and thin maps run the tap loop of
-    ``parc_forward_via_concat``, bit for bit.
+    ``parc_forward_via_concat``, bit for bit and with no copy of x: it reads
+    x through its swapped view and writes its output in x's layout.
     """
     axis, n, kernel_n = _resolve(x, p)[:3]
     q = _pe_bias(p, n, x.dtype_name)
-    src = _offset_input(x, axis)
-    if p.mode == "depthwise" and _circulant_fits(n, src.shape[0] * src.shape[2]):
-        y = src @ p.prepared("circulant", n, x.dtype_name,
-                             lambda: (_circulant(_reversed(kernel_n)),))[0]
+    lines = np.swapaxes(x.data, axis, 3)
+    if p.mode == "depthwise" and _circulant_fits(n, lines.shape[0] * lines.shape[2]):
+        y = _offset_input(x, axis) @ p.prepared("circulant", n, x.dtype_name,
+                                                lambda: (_circulant(_reversed(kernel_n)),))[0]
     else:
-        y = _accumulate(src, kernel_n)
+        y = _accumulate(lines, kernel_n, axis)
     return _finish(y, q, axis)
 
 
 def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -> Tensor4:
     """Same operator as the paper's tap loop over a periodic extension.
 
-    Each line of the swept-last array of ``_offset_input`` is concatenated
-    with its own first N-1 positions (length 2N-1) and the kernel slides
-    over that extension with no padding: per channel block,
-    ``_circular_correlate`` builds the extension and computes each output
-    column as one BLAS matrix-vector product of its (orth, N) window with
-    the N taps.  Bit-identical to ``parc_forward``
-    wherever that runs the tap loop (dense mode, thin maps), and equal to
-    its circulant matmul to roundoff.  ``parallel`` is accepted and
-    ignored; perfbench's ``call_route`` still passes it.  The tap loop
-    always runs serially.
+    Each line of x, read through its swapped view with the swept axis
+    last, is concatenated with its own first N-1 positions (length 2N-1)
+    and the kernel slides over that extension with no padding: per channel
+    block, ``_circular_correlate`` builds the extension, the call's only
+    copy of x, and computes each output column as one BLAS matrix-vector
+    product per chunk of the block's window rows, writing the output in
+    x's (B, C, H, W) layout, so ``_finish`` copies nothing.  Bit-identical
+    to ``parc_forward`` wherever that runs the tap loop (dense mode, thin
+    maps), and equal to its circulant matmul to roundoff.  ``parallel`` is
+    accepted and ignored; perfbench's ``call_route`` still passes it.  The
+    tap loop always runs serially.
     """
     axis, n, kernel_n = _resolve(x, p)[:3]
     q = _pe_bias(p, n, x.dtype_name)
-    return _finish(_accumulate(_offset_input(x, axis), kernel_n), q, axis)
+    return _finish(_accumulate(np.swapaxes(x.data, axis, 3), kernel_n, axis), q, axis)
 
 
 # ---------------------------------------------------------------------------

@@ -518,6 +518,38 @@ class TestCircularPass:
             assert got.tobytes() == want.tobytes(), budget
 
 
+    @pytest.mark.parametrize("source", ["own", "shared", "swapped"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("rows", [50, 65, 83, 224])
+    def test_row_chunks_change_no_bit(self, rows, dtype, source, monkeypatch):
+        """The bits of one chunk per window, 2**40 bytes, at the default
+        ``_WINDOW_BYTES`` and at a budget of 16-row chunks: 50 and 83 rows
+        leave a short last chunk at both, and 65 one row past a multiple of
+        16, which joins the chunk before it.  The source is the channels'
+        own rows, one row set broadcast over the channels, or, as an H sweep
+        passes x, the swapped view of a map written back through the
+        swapped view of its output."""
+        rng = np.random.default_rng(21)
+        shape, n = (2, self.C, rows, 64), 64
+        taps = rng.uniform(-1, 1, (self.C, n)).astype(dtype)
+        if source == "swapped":
+            src = np.swapaxes(rng.standard_normal((2, self.C, n, rows)).astype(dtype), 2, 3)
+        else:
+            src = rng.standard_normal((2, 1 if source == "shared" else self.C, rows, n))
+            src = np.broadcast_to(src.astype(dtype), shape)
+        got, chunks = [], []
+        for budget in (1, parc_spatial._WINDOW_BYTES, 1 << 40):
+            monkeypatch.setattr(parc_spatial, "_WINDOW_BYTES", budget)
+            y = np.empty(shape[:2] + shape[2:][::-1], dtype)
+            y = np.swapaxes(y, 2, 3) if source == "swapped" else y.reshape(shape)
+            parc_spatial._circular_correlate(src, taps, y)
+            got.append(np.ascontiguousarray(y).tobytes())
+            chunks.append(parc_spatial._row_chunks(rows, n * y.itemsize))
+        assert [c.stop - c.start for c in chunks[0][:-1]] == [16] * (len(chunks[0]) - 1)
+        assert chunks[2] == [slice(None)]
+        assert got[0] == got[1] == got[2]
+
+
 class TestMemoryRule:
     """parc_forward and parc_backward build (C, N, N) circulant stacks only
     under the memory rule of ``parc_spatial._circulant_fits``, which bounds a
@@ -608,6 +640,25 @@ class TestMemoryRule:
         buffer = np.getbufsize() * np.dtype(np.float32).itemsize
         assert peak <= y.nbytes + rows.nbytes + buffer + 4096, peak
         assert peak < y.nbytes + x.data.nbytes
+
+    @pytest.mark.parametrize("route, shape", [
+        (parc_forward_via_concat, (1, 48, 112, 112)),
+        (parc_forward_via_concat, (8, 32, 64, 64)),
+        (parc_forward, (2, 8, 512, 2)),
+    ], ids=["concat-112", "concat-b8-64", "modulo-thin"])
+    def test_tap_loop_h_sweep_makes_no_map_sized_temporary(self, route, shape):
+        """The tap loop reads an H sweep's x through its swapped view and
+        writes its output in x's layout: its peak is that of the V sweep of
+        the transposed map, with no transposed copy of x, which would be
+        64 KiB at the least here."""
+        rng = np.random.default_rng(47)
+        h = random_params(rng, shape[1], orientation="H")
+        v = ParCParams(h.mode, "V", h.meta_kernel, h.meta_pe, h.bias)
+        x = rng.standard_normal(shape).astype(np.float32)
+        assert not takes_circulant(shape, h) or route is parc_forward_via_concat
+        peak_h = self.peak(route, Tensor4(x), h)
+        peak_v = self.peak(route, Tensor4(np.ascontiguousarray(np.swapaxes(x, 2, 3))), v)
+        assert peak_h <= peak_v + 8192 < peak_v + x.nbytes, f"{peak_h} B against {peak_v} B"
 
     def test_dense_mode_keeps_the_tap_loop(self, monkeypatch):
         rng = np.random.default_rng(40)
@@ -1063,11 +1114,13 @@ class TestPlanCache:
 
 class TestOneLayoutStage:
     """Every forward route runs one pipeline: ``_pe_bias``'s output rows
-    q = corr(pe, K) + bias, the swept-last (B, C, orth, N) array of
+    q = corr(pe, K) + bias, a swept-last (B, C, orth, N) map and one
+    ``_finish``, which adds q.  The GEMM routes take the map from
     ``_offset_input`` (x itself for a V sweep, one transposed copy for an H
-    sweep) and one ``_finish``, which adds q.  Past N = 256 the frequency
-    route lays its paired lines out as ``_lines`` instead and hands
-    ``_finish`` their (B, C, orth, N) view."""
+    sweep); the tap loop reads x through its swapped view and writes its
+    output in x's layout, so ``_finish`` hands it to Tensor4 uncopied.  Past
+    N = 256 the frequency route lays its paired lines out as ``_lines``
+    instead and hands ``_finish`` their (B, C, orth, N) view."""
 
     @staticmethod
     def spy(calls, name, fn, pick):
@@ -1105,11 +1158,16 @@ class TestOneLayoutStage:
             for module in (parc_spatial, fast_parc):
                 monkeypatch.setattr(module, name, wrapped)
         y = self.ROUTES[route](x, p).data
-        assert [name for name, _ in calls] == ["pe_bias", "offset_input", "finish"]
-        (_, q), (_, src), (_, (out, rows)) = calls
         n, orth = (shape[2], shape[3]) if orientation == "H" else (shape[3], shape[2])
-        assert src.shape == (shape[0], p.channels_in, orth, n) and src.flags.c_contiguous
-        assert (src is x.data) == (orientation == "V")
+        if route == "freq" or takes_circulant(shape, p) and route == "modulo":
+            assert [name for name, _ in calls] == ["pe_bias", "offset_input", "finish"]
+            (_, q), (_, src), (_, (out, rows)) = calls
+            assert src.shape == (shape[0], p.channels_in, orth, n) and src.flags.c_contiguous
+            assert (src is x.data) == (orientation == "V")
+        else:  # the tap loop
+            assert [name for name, _ in calls] == ["pe_bias", "finish"]
+            (_, q), (_, (out, rows)) = calls
+            assert np.shares_memory(out, y)  # Tensor4 copied nothing
         assert out.shape == (shape[0], p.channels_out, orth, n)
         assert rows is q and q.shape == (p.channels_out, n)
         assert y.shape == (shape[0], p.channels_out) + shape[2:]

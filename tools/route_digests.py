@@ -53,10 +53,13 @@ import numpy as np
 
 # (B, C, H, W) maps; the fifth and sixth keep every extent small and odd, the
 # sixth and seventh are thin in V and in H, the eighth's H sweep runs
-# Bluestein-131 lines through the real table, and the ninth's H sweep pairs
-# Bluestein-263 lines across its B = 2 batch items, orth being an odd 3
+# Bluestein-131 lines through the real table, the ninth's H sweep pairs
+# Bluestein-263 lines across its B = 2 batch items, orth being an odd 3, and
+# the tenth's tap-loop windows exceed ``parc_spatial._WINDOW_BYTES`` in both
+# sweeps, 100 and 200 rows leaving a short last row chunk in each
 MAPS = ((2, 32, 50, 83), (1, 48, 28, 28), (8, 32, 64, 64), (1, 8, 224, 224),
-        (2, 3, 7, 13), (2, 3, 1, 5), (1, 4, 64, 2), (2, 4, 131, 3), (2, 4, 263, 3))
+        (2, 3, 7, 13), (2, 3, 1, 5), (1, 4, 64, 2), (2, 4, 131, 3), (2, 4, 263, 3),
+        (1, 4, 200, 100))
 
 
 def _digest(arr) -> str:
