@@ -27,14 +27,15 @@ over the (2N-1)-long periodic extension of each line.  Along one line the
 operator is also a product with the circulant M[i, l] = K[(l - i) mod N]
 (``_circulant``), so in depthwise mode ``parc_forward`` runs the sweep as one
 stacked matmul, agreeing with the tap loop to roundoff.  Outside the memory
-rule ``_circulant_fits`` (thin maps) and in dense mode, ``parc_forward`` runs
-the same tap loop, bit for bit: ``_accumulate``, the one circular tap loop
-of both modes and directions, which also builds q.  Depthwise it is
-``_circular_correlate``: per cache-sized channel block, one extension of the
-lines by their first N - 1 columns and, per L1-sized chunk of its rows, one
-``np.matmul`` over a strided window view of it, so each output column is
-one BLAS matrix-vector product of its window with the N taps, and no
-per-tap product, circulant or spectrum is built.  ``_correlate``, the
+rule ``_circulant_fits`` (thin maps) and in dense mode, ``parc_forward``
+returns the tap loop.  Its kernel, ``_accumulate``, is the one circular tap
+loop of both modes and directions, which also builds q: one
+``_circular_correlate`` call, once per output channel in dense mode.  That
+is, per cache-sized channel block, one extension of the lines by their
+first N - 1 columns and, per L1-sized chunk of its rows, one ``np.matmul``
+over a strided window view of it, so each output column is one BLAS
+matrix-vector product of its window with the N taps, and no per-tap
+product, circulant or spectrum is built.  ``_correlate``, the
 einsum pass of the zero-padded baselines, reads nothing circularly.
 ``parc_backward`` runs the operator again per channel block of lines, dX
 correlating dY with the reversed kernel and dK the offset input x + pe with
@@ -234,8 +235,9 @@ def _offset_input(x: Tensor4, axis: int) -> np.ndarray:
 def _pe_bias(p: ParCParams, n: int, dtype_name: str) -> np.ndarray:
     """Output rows q = corr(pe, K) + bias, (C_out, n), the "pe_bias" plan of
     the params: the only way the PE and the bias enter a forward route (the
-    module's PE rule).  One float64 ``_accumulate`` pass over the C_in PE
-    lines (summed over them in dense mode), cast to dtype_name's precision."""
+    module's PE rule).  One float64 ``_accumulate`` call over the C_in PE
+    lines, the tap loop of both modes (summed over the lines in dense mode),
+    cast to dtype_name's precision."""
     def build():
         kernel_n, pe_n, bias = (a.astype(np.float64) for a in p.resolved(n, dtype_name))
         q = _accumulate(pe_n[None, :, None, :], kernel_n)[0, :, 0] + bias[:, None]
@@ -370,22 +372,20 @@ def _accumulate(src, kernel_n, axis: int = 3):
     ``_circular_correlate`` call, one row of N taps per channel, which
     extends each channel block by itself and computes each output column of
     a channel as one BLAS matrix-vector product per row chunk.  Dense mode
-    extends the whole tensor into one C-contiguous copy and runs one einsum
-    per tap.
+    runs that call once per output channel o, with the C_in kernel rows of
+    o, into one reused (B, C_in, rows, N) buffer, and sums the buffer over
+    input channels into y[:, o], as ``_adjoint`` runs dense mode.
     """
     shape = [src.shape[0], kernel_n.shape[0], *src.shape[2:]]
     shape[axis], shape[3] = shape[3], shape[axis]
+    y = np.swapaxes(np.empty(shape, src.dtype), axis, 3)
     if kernel_n.ndim == 2:
-        y = np.swapaxes(np.empty(shape, src.dtype), axis, 3)
         run_sliced(_circular_correlate, src, kernel_n, y)
         return y
-    n = src.shape[-1]
-    y = np.swapaxes(np.zeros(shape, src.dtype), axis, 3)
-    ext = np.empty(src.shape[:3] + (2 * n - 1,), src.dtype)
-    ext[..., :n] = src
-    ext[..., n:] = src[..., :n - 1]
-    for k in range(n):
-        y += np.einsum("oi,bilw->bolw", kernel_n[:, :, k], ext[..., k:k + n])
+    share = np.empty(src.shape, src.dtype)
+    for o, rows in enumerate(kernel_n):
+        run_sliced(_circular_correlate, src, rows, share)
+        np.sum(share, axis=1, out=y[:, o])
     return y
 
 
@@ -434,18 +434,16 @@ def parc_forward(x: Tensor4, p: ParCParams) -> Tensor4:
     broadcasts it over the batch and hands each (orth, N) @ (N, N) product
     to BLAS.  The stack is built only under the memory rule
     ``_circulant_fits``, which bounds it by twice the offset lines, and kept
-    as a plan of the params.  Dense mode and thin maps run the tap loop of
-    ``parc_forward_via_concat``, bit for bit and with no copy of x: it reads
-    x through its swapped view and writes its output in x's layout.
+    as a plan of the params.  Dense mode and thin maps return
+    ``parc_forward_via_concat``, the tap loop.
     """
-    axis, n, kernel_n = _resolve(x, p)[:3]
+    axis = sweep_axis(p.orientation)
+    if p.mode == "dense" or not _circulant_fits(x.shape[axis], x.shape[0] * x.shape[5 - axis]):
+        return parc_forward_via_concat(x, p)
+    n, kernel_n = _resolve(x, p)[1:3]
     q = _pe_bias(p, n, x.dtype_name)
-    lines = np.swapaxes(x.data, axis, 3)
-    if p.mode == "depthwise" and _circulant_fits(n, lines.shape[0] * lines.shape[2]):
-        y = _offset_input(x, axis) @ p.prepared("circulant", n, x.dtype_name,
-                                                lambda: (_circulant(_reversed(kernel_n)),))[0]
-    else:
-        y = _accumulate(lines, kernel_n, axis)
+    y = _offset_input(x, axis) @ p.prepared("circulant", n, x.dtype_name,
+                                            lambda: (_circulant(_reversed(kernel_n)),))[0]
     return _finish(y, q, axis)
 
 
@@ -455,12 +453,12 @@ def parc_forward_via_concat(x: Tensor4, p: ParCParams, parallel: bool = False) -
     Each line of x, read through its swapped view with the swept axis
     last, is concatenated with its own first N-1 positions (length 2N-1)
     and the kernel slides over that extension with no padding: per channel
-    block, ``_circular_correlate`` builds the extension, the call's only
-    copy of x, and computes each output column as one BLAS matrix-vector
-    product per chunk of the block's window rows, writing the output in
-    x's (B, C, H, W) layout, so ``_finish`` copies nothing.  Bit-identical
-    to ``parc_forward`` wherever that runs the tap loop (dense mode, thin
-    maps), and equal to its circulant matmul to roundoff.  ``parallel`` is
+    block, ``_circular_correlate`` builds the extension, the only copy of x
+    (one per output channel in dense mode), and computes each output column
+    as one BLAS matrix-vector product per chunk of the block's window rows,
+    writing the output in x's (B, C, H, W) layout, so ``_finish`` copies
+    nothing.  ``parc_forward`` returns it in dense mode and on thin maps,
+    and its circulant matmul equals it to roundoff.  ``parallel`` is
     accepted and ignored; perfbench's ``call_route`` still passes it.  The
     tap loop always runs serially.
     """

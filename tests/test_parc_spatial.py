@@ -1304,11 +1304,10 @@ class TestOneLayoutStage:
             assert plain == []
             return
         self.ROUTES[route](x, p)
-        forward_taps = mode == "depthwise" and (route == "concat" or route == "modulo" and thin)
+        forward_taps = route == "concat" or route == "modulo" and (thin or mode == "dense")
         assert wraps == [True] * len(wraps)
-        # on a plan miss every depthwise route's tap loop builds its output
-        # rows; dense rows sum over input channels without ``_circular_correlate``
-        assert bool(wraps) == (mode == "depthwise")
+        # on a plan miss every route's tap loop builds its output rows
+        assert wraps
         wraps.clear()
         self.ROUTES[route](x, p)
         assert wraps == [True] * len(wraps)
@@ -1316,17 +1315,20 @@ class TestOneLayoutStage:
         assert plain == []
 
 
+@pytest.mark.parametrize("mode", ["depthwise", "dense"])
 @pytest.mark.parametrize("orth", [1, 2, 4])
 @pytest.mark.parametrize("n", [256, 1024, 4096])
-def test_tap_loop_f32_error_stays_flat_in_n(n, orth):
+def test_tap_loop_f32_error_stays_flat_in_n(n, orth, mode):
     """The f32 tap loop on thin maps, kernel scale 1/N, against its own f64
     run: within 5e-7 of the output's max up to N = 4096, where a tap loop
-    summing each output's N products in order reads up to about 8.5e-7.
+    summing each output's N products in order reads up to about 8.5e-7
+    (1.0e-6 to 1.7e-6 dense, at N >= 1024, for one einsum per tap).
     With one row per channel (orth = 1, the shape of the output rows'
     build) each output is a BLAS dot product rather than a matrix-vector
-    product."""
+    product.  Dense mode runs the same loop per output channel and sums
+    its 4 input channels."""
     rng = np.random.default_rng(n + orth)
-    p = random_params(rng, 4, kernel_scale=1.0 / n)
+    p = random_params(rng, 4, mode=mode, channels_out=4, kernel_scale=1.0 / n)
     x = rng.standard_normal((1, 4, n, orth))
     want = parc_forward_via_concat(Tensor4(x), p).data
     got = parc_forward_via_concat(Tensor4(x.astype(np.float32)), p).data
